@@ -1,7 +1,7 @@
 """Checker 4 — schema tags have a single source (``SCH*``).
 
 Every emitted JSON document carries a ``repro.<family>/v<N>`` schema
-tag; resume paths, CI artifact consumers and the bench-history reader
+tag; resume paths, CI artifact consumers and the cell-store reader
 all dispatch on it.  Two definitions of one family are how emitters and
 consumers drift apart silently.  :mod:`repro.schemas` is the single
 place a tag literal may be written; everything else imports the

@@ -64,7 +64,7 @@ from repro.technology.montecarlo import ProcessSample
 #: dominated by Python dispatch, which batching amortizes.  The per-die
 #: noise-stream contract makes the two execution orders bit-exact, so
 #: this is purely a throughput heuristic (measured crossover ~4k
-#: samples in benchmarks/bench_engines.py workloads).  Override per
+#: samples on dynamic-screen workloads).  Override per
 #: configuration via :attr:`repro.core.config.AdcConfig.per_die_record_threshold`
 #: (excluded from campaign fingerprints for exactly that reason).
 PER_DIE_RECORD_SAMPLES = 4096

@@ -1,8 +1,7 @@
 """Opt-in per-stage wall-time instrumentation (the timing primitive).
 
-The engines gate on wall-time regressions (``BENCH_baseline.json``) but
-could not see *where* time goes inside a conversion.  This module is the
-instrument: a :class:`ProfileRecorder` that hot paths feed through
+The benchmark (``perfbench/``) times whole jobs but cannot see *where*
+time goes inside a conversion.  This module is the instrument: a :class:`ProfileRecorder` that hot paths feed through
 near-zero-cost :func:`record` context managers and the
 :func:`profile_step` decorator.
 

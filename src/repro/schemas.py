@@ -1,9 +1,9 @@
 """The single source of truth for JSON artifact schema tags.
 
 Every JSON document the package emits — batch results, campaign
-ledgers, profile reports, benchmark artifacts, lint reports — carries a
+ledgers, cell-store entries, profile reports, lint reports — carries a
 ``"schema"`` field so downstream consumers (CI artifact readers, the
-resume path, the bench-history trend renderer) can detect format drift.
+resume path, the cell-store reader) can detect format drift.
 Each tag is the string ``repro.<family>/v<N>``; bumping ``N`` is the
 contract for a breaking document change.
 
@@ -56,16 +56,6 @@ PROFILE_SCHEMA = "repro.profile/v1"
 
 #: Side-by-side engine profile reports (``repro profile --json``).
 PROFILE_REPORT_SCHEMA = "repro.profile-report/v1"
-
-#: Engine-comparison benchmark artifacts
-#: (``benchmarks/bench_engines.py``).  v4 added the pvt-campaign
-#: workload and environment metadata; v5 the vectorized-fast
-#: configuration; v6 the sharded-campaign workload.
-BENCH_ENGINES_SCHEMA = "repro.bench-engines/v6"
-
-#: One perf-trajectory history entry
-#: (``benchmarks/bench_engines.py --history-dir``).
-BENCH_HISTORY_SCHEMA = "repro.bench-history/v1"
 
 #: Lint reports emitted by ``repro lint --json``
 #: (:mod:`repro.analysis`).

@@ -19,9 +19,9 @@ from repro.errors import ConfigurationError
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.montecarlo import default_sampler, run_yield_analysis
 
-#: Tolerances of the statistical-equivalence gate, mirroring
-#: benchmarks/bench_engines.py: 2% relative (~1.3 dB on SNDR, ~0.2 bit
-#: on ENOB) plus LSB-scale absolute slack for DNL/INL realization noise.
+#: Tolerances of the statistical-equivalence gate (this module is where
+#: the gate lives): 2% relative (~1.3 dB on SNDR, ~0.2 bit on ENOB) plus
+#: LSB-scale absolute slack for DNL/INL realization noise.
 REL_TOL = 0.02
 ABS_TOL = 0.35
 
@@ -142,31 +142,63 @@ class TestDeterminism:
 
 
 class TestStatisticalEquivalence:
+    YIELD_KWARGS = dict(
+        n_dies=3,
+        seed=17,
+        n_fft=1024,
+        ramp_points_per_code=16,
+        engine="vectorized",
+    )
+
     @pytest.fixture(scope="class")
     def reports(self):
-        kwargs = dict(
-            n_dies=3,
-            seed=17,
-            n_fft=1024,
-            ramp_points_per_code=16,
-            engine="vectorized",
-        )
         return (
-            run_yield_analysis(**kwargs),
-            run_yield_analysis(**kwargs, precision="fast"),
+            run_yield_analysis(**self.YIELD_KWARGS),
+            run_yield_analysis(**self.YIELD_KWARGS, precision="fast"),
         )
 
-    def test_per_die_metrics_within_tolerance(self, reports):
-        exact, fast = reports
-        for e, f in zip(exact.dies, fast.dies):
+    @staticmethod
+    def assert_close(exact_rows, fast_rows, metrics):
+        assert len(exact_rows) == len(fast_rows)
+        for e, f in zip(exact_rows, fast_rows):
             assert e.index == f.index
-            for metric in ("sndr_db", "enob_bits", "dnl_peak_lsb"):
+            for metric in metrics:
                 assert math.isclose(
                     getattr(e, metric),
                     getattr(f, metric),
                     rel_tol=REL_TOL,
                     abs_tol=ABS_TOL,
                 ), (metric, e.index)
+
+    def test_per_die_metrics_within_tolerance(self, reports):
+        exact, fast = reports
+        self.assert_close(
+            exact.dies, fast.dies, ("sndr_db", "enob_bits", "dnl_peak_lsb")
+        )
+
+    def test_calibrated_per_die_metrics_within_tolerance(self):
+        exact = run_yield_analysis(**self.YIELD_KWARGS, calibrate=True)
+        fast = run_yield_analysis(
+            **self.YIELD_KWARGS, calibrate=True, precision="fast"
+        )
+        self.assert_close(
+            exact.dies,
+            fast.dies,
+            ("sndr_db", "enob_bits", "dnl_peak_lsb", "inl_peak_lsb"),
+        )
+
+    def test_campaign_cell_metrics_within_tolerance(self):
+        def cells(precision):
+            spec = CampaignSpec(n_dies=1, n_samples=1024, precision=precision)
+            report = run_campaign(spec, engine="vectorized")
+            report.batch.raise_first_failure()
+            return sorted(report.cells, key=lambda cell: cell.index)
+
+        exact, fast = cells("exact"), cells("fast")
+        assert len(exact) == 15
+        self.assert_close(
+            exact, fast, ("snr_db", "sndr_db", "sfdr_db", "enob_bits")
+        )
 
     def test_report_carries_tier(self, reports):
         exact, fast = reports
