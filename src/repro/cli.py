@@ -255,8 +255,8 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     """The campaign-grid and bench flags (shared by campaign/dispatch).
 
     Everything here maps 1:1 onto a :class:`CampaignSpec` field — see
-    :func:`_spec_from_args` — so the dispatcher can hand any spec to
-    its ``repro campaign`` subprocesses over the command line.
+    :func:`_spec_from_args` — so a hand-run ``repro campaign
+    --cell-range`` shard can rebuild any spec over the command line.
     """
     defaults = CampaignSpec()
     parser.add_argument(
@@ -802,7 +802,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         prog="repro campaign-dispatch",
         description=(
             "Run a sharded PVT campaign to completion: plan N shards, "
-            "launch each as a 'repro campaign' subprocess against its "
+            "run each in a process forked from this one against its "
             "own ledger, then merge the ledgers, coalesce any missing "
             "cells into contiguous ranges and re-dispatch only those "
             "ranges — with exponential deterministic-jitter backoff — "
@@ -838,7 +838,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help=(
-            "kill a shard subprocess exceeding this wall time; its "
+            "kill a shard process exceeding this wall time; its "
             "range re-enters the gap pool (default: no timeout)"
         ),
     )
@@ -865,7 +865,10 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.05,
         metavar="SECONDS",
-        help="shard subprocess poll cadence (default 0.05)",
+        help=(
+            "longest wait between shard timeout checks; a shard exit "
+            "wakes the dispatcher at once (default 0.05)"
+        ),
     )
     parser.add_argument(
         "--work-dir",
@@ -881,14 +884,14 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("pool", "vectorized"),
         default="vectorized",
-        help="execution engine for the shard subprocesses (default vectorized)",
+        help="execution engine for the shard processes (default vectorized)",
     )
     parser.add_argument(
         "--workers",
         type=int,
         default=1,
         metavar="N",
-        help="worker processes per shard subprocess (default 1)",
+        help="worker processes per shard process (default 1)",
     )
     parser.add_argument(
         "--cell-chunk",
@@ -907,7 +910,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "content-addressed cell-result store shared by all shard "
-            "subprocesses"
+            "processes"
         ),
     )
     parser.add_argument(

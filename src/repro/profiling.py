@@ -64,7 +64,7 @@ stage / phase           what it times
                         and excluded from share-of-run accounting).
                         The gap-driven campaign dispatcher adds
                         ``dispatch/shard-wait`` (wall time waiting on a
-                        wave of shard subprocesses) and
+                        wave of forked shards) and
                         ``dispatch/backoff`` (retry-round backoff
                         sleeps) under the same overlay rule
 ``task/*``              one whole measurement task (die, die chunk,

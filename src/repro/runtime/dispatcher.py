@@ -1,21 +1,29 @@
 """Gap-driven dispatch loop: sharded campaigns that finish themselves.
 
-PR 8's shard layer left one loop open: a shard killed mid-run leaves
-its ledger partial, ``repro campaign-merge`` reports the gap — and a
-human re-runs the missing ranges by hand.  This module is the closing
-brick.  :class:`CampaignDispatcher` plans shards from a
-:class:`~repro.runtime.campaign.CampaignSpec`, launches each as a real
-``repro campaign --cell-range`` subprocess against its own per-shard
-ledger, then loops: merge every ledger in the work directory, read the
-missing cell indices, coalesce them into contiguous ranges
+A shard killed mid-run leaves its ledger partial, and ``repro
+campaign-merge`` reports the gap.  :class:`CampaignDispatcher` acts on
+that report.  It plans shards from a
+:class:`~repro.runtime.campaign.CampaignSpec` and runs each cell range
+in a child process forked from the dispatcher, which calls
+:func:`~repro.runtime.campaign.run_campaign` with ``cell_range`` and
+``resume=True`` against the range's own ledger.  Then it loops: merge
+every ledger in the work directory, read the missing cell indices,
+coalesce them into contiguous ranges
 (:func:`repro.runtime.shards.coalesce_cell_ranges`) and re-dispatch
 *only those ranges* — until the merge is complete or the retry budget
 is exhausted.
 
+A forked shard starts warm: numpy and ``repro`` are already imported
+(a fresh ``python -m repro`` interpreter costs about 0.45 s to start on
+a 2-CPU Linux host), and the child inherits the dispatcher's
+:class:`~repro.core.config.AdcConfig` and die cache as they are.  Its
+stdout and stderr go to ``os.devnull``.  The ``fork`` start method is
+POSIX-only; ``repro campaign --cell-range`` stays for hand-run shards.
+
 Design rules, in order:
 
 1. **The merge is the source of truth.**  The dispatcher never trusts
-   a subprocess's exit code to decide what work remains — a shard that
+   a shard's exit code to decide what work remains — a shard that
    died after completing 5 of 6 cells contributed 5 cells, and only
    the ledger knows.  Every round re-reads every ledger; the retry
    unit is a gap range, not a shard.
@@ -23,8 +31,8 @@ Design rules, in order:
    work directory are merged *before* any work is launched, so a
    crashed dispatcher recovers the same way a crashed shard does:
    re-run the same command, only the gaps execute.  Re-dispatched
-   ranges reuse their ledger path with ``--resume``, so even a
-   partially-complete retry keeps its cells.
+   ranges resume their ledger, so even a partially-complete retry
+   keeps its cells.
 3. **Deterministic decisions.**  Retry order, range planning and the
    backoff jitter derive from the campaign fingerprint and the round
    index alone — no wall clock and no ``random`` in any decision path
@@ -33,36 +41,42 @@ Design rules, in order:
 4. **Failure is bounded.**  Each cell may be dispatched at most
    ``1 + max_retries`` times; a range that keeps dying exhausts the
    budget and the report says so instead of looping forever.  A shard
-   that outlives ``timeout_s`` is killed and its range re-enters the
-   gap pool.
+   that outlives ``timeout_s`` is SIGKILLed and its range re-enters
+   the gap pool.
 
 Fault injection for tests and the CI gate: ``REPRO_FAULT_KILL_SHARD``
-(``"<range-position>"`` or ``"<range-position>:<after-cells>"``) makes
-the CLI ask the dispatcher to SIGKILL the given first-round shard once
-its ledger holds the given number of cell records — a deterministic
-stand-in for the preempted worker the loop exists to survive.
+(``"<range-position>"`` or ``"<range-position>:<after-cells>"``) arms
+the given first-round shard to SIGKILL itself from ``run_campaign``'s
+progress callback once it has recorded the given number of cells while
+cells of its range remain — a deterministic stand-in for the preempted
+worker the loop exists to survive.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import os
-import subprocess
+import signal
 import sys
 import time
 from dataclasses import dataclass
 from hashlib import sha256
+from multiprocessing.connection import wait
+from multiprocessing.process import BaseProcess
 from pathlib import Path
 
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.profiling import active
+from repro.runtime.batch import BatchProgress, ProgressCallback
 from repro.runtime.campaign import (
     CampaignLedger,
     CampaignReport,
     CampaignSpec,
     CellMetrics,
+    run_campaign,
 )
 from repro.runtime.shards import coalesce_cell_ranges
 from repro.schemas import DISPATCH_REPORT_SCHEMA
@@ -111,7 +125,7 @@ def backoff_delay_s(
 
 @dataclass(frozen=True)
 class DispatchAttempt:
-    """One subprocess launched for one cell range.
+    """One shard process launched for one cell range.
 
     Attributes:
         start: first grid cell of the dispatched range.
@@ -119,12 +133,13 @@ class DispatchAttempt:
         round: dispatch round (0 = the initial wave).
         attempt: highest per-cell dispatch count this launch represents
             (1-based; budgeted against ``1 + max_retries``).
-        ledger: the shard ledger the subprocess wrote.
-        exit_code: the subprocess return code (negative = killed by
+        ledger: the shard ledger the process wrote.
+        exit_code: the shard process exit code (negative = killed by
             that signal, e.g. -9 after a timeout or injected fault).
         timed_out: True when the dispatcher killed the shard for
             exceeding ``timeout_s``.
-        fault_injected: True when the test/CI fault hook killed it.
+        fault_injected: True when the test/CI fault hook made it kill
+            itself.
         elapsed_s: wall seconds from launch to reap.
     """
 
@@ -153,10 +168,10 @@ class DispatchReport:
         max_retries: re-dispatches allowed per cell beyond the first.
         timeout_s: per-shard kill deadline (None = none).
         rounds: dispatch rounds actually run.
-        attempts: every launched subprocess, in launch order.
+        attempts: every launched shard, in launch order.
         backoffs_s: the delay slept before each retry round.
         resumed_cells: cells already present in the work directory
-            before any subprocess was launched (dispatcher resume).
+            before any shard was launched (dispatcher resume).
         unreadable_ledgers: work-dir ledgers skipped as unreadable
             (deleted and re-run rather than merged).
         complete: the merged grid has no missing cells.
@@ -262,18 +277,17 @@ class DispatchReport:
 
 @dataclass
 class _Launched:
-    """Bookkeeping for one running shard subprocess."""
+    """Bookkeeping for one running forked shard."""
 
     start: int
     stop: int
     attempt: int
     ledger: Path
-    process: subprocess.Popen
+    process: BaseProcess
     started_monotonic: float
     deadline_monotonic: float | None
-    fault_after_cells: int | None = None
+    fault_armed: bool
     timed_out: bool = False
-    fault_injected: bool = False
 
 
 class CampaignDispatcher:
@@ -282,23 +296,22 @@ class CampaignDispatcher:
     Args:
         spec: the campaign grid and bench settings.
         config: converter configuration (paper default when omitted).
-            Must be expressible on the ``repro campaign`` command line,
-            i.e. the default config — the subprocesses rebuild it.
         shards: first-wave shard count and per-wave concurrency cap
             (clamped to the grid size).
         work_dir: directory holding the per-shard ledgers; the unit of
             dispatcher resume.  Must not mix campaigns.
         max_retries: re-dispatches allowed per cell beyond its first
             launch before the budget is exhausted.
-        timeout_s: kill a shard subprocess exceeding this wall time;
+        timeout_s: SIGKILL a shard process exceeding this wall time;
             its range re-enters the gap pool.
         backoff_base_s: base of the exponential retry backoff (0
             disables waiting; the jitter stays deterministic either
             way).
         backoff_cap_s: ceiling on the un-jittered backoff delay.
-        poll_interval_s: subprocess poll cadence.
-        engine: execution engine for the shard subprocesses.
-        workers: worker processes per shard subprocess.
+        poll_interval_s: longest wait between timeout checks (a
+            shard exit wakes the dispatcher at once).
+        engine: execution engine for the shard processes.
+        workers: worker processes per shard process.
         cell_chunk: cells per vectorized batch inside each shard
             (``1`` makes the ledger checkpoint per cell — what the
             fault-injection tests and CI gate use).
@@ -307,11 +320,11 @@ class CampaignDispatcher:
             ``out_ledger``).
         out_ledger: when given, write the merged cells as a whole-grid
             ledger there after the loop ends.
-        fault_kill: ``(range_position, after_cells)`` — SIGKILL the
-            first-round shard at that launch position once its ledger
-            holds ``after_cells`` cell records (and, so the fault
-            always leaves a gap to recover, before it holds its whole
-            range).  Test/CI hook; the CLI fills it from
+        fault_kill: ``(range_position, after_cells)`` — the
+            first-round shard at that launch position SIGKILLs itself
+            once it has recorded ``after_cells`` cells (and, so the
+            fault always leaves a gap to recover, while cells of its
+            range remain).  Test/CI hook; the CLI fills it from
             ``REPRO_FAULT_KILL_SHARD``.
     """
 
@@ -403,69 +416,6 @@ class CampaignDispatcher:
 
     def _ledger_path(self, start: int, stop: int) -> Path:
         return self.work_dir / f"range-{start:06d}-{stop:06d}.jsonl"
-
-    def _command(self, start: int, stop: int, ledger: Path) -> list[str]:
-        """The ``repro campaign`` invocation for one cell range.
-
-        Floats travel as ``repr`` so they round-trip bit-exactly
-        through the child's ``float()`` parse; die seeds are passed
-        resolved, so the child's fingerprint equals the parent's even
-        though the root seed is not on the command line.
-        """
-        spec = self.spec
-        command = [
-            sys.executable,
-            "-m",
-            "repro",
-            "campaign",
-            "--corners",
-            ",".join(corner.value for corner in spec.corners),
-            "--temps={}".format(
-                ",".join(repr(float(t)) for t in spec.temperatures_c)
-            ),
-            "--dies",
-            str(spec.n_dies),
-            "--die-seeds",
-            ",".join(str(seed) for seed in spec.resolved_die_seeds()),
-            "--rate",
-            repr(float(spec.conversion_rate)),
-            "--fin",
-            repr(float(spec.input_frequency)),
-            "--fft-points",
-            str(spec.n_samples),
-            "--amplitude",
-            repr(float(spec.amplitude_fraction)),
-            "--supply-scale",
-            repr(float(spec.supply_scale)),
-            "--precision",
-            spec.precision,
-            "--engine",
-            self.engine,
-            "--workers",
-            str(self.workers),
-            "--cell-range",
-            f"{start}:{stop}",
-            "--ledger",
-            str(ledger),
-            "--resume",
-        ]
-        if self.cell_chunk is not None:
-            command += ["--cell-chunk", str(self.cell_chunk)]
-        if not self.fsync:
-            command.append("--no-fsync")
-        if self.cell_store is not None:
-            command += ["--cell-store", str(self.cell_store)]
-        return command
-
-    def _subprocess_env(self) -> dict[str, str]:
-        """Child env: the parent's, with this checkout importable."""
-        env = dict(os.environ)
-        src_root = str(Path(__file__).resolve().parents[2])
-        previous = env.get("PYTHONPATH", "")
-        env["PYTHONPATH"] = (
-            src_root + os.pathsep + previous if previous else src_root
-        )
-        return env
 
     # --- merge (the source of truth) -------------------------------------
 
@@ -619,58 +569,48 @@ class CampaignDispatcher:
     ) -> list[DispatchAttempt]:
         """Launch one round's ranges (at most ``shards`` concurrent)."""
         wave_start = time.monotonic()
+        context = multiprocessing.get_context("fork")
         pending = list(wave)
         position = 0
         running: list[_Launched] = []
         finished: list[tuple[_Launched, int]] = []
-        env = self._subprocess_env()
         while pending or running:
             while pending and len(running) < self.shards:
                 start, stop, attempt_no = pending.pop(0)
                 ledger = self._ledger_path(start, stop)
                 self._prepare_ledger(ledger)
-                now = time.monotonic()
-                launched = _Launched(
-                    start=start,
-                    stop=stop,
-                    attempt=attempt_no,
-                    ledger=ledger,
-                    process=subprocess.Popen(
-                        self._command(start, stop, ledger),
-                        env=env,
-                        stdout=subprocess.DEVNULL,
-                        stderr=subprocess.DEVNULL,
-                    ),
-                    started_monotonic=now,
-                    deadline_monotonic=(
-                        now + self.timeout_s
-                        if self.timeout_s is not None
-                        else None
-                    ),
+                armed = fault is not None and position == fault[0]
+                process = context.Process(
+                    target=self._run_shard,
+                    args=(start, stop, ledger, fault[1] if armed else None),
                 )
-                if fault is not None and position == fault[0]:
-                    launched.fault_after_cells = fault[1]
+                now = time.monotonic()
+                process.start()
                 position += 1
-                running.append(launched)
+                running.append(
+                    _Launched(
+                        start=start,
+                        stop=stop,
+                        attempt=attempt_no,
+                        ledger=ledger,
+                        process=process,
+                        started_monotonic=now,
+                        deadline_monotonic=(
+                            now + self.timeout_s
+                            if self.timeout_s is not None
+                            else None
+                        ),
+                        fault_armed=armed,
+                    )
+                )
             still_running: list[_Launched] = []
             for launched in running:
-                code = launched.process.poll()
+                code = launched.process.exitcode
                 if code is not None:
+                    launched.process.close()
                     finished.append((launched, code))
                     continue
-                # The fault fires only while the shard still has cells
-                # left to write: a kill after the last record leaves no
-                # gap, which would silently defeat what the hook tests.
                 if (
-                    launched.fault_after_cells is not None
-                    and launched.fault_after_cells
-                    <= self._ledger_cell_count(launched.ledger)
-                    < launched.stop - launched.start
-                ):
-                    launched.fault_injected = True
-                    launched.fault_after_cells = None
-                    launched.process.kill()
-                elif (
                     launched.deadline_monotonic is not None
                     and time.monotonic() > launched.deadline_monotonic
                 ):
@@ -679,7 +619,10 @@ class CampaignDispatcher:
                 still_running.append(launched)
             running = still_running
             if running:
-                time.sleep(self.poll_interval_s)
+                wait(
+                    [launched.process.sentinel for launched in running],
+                    self.poll_interval_s,
+                )
         recorder = active()
         if recorder is not None:
             recorder.add(
@@ -698,33 +641,84 @@ class CampaignDispatcher:
                 ledger=str(launched.ledger),
                 exit_code=code,
                 timed_out=launched.timed_out,
-                fault_injected=launched.fault_injected,
+                fault_injected=(
+                    launched.fault_armed
+                    and not launched.timed_out
+                    and code == -signal.SIGKILL
+                ),
                 elapsed_s=reap_time - launched.started_monotonic,
             )
             for launched, code in finished
         ]
 
-    @staticmethod
-    def _ledger_cell_count(path: Path) -> int:
-        """Cell records currently in a ledger file (0 when unreadable).
+    def _run_shard(
+        self,
+        start: int,
+        stop: int,
+        ledger: Path,
+        fault_after_cells: int | None,
+    ) -> None:
+        """The forked shard: run ``[start, stop)`` into its ledger.
 
-        The fault hook's trigger only — tolerant of every torn state a
-        ledger passes through while its shard is being written.
+        Exits 1 when a cell crashed, like ``repro campaign``.  Output
+        goes to ``os.devnull`` at both the stream and the descriptor
+        level, so nothing the shard prints reaches the dispatcher's
+        stdout or stderr.
         """
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return -1 if not path.exists() else 0
-        return max(0, sum(1 for line in lines if line.strip()) - 1)
+        sink = open(os.devnull, "w")
+        os.dup2(sink.fileno(), 1)
+        os.dup2(sink.fileno(), 2)
+        sys.stdout = sys.stderr = sink
+        report = run_campaign(
+            self.spec,
+            self.config,
+            engine=self.engine,
+            ledger_path=ledger,
+            resume=True,
+            cell_range=(start, stop),
+            cell_chunk=self.cell_chunk,
+            workers=self.workers,
+            cell_store=self.cell_store,
+            ledger_fsync=self.fsync,
+            progress=(
+                None
+                if fault_after_cells is None
+                else _kill_self_after(fault_after_cells)
+            ),
+        )
+        if report.failures:
+            raise SystemExit(1)
+
+
+def _kill_self_after(after_cells: int) -> ProgressCallback:
+    """Progress callback that SIGKILLs this process mid-range.
+
+    ``run_campaign`` calls it after each batch of fresh cells reaches
+    the ledger.  It fires once ``after_cells`` cells are recorded and
+    tasks remain, so the kill always leaves a gap; a range measured in
+    one task simply completes.
+    """
+    recorded = 0
+
+    def progress(update: BatchProgress) -> None:
+        nonlocal recorded
+        outcome = update.latest
+        if outcome is not None and outcome.ok:
+            value = outcome.value
+            recorded += len(value) if isinstance(value, tuple) else 1
+        if recorded >= after_cells and update.done < update.total:
+            os.kill(os.getpid(), signal.SIGKILL)
+
+    return progress
 
 
 def parse_fault_kill(value: str | None) -> tuple[int, int] | None:
     """Parse the ``REPRO_FAULT_KILL_SHARD`` hook value.
 
-    ``"1"`` kills first-round shard 1 as soon as its ledger exists;
-    ``"1:3"`` waits until it holds 3 cell records.  Either way the kill
-    only fires while the shard still has cells left to write — a shard
-    that outruns the poller simply completes.  None/empty: no fault.
+    ``"1"`` kills first-round shard 1 after its first recorded batch
+    of cells; ``"1:3"`` waits until it has recorded 3 cells.  Either way
+    the kill only fires while the shard still has cells left to write.
+    None/empty: no fault.
     """
     if not value:
         return None

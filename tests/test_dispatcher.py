@@ -13,16 +13,25 @@ The load-bearing contracts:
 * **Bounded failure** — the per-cell retry budget turns a persistent
   failure into an exhausted, incomplete report (CLI exit 1), never an
   endless loop.
+* **Fork hygiene** — a shard forked from a parent with a warm die
+  cache and any :class:`AdcConfig` measures exactly what a single
+  process does, and nothing it prints reaches the dispatcher's streams.
 * **Store hygiene** — stats/verify/prune sweep correctly, quarantine
   preserves damaged entries, and entries vanishing mid-sweep degrade
   to misses, never tracebacks.
 """
 
+import dataclasses
 import json
+import os
+import sys
 
 import pytest
 
+from repro.core import die_cache
+from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
+from repro.runtime import dispatcher as dispatcher_module
 from repro.runtime.campaign import CampaignLedger, CampaignSpec, run_campaign
 from repro.runtime.cell_store import QUARANTINE_DIR, CellStore
 from repro.runtime.dispatcher import (
@@ -247,6 +256,8 @@ class TestDispatchRecovery:
         killed = [a for a in report.attempts if a.fault_injected]
         assert len(killed) == 1
         assert killed[0].exit_code == -9
+        # The shard killed itself right after its first recorded cell.
+        assert len(CampaignLedger(killed[0].ledger).read().records) == 1
         assert report.redispatched_ranges
         # Re-dispatched ranges stay inside the killed shard's range.
         start, stop = killed[0].start, killed[0].stop
@@ -286,9 +297,16 @@ class TestDispatchRecovery:
         )
         assert "EXHAUSTED" in report.render()
 
-    def test_timeout_kills_and_flags(self, small_spec, tmp_path):
+    def test_timeout_kills_and_flags(self, tmp_path):
+        # Each 16-cell shard of this grid takes about 0.9 s (18x the
+        # timeout) on a 2-CPU host, and its first 8-cell batch alone
+        # about 0.45 s, so every shard is killed before it records a
+        # cell.  The kill comes within one poll, so the test stays fast.
+        long_spec = CampaignSpec(
+            **{**SMALL, "n_dies": 8, "n_samples": 65536}
+        )
         dispatcher = CampaignDispatcher(
-            small_spec,
+            long_spec,
             shards=2,
             work_dir=tmp_path,
             max_retries=0,
@@ -344,6 +362,51 @@ class TestDispatchRecovery:
         )
         with pytest.raises(ConfigurationError, match="different campaign"):
             dispatcher.run()
+
+
+class TestForkedShards:
+    def test_warm_parent_and_silent_children(
+        self, small_spec, tmp_path, monkeypatch, capfd, single_report
+    ):
+        # The same dies, built in the parent before the fork.
+        die_cache.clear()
+        run_campaign(small_spec, engine="vectorized")
+        assert die_cache.stats().size == small_spec.n_cells
+        # The children inherit this wrapper; everything it writes, at
+        # the stream and the descriptor level, must stay in the child.
+        real = dispatcher_module.run_campaign
+
+        def chatty(*args, **kwargs):
+            print("shard stdout")
+            print("shard stderr", file=sys.stderr)
+            os.write(1, b"shard fd 1\n")
+            os.write(2, b"shard fd 2\n")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dispatcher_module, "run_campaign", chatty)
+        capfd.readouterr()
+        report = CampaignDispatcher(
+            small_spec, shards=3, work_dir=tmp_path, cell_chunk=1
+        ).run()
+        out, err = capfd.readouterr()
+        assert (out, err) == ("", "")
+        assert report.complete
+        assert all(a.exit_code == 0 for a in report.attempts)
+        assert report.report.cells == single_report.cells
+
+    def test_non_default_config(self, small_spec, tmp_path, single_report):
+        config = dataclasses.replace(
+            AdcConfig.paper_default(), include_jitter=False
+        )
+        report = CampaignDispatcher(
+            small_spec, config, shards=2, work_dir=tmp_path
+        ).run()
+        expected = run_campaign(small_spec, config)
+        assert report.complete
+        assert report.report.cells == expected.cells
+        # The config reached the shards: the cells are not the
+        # default-config cells.
+        assert expected.cells != single_report.cells
 
 
 class TestDispatchCli:
