@@ -557,6 +557,21 @@ def build_campaign_merge_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_json(path: Path | None, report) -> None:
+    """Write ``report``'s JSON document to the ``--json`` path, if given.
+
+    Raises:
+        ReproError: the file cannot be written (exit code 2).
+    """
+    if path is None:
+        return
+    try:
+        path.write_text(json.dumps(report.to_dict(), indent=2))
+    except OSError as error:
+        raise ReproError(f"cannot write {path}: {error}") from None
+    print(f"wrote {path}")
+
+
 def build_profile_parser() -> argparse.ArgumentParser:
     """The ``repro profile`` (per-stage cost breakdown) argument parser."""
     parser = argparse.ArgumentParser(
@@ -627,13 +642,7 @@ def run_profile(argv: Sequence[str] | None = None) -> int:
         engines=engines,
     )
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     return 0
 
 
@@ -710,13 +719,7 @@ def run_lint_cli(argv: Sequence[str] | None = None) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     return 0 if report.clean else 1
 
 
@@ -747,13 +750,7 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         ledger_fsync=not args.no_fsync,
     )
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     return 1 if report.failures else 0
 
 
@@ -784,13 +781,7 @@ def run_campaign_merge_cli(argv: Sequence[str] | None = None) -> int:
     args = build_campaign_merge_parser().parse_args(argv)
     report = merge_campaign_ledgers(args.ledgers, out_ledger=args.out_ledger)
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     if args.out_ledger is not None:
         print(f"wrote {args.out_ledger}")
     return 0 if report.complete else 1
@@ -970,13 +961,7 @@ def run_campaign_dispatch_cli(argv: Sequence[str] | None = None) -> int:
     )
     report = dispatcher.run()
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     if args.out_ledger is not None:
         print(f"wrote {args.out_ledger}")
     return 0 if report.complete else 1
@@ -1073,13 +1058,7 @@ def run_cell_store_cli(argv: Sequence[str] | None = None) -> int:
             dry_run=args.dry_run,
         )
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(json.dumps(report.to_dict(), indent=2))
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     return exit_code
 
 
@@ -1118,13 +1097,7 @@ def run_mc(argv: Sequence[str] | None = None) -> int:
         progress=_stderr_progress if args.progress else None,
     )
     print(report.render())
-    if args.json is not None:
-        try:
-            args.json.write_text(report.to_json())
-        except OSError as error:
-            print(f"error: cannot write {args.json}: {error}", file=sys.stderr)
-            return 2
-        print(f"wrote {args.json}")
+    _write_json(args.json, report)
     return 1 if report.batch.failures else 0
 
 

@@ -28,6 +28,55 @@ from repro.signal.metrics import SpectrumMetrics
 from repro.signal.spectrum import SpectrumAnalyzer
 from repro.technology.corners import OperatingPoint
 
+#: Stimulus amplitude relative to full scale: the paper measures "with
+#: signal amplitude near full scale (2 V_P-P)".
+NEAR_FULL_SCALE = 0.995
+
+#: Fractional over-range of the linearity ramp beyond full scale, so
+#: both end codes collect their share of hits.
+RAMP_OVERDRIVE = 0.02
+
+
+def coherent_tone(
+    config: AdcConfig,
+    conversion_rate: float,
+    input_frequency: float,
+    n_samples: int,
+    amplitude_fraction: float = NEAR_FULL_SCALE,
+) -> SineGenerator:
+    """The dynamic-test stimulus: a coherent tone near full scale.
+
+    ``input_frequency`` is snapped to the nearest frequency with a
+    whole number of cycles in ``n_samples`` at ``conversion_rate``;
+    the amplitude is ``amplitude_fraction`` of the converter's
+    reference (full scale is +-vref).
+    """
+    return SineGenerator.coherent(
+        input_frequency,
+        conversion_rate,
+        n_samples,
+        amplitude=amplitude_fraction * config.vref,
+    )
+
+
+def code_analyzer(config: AdcConfig) -> SpectrumAnalyzer:
+    """The FFT analyzer for output codes (full scale = half the codes)."""
+    return SpectrumAnalyzer(full_scale=config.n_codes / 2.0)
+
+
+def linearity_ramp(
+    config: AdcConfig,
+    samples_per_code: int,
+    overdrive: float = RAMP_OVERDRIVE,
+) -> np.ndarray:
+    """The code-density stimulus: a held ramp over-ranging full scale.
+
+    ``n_codes * samples_per_code`` points from ``-vref * (1 +
+    overdrive)`` to ``+vref * (1 + overdrive)``.
+    """
+    span = config.vref * (1.0 + overdrive)
+    return np.linspace(-span, span, config.n_codes * samples_per_code)
+
 
 @dataclass(frozen=True)
 class DynamicTestbench:
@@ -44,7 +93,7 @@ class DynamicTestbench:
 
     config: AdcConfig
     n_samples: int = 8192
-    amplitude_fraction: float = 0.995
+    amplitude_fraction: float = NEAR_FULL_SCALE
     die_seed: int = 1
     operating_point: OperatingPoint | None = None
 
@@ -87,17 +136,15 @@ class DynamicTestbench:
             The capture's spectral metrics.
         """
         adc = self.build(conversion_rate)
-        tone = SineGenerator.coherent(
-            input_frequency,
+        tone = coherent_tone(
+            self.config,
             conversion_rate,
+            input_frequency,
             self.n_samples,
-            amplitude=self.amplitude_fraction * self.config.vref,
+            self.amplitude_fraction,
         )
         result = adc.convert(tone, self.n_samples, noise_seed=noise_seed)
-        analyzer = SpectrumAnalyzer(
-            full_scale=self.config.n_codes / 2.0
-        )
-        return analyzer.analyze(result.codes, conversion_rate)
+        return code_analyzer(self.config).analyze(result.codes, conversion_rate)
 
     def measure_rate_sweep(
         self, conversion_rates, input_frequency: float = 10e6
@@ -141,7 +188,7 @@ class StaticTestbench:
 
     config: AdcConfig
     samples_per_code: int = 40
-    overdrive: float = 0.02
+    overdrive: float = RAMP_OVERDRIVE
     die_seed: int = 1
     operating_point: OperatingPoint | None = None
 
@@ -166,12 +213,9 @@ class StaticTestbench:
             operating_point=self.operating_point,
             seed=self.die_seed,
         )
-        n_codes = self.config.n_codes
-        total = n_codes * self.samples_per_code
-        span = self.config.vref * (1.0 + self.overdrive)
-        ramp = np.linspace(-span, span, total)
+        ramp = linearity_ramp(self.config, self.samples_per_code, self.overdrive)
         result = adc.convert_samples(ramp, noise_seed=noise_seed)
-        return ramp_linearity(result.codes, n_codes)
+        return ramp_linearity(result.codes, self.config.n_codes)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,11 @@ executes that shape across a ``multiprocessing`` pool with
 * a :class:`BatchResult` aggregation layer (per-task values, summary
   statistics, JSON serialization for CI artifacts).
 
+:class:`EngineDispatch` is the one route yield screens and sign-off
+campaigns take onto the runner: it validates the engine choice, slices
+dies or cells into per-engine tasks and flattens the result to one
+outcome per item, whatever the engine.
+
 ``workers=1`` bypasses the pool entirely and runs the same wrapped
 tasks in-process, so serial batches are bit-exact with the legacy
 serial loops and task callables need not be picklable.
@@ -271,67 +276,6 @@ def json_safe(value: Any) -> Any:
     return str(value)
 
 
-def flatten_chunk_batch(
-    batch: BatchResult,
-    chunks: Sequence[Sequence[Any]],
-    index_of: Callable[[Any], int],
-    seed_of: Callable[[Any], int | None] = lambda item: None,
-) -> BatchResult:
-    """Per-item outcomes from a batch whose tasks were item chunks.
-
-    The vectorized engines dispatch *chunks* (a die chunk, a campaign
-    cell chunk) as single tasks whose values are per-item tuples; report
-    layers want one :class:`TaskOutcome` per item regardless of engine.
-    A crashed chunk marks each of its items failed with the chunk's
-    error; a successful chunk contributes one outcome per item, with the
-    chunk wall time amortized evenly across the chunk's items.  The
-    amortization feeds reports only: profiling's ``dispatch`` entries
-    are recorded by :meth:`BatchRunner.run` from the *chunk* outcomes,
-    so they keep true per-dispatch wall times.
-
-    Args:
-        batch: the per-chunk batch result.
-        chunks: the dispatched chunks, in task order; ``chunks[i]`` must
-            be the items behind ``batch.outcomes[i]``, whose value (on
-            success) is the per-item value tuple in the same order.
-        index_of: maps an item to its position in the flattened batch.
-        seed_of: maps an item to the seed recorded on its outcome.
-    """
-    outcomes: list[TaskOutcome] = []
-    for chunk_outcome, chunk in zip(batch.outcomes, chunks):
-        elapsed = chunk_outcome.elapsed_s / len(chunk)
-        for position, item in enumerate(chunk):
-            if chunk_outcome.ok:
-                outcomes.append(
-                    TaskOutcome(
-                        index=index_of(item),
-                        value=chunk_outcome.value[position],
-                        seed=seed_of(item),
-                        elapsed_s=elapsed,
-                    )
-                )
-            else:
-                outcomes.append(
-                    TaskOutcome(
-                        index=index_of(item),
-                        seed=seed_of(item),
-                        error=chunk_outcome.error,
-                        error_type=chunk_outcome.error_type,
-                        traceback=chunk_outcome.traceback,
-                        exception=chunk_outcome.exception,
-                        elapsed_s=elapsed,
-                    )
-                )
-    outcomes.sort(key=lambda outcome: outcome.index)
-    return BatchResult(
-        outcomes=tuple(outcomes),
-        workers=batch.workers,
-        chunk_size=batch.chunk_size,
-        elapsed_s=batch.elapsed_s,
-        root_seed=batch.root_seed,
-    )
-
-
 def _run_task(
     payload: tuple[int, Callable[..., Any], Any, int | None],
     in_process: bool = False,
@@ -395,8 +339,6 @@ class BatchRunner:
             are invariant to this — it only tunes IPC granularity.
         progress: callback invoked with a :class:`BatchProgress` after
             every completed task.
-        mp_context: multiprocessing start method ("fork", "spawn",
-            "forkserver"); None uses the platform default.
 
     Task callables must be picklable (module-level functions) when
     ``workers > 1``; the serial path has no such requirement.
@@ -405,7 +347,6 @@ class BatchRunner:
     workers: int | None = 1
     chunk_size: int | None = None
     progress: ProgressCallback | None = None
-    mp_context: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
@@ -514,8 +455,7 @@ class BatchRunner:
                 if not outcome.ok and _stops_batch(stop_on_failure, outcome):
                     break
         else:
-            context = multiprocessing.get_context(self.mp_context)
-            with context.Pool(processes=workers) as pool:
+            with multiprocessing.Pool(processes=workers) as pool:
                 for outcome in pool.imap_unordered(
                     _run_task, payloads, chunksize=chunk_size
                 ):
@@ -533,3 +473,152 @@ class BatchRunner:
             elapsed_s=time.perf_counter() - start,
             root_seed=root_seed,
         )
+
+
+#: The execution engines: ``pool`` dispatches one item per task through
+#: the serial per-die path, ``vectorized`` dispatches item chunks, each
+#: converted as one die-batched :class:`~repro.core.adc_array.AdcArray`
+#: pass.
+ENGINES = ("pool", "vectorized")
+
+#: Items per vectorized chunk when the caller does not choose: big
+#: enough to amortize Python dispatch, small enough that the (items,
+#: samples) working set stays cache-friendly (8 measured best at record
+#: lengths of 2048-4096 samples).
+DEFAULT_CHUNK = 8
+
+#: An engine's ``(measure, make_task)`` pair: ``make_task`` builds the
+#: task for a tuple of items, ``measure`` runs it in a worker.
+EngineTasks = tuple[Callable[[Any], Any], Callable[[tuple[Any, ...]], Any]]
+
+
+@dataclass(frozen=True)
+class EngineDispatch:
+    """The one route from measurement items to :class:`BatchRunner`.
+
+    Yield screens (dies) and sign-off campaigns (cells) both go through
+    it: the caller hands over its items and, per engine, a measure
+    function with the task it takes for a chunk of items.  The dispatch
+    validates the engine choice on construction, then slices the items
+    into chunks, runs them and returns one :class:`TaskOutcome` per
+    item — carrying the item's index and seed — whatever the engine.
+
+    Attributes:
+        engine: ``"pool"`` (one item per task) or ``"vectorized"``
+            (item chunks, one die-batched pass each).
+        chunk: items per vectorized task; None splits the items evenly
+            across the workers, at most :data:`DEFAULT_CHUNK` each.
+        precision: ``"exact"`` (bit-exact across engines) or ``"fast"``
+            (the vectorized-only float32 tier, statistically gated).
+        workers: worker processes (1 = serial, None = all CPUs).
+        chunk_size: pool dispatch chunk size (None = auto).
+    """
+
+    engine: str = "pool"
+    chunk: int | None = None
+    precision: str = "exact"
+    workers: int | None = 1
+    chunk_size: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ConfigurationError(
+                f"engine must be 'pool' or 'vectorized', got '{self.engine}'"
+            )
+        if self.chunk is not None and self.chunk < 1:
+            raise ConfigurationError(
+                f"chunk must be >= 1 or None, got {self.chunk}"
+            )
+        if self.chunk is not None and self.engine != "vectorized":
+            raise ConfigurationError(
+                "a chunk size applies to the vectorized engine only; "
+                f"got chunk={self.chunk} with engine='{self.engine}'"
+            )
+        if self.precision not in ("exact", "fast"):
+            raise ConfigurationError(
+                f"precision must be 'exact' or 'fast', got '{self.precision}'"
+            )
+        if self.precision == "fast" and self.engine != "vectorized":
+            raise ConfigurationError(
+                "precision='fast' needs the vectorized engine (the per-die "
+                f"path is exact-only); got engine='{self.engine}'"
+            )
+
+    def run(
+        self,
+        items: Sequence[Any],
+        *,
+        pool: EngineTasks,
+        vectorized: EngineTasks,
+        index_of: Callable[[Any], int],
+        seed_of: Callable[[Any], int],
+        progress: ProgressCallback | None = None,
+    ) -> BatchResult:
+        """Measure ``items`` on this engine, one outcome per item.
+
+        Args:
+            items: the dies or cells to measure, in report order.
+            pool: the pool engine's ``(measure, make_task)``.
+            vectorized: the vectorized engine's ``(measure, make_task)``.
+                ``measure(task)`` returns a tuple with one value per item
+                of the task's chunk, or the bare value of a one-item
+                chunk.
+            index_of: maps an item to its outcome index.
+            seed_of: maps an item to the seed recorded on its outcome.
+            progress: progress callback, once per task (per item on the
+                pool engine, per chunk on the vectorized engine).
+        """
+        if not items:
+            return BatchResult(
+                outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
+            )
+        runner = BatchRunner(
+            workers=self.workers, chunk_size=self.chunk_size, progress=progress
+        )
+        if self.engine == "pool":
+            measure, make_task = pool
+            size = 1
+        else:
+            measure, make_task = vectorized
+            per_worker = -(-len(items) // runner.resolve_workers(len(items)))
+            size = self.chunk or min(per_worker, DEFAULT_CHUNK)
+        chunks = [
+            tuple(items[low : low + size]) for low in range(0, len(items), size)
+        ]
+        batch = runner.run(measure, [make_task(chunk) for chunk in chunks])
+        return _per_item(batch, chunks, index_of, seed_of)
+
+
+def _per_item(
+    batch: BatchResult,
+    chunks: Sequence[tuple[Any, ...]],
+    index_of: Callable[[Any], int],
+    seed_of: Callable[[Any], int],
+) -> BatchResult:
+    """Per-item outcomes from a batch whose tasks were item chunks.
+
+    A crashed chunk marks each of its items failed with the chunk's
+    error; a successful chunk contributes one outcome per item.  The
+    chunk's wall time is amortized evenly across its items — for
+    reports only: profiling's ``dispatch`` entries are recorded by
+    :meth:`BatchRunner.run` from the chunk outcomes, so they keep true
+    per-dispatch wall times.
+    """
+    outcomes: list[TaskOutcome] = []
+    for chunk_outcome in batch.outcomes:
+        chunk = chunks[chunk_outcome.index]
+        values = chunk_outcome.value
+        if not isinstance(values, tuple):
+            values = (values,)
+        for position, item in enumerate(chunk):
+            outcomes.append(
+                dataclasses.replace(
+                    chunk_outcome,
+                    index=index_of(item),
+                    value=values[position] if chunk_outcome.ok else None,
+                    seed=seed_of(item),
+                    elapsed_s=chunk_outcome.elapsed_s / len(chunk),
+                )
+            )
+    outcomes.sort(key=lambda outcome: outcome.index)
+    return dataclasses.replace(batch, outcomes=tuple(outcomes))

@@ -33,7 +33,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -47,28 +47,24 @@ from repro.core.config import FINGERPRINT_EXCLUDED, AdcConfig
 from repro.errors import ConfigurationError
 from repro.evaluation.datasheet import Datasheet, signoff_datasheet
 from repro.evaluation.reporting import format_table
-from repro.evaluation.testbench import DynamicTestbench
+from repro.evaluation.testbench import (
+    NEAR_FULL_SCALE,
+    DynamicTestbench,
+    code_analyzer,
+    coherent_tone,
+)
 from repro.profiling import profile_step
 from repro.runtime.batch import (
     BatchResult,
-    BatchRunner,
+    EngineDispatch,
     ProgressCallback,
     TaskOutcome,
-    flatten_chunk_batch,
     json_safe,
 )
 from repro.runtime.seeding import derive_seeds
 from repro.schemas import CAMPAIGN_LEDGER_SCHEMA
-from repro.signal.generators import SineGenerator
-from repro.signal.spectrum import SpectrumAnalyzer
 from repro.technology.corners import Corner, OperatingPoint, pvt_grid
 from repro.technology.montecarlo import ProcessSample
-
-#: Default cells per vectorized chunk: the same cache-residency
-#: trade-off as the Monte Carlo die chunk (the records are the same
-#: shape — D rows x S samples; 8 measured best at sign-off record
-#: lengths of 2048-4096 samples on the benchmark workloads).
-_DEFAULT_CELL_CHUNK = 8
 
 #: The industrial sign-off temperature set.
 SIGNOFF_TEMPERATURES_C = (-40.0, 27.0, 125.0)
@@ -116,7 +112,7 @@ class CampaignSpec:
     conversion_rate: float = 110e6
     input_frequency: float = 10e6
     n_samples: int = 4096
-    amplitude_fraction: float = 0.995
+    amplitude_fraction: float = NEAR_FULL_SCALE
     precision: str = "exact"
 
     def __post_init__(self) -> None:
@@ -416,8 +412,8 @@ def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     ``(cells, samples)`` blocks, then one batched FFT produces the
     per-cell metrics.  Cell-for-cell bit-exact with
     :func:`measure_cell`: each cell draws only from its own
-    seed-derived streams, and the tone/analyzer settings mirror
-    :meth:`DynamicTestbench.measure` exactly.
+    seed-derived streams, and the tone and analyzer are the ones
+    :meth:`DynamicTestbench.measure` uses.
     """
     spec = task.spec
     config = task.config
@@ -425,15 +421,17 @@ def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     adc = AdcArray(
         config, spec.conversion_rate, samples, precision=spec.precision
     )
-    tone = SineGenerator.coherent(
-        spec.input_frequency,
+    tone = coherent_tone(
+        config,
         spec.conversion_rate,
+        spec.input_frequency,
         spec.n_samples,
-        amplitude=spec.amplitude_fraction * config.vref,
+        spec.amplitude_fraction,
     )
     capture = adc.convert(tone, spec.n_samples)
-    analyzer = SpectrumAnalyzer(full_scale=config.n_codes / 2.0)
-    spectra = analyzer.analyze_batch(capture.codes, spec.conversion_rate)
+    spectra = code_analyzer(config).analyze_batch(
+        capture.codes, spec.conversion_rate
+    )
     return tuple(
         _cell_metrics(cell, metrics)
         for cell, metrics in zip(task.cells, spectra)
@@ -923,15 +921,6 @@ class CampaignReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _chunk_cells(
-    cells: Sequence[CampaignCell], cell_chunk: int
-) -> list[tuple[CampaignCell, ...]]:
-    return [
-        tuple(cells[low : low + cell_chunk])
-        for low in range(0, len(cells), cell_chunk)
-    ]
-
-
 def run_campaign(
     spec: CampaignSpec | None = None,
     config: AdcConfig | None = None,
@@ -942,7 +931,6 @@ def run_campaign(
     workers: int | None = 1,
     chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
-    mp_context: str | None = None,
     cell_range: tuple[int, int] | None = None,
     cell_store: "CellStore | str | Path | None" = None,
     ledger_fsync: bool = True,
@@ -970,7 +958,6 @@ def run_campaign(
         chunk_size: pool dispatch chunk size (None = auto).
         progress: progress callback (per cell for the pool engine, per
             cell chunk for the vectorized engine).
-        mp_context: multiprocessing start method override.
         cell_range: run only grid cells ``[start, stop)`` — a shard of
             the campaign (usually via
             :meth:`CampaignSpec.shard` and
@@ -993,24 +980,13 @@ def run_campaign(
     """
     spec = spec or CampaignSpec()
     config = config or AdcConfig.paper_default()
-    if cell_chunk is not None and cell_chunk < 1:
-        raise ConfigurationError(
-            f"cell_chunk must be >= 1 or None, got {cell_chunk}"
-        )
-    if cell_chunk is not None and engine != "vectorized":
-        raise ConfigurationError(
-            "cell_chunk applies to the vectorized engine only; "
-            f"got cell_chunk={cell_chunk} with engine='{engine}'"
-        )
-    if engine not in ("pool", "vectorized"):
-        raise ConfigurationError(
-            f"engine must be 'pool' or 'vectorized', got '{engine}'"
-        )
-    if spec.precision == "fast" and engine != "vectorized":
-        raise ConfigurationError(
-            "precision='fast' needs the vectorized engine (the serial "
-            "testbench is exact-only)"
-        )
+    dispatch = EngineDispatch(
+        engine=engine,
+        chunk=cell_chunk,
+        precision=spec.precision,
+        workers=workers,
+        chunk_size=chunk_size,
+    )
     if cell_range is not None:
         start, stop = cell_range
         if not 0 <= start < stop <= spec.n_cells:
@@ -1079,50 +1055,20 @@ def run_campaign(
 
     cell_by_index = {cell.index: cell for cell in cells}
 
-    runner = BatchRunner(
-        workers=workers,
-        chunk_size=chunk_size,
+    batch = dispatch.run(
+        pending,
+        pool=(
+            measure_cell,
+            lambda chunk: CellTask(cell=chunk[0], config=config, spec=spec),
+        ),
+        vectorized=(
+            measure_cell_chunk,
+            lambda chunk: CellChunkTask(cells=chunk, config=config, spec=spec),
+        ),
+        index_of=lambda cell: cell.index,
+        seed_of=lambda cell: cell.die_seed,
         progress=checkpoint,
-        mp_context=mp_context,
     )
-    if not pending:
-        batch = BatchResult(
-            outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
-        )
-    elif engine == "pool":
-        tasks = [CellTask(cell=cell, config=config, spec=spec) for cell in pending]
-        batch = runner.run(measure_cell, tasks)
-        # BatchRunner indexes outcomes by submission position; remap to
-        # grid cell indices (and record the die seed, matching the
-        # flattened vectorized outcomes) so a resumed run — where
-        # ``pending`` is a strict subset of the grid — merges and
-        # reports against the right cells.
-        batch = dataclasses.replace(
-            batch,
-            outcomes=tuple(
-                dataclasses.replace(
-                    outcome,
-                    index=pending[outcome.index].index,
-                    seed=pending[outcome.index].die_seed,
-                )
-                for outcome in batch.outcomes
-            ),
-        )
-    else:
-        if cell_chunk is None:
-            per_worker = -(-len(pending) // runner.resolve_workers(len(pending)))
-            cell_chunk = max(1, min(per_worker, _DEFAULT_CELL_CHUNK))
-        chunks = _chunk_cells(pending, cell_chunk)
-        tasks = [
-            CellChunkTask(cells=chunk, config=config, spec=spec)
-            for chunk in chunks
-        ]
-        batch = flatten_chunk_batch(
-            runner.run(measure_cell_chunk, tasks),
-            chunks,
-            index_of=lambda cell: cell.index,
-            seed_of=lambda cell: cell.die_seed,
-        )
     merged = dict(completed)
     merged.update(cached)
     for outcome in batch.outcomes:

@@ -1,21 +1,29 @@
 """Monte Carlo yield analysis on the batch runtime.
 
-Two execution engines measure the same die population:
+Two execution engines measure the same die population through the
+shared :class:`~repro.runtime.batch.EngineDispatch` route; both take a
+:class:`DieTask` and differ only in measure function and chunk size:
 
-* ``engine="pool"`` — one task per die (the PR-1 shape): a worker
-  builds the die's :class:`~repro.core.adc.PipelineAdc` and measures it
-  alone.  ``workers=1`` is the serial per-die loop.
-* ``engine="vectorized"`` — dies are grouped into chunks and each chunk
-  is converted as one :class:`~repro.core.adc_array.AdcArray` batch
-  (one NumPy pass for D dies x S samples, batched FFTs and batched
-  code-density histograms).  The engines compose: with ``workers > 1``
-  the pool fans the vectorized chunks out across processes.
+* ``engine="pool"`` — one die per task: :func:`measure_die` builds the
+  die's :class:`~repro.core.adc.PipelineAdc` and measures it alone.
+  ``workers=1`` is the serial per-die loop.
+* ``engine="vectorized"`` — dies are grouped into chunks and
+  :func:`measure_die_chunk` converts each chunk as one
+  :class:`~repro.core.adc_array.AdcArray` batch (one NumPy pass for D
+  dies x S samples, batched FFTs and batched code-density histograms).
+  The engines compose: with ``workers > 1`` the pool fans the
+  vectorized chunks out across processes.
 
-The engines are interchangeable by construction: per-die noise streams
-are derived from the die seed alone (:mod:`repro.streams`), so a die's
-output codes are bit-exact across engines, worker counts and chunk
-sizes; the derived SNDR/ENOB metrics agree to floating-point
-association in the batched FFT (documented tolerance ~1e-9 dB).
+Both measure with the serial benches' stimulus
+(:mod:`repro.evaluation.testbench`): the near-full-scale coherent tone
+and code analyzer of :class:`~repro.evaluation.testbench.DynamicTestbench`
+and the over-ranged ramp of
+:class:`~repro.evaluation.testbench.StaticTestbench`.  The engines are
+interchangeable by construction: per-die noise streams are derived from
+the die seed alone (:mod:`repro.streams`), so a die's output codes are
+bit-exact across engines, worker counts and chunk sizes; the derived
+SNDR/ENOB metrics agree to floating-point association in the batched
+FFT (documented tolerance ~1e-9 dB).
 """
 
 from __future__ import annotations
@@ -32,28 +40,25 @@ from repro.core.config import AdcConfig
 from repro.core.die_cache import build_die
 from repro.errors import ConfigurationError
 from repro.evaluation.reporting import format_table
+from repro.evaluation.testbench import (
+    code_analyzer,
+    coherent_tone,
+    linearity_ramp,
+)
 from repro.profiling import profile_step
 from repro.runtime.batch import (
     BatchResult,
-    BatchRunner,
+    EngineDispatch,
     ProgressCallback,
-    flatten_chunk_batch,
     json_safe,
 )
 from repro.runtime.seeding import population_generator
-from repro.signal.generators import SineGenerator
 from repro.signal.linearity import ramp_linearity
-from repro.signal.spectrum import SpectrumAnalyzer
 from repro.technology.montecarlo import MonteCarloSampler, ProcessSample
 
-#: Default ramp over-range (fraction of full scale) and oversampling,
-#: matching the legacy yield example.
-_RAMP_OVERDRIVE = 1.02
-
-#: Default die-chunk size for the vectorized engine when the pool is
-#: not consulted: big enough to amortize Python dispatch, small enough
-#: that the (dies, samples) working set stays cache-friendly.
-_DEFAULT_DIE_CHUNK = 8
+#: Ramp samples per output code for the code-density DNL screen (the
+#: histogram needs >= 16 hits per code for a defined DNL).
+RAMP_SAMPLES_PER_CODE = 16
 
 
 @dataclass(frozen=True)
@@ -91,48 +96,6 @@ class YieldSpec:
             if inl_peak_lsb > self.max_inl_lsb:
                 return False
         return enob_bits >= self.min_enob and dnl_peak_lsb <= self.max_dnl_lsb
-
-
-@dataclass(frozen=True)
-class DieTask:
-    """Everything one worker needs to measure one die.
-
-    Attributes:
-        sample: the die realization (operating point + mismatch seed).
-        config: converter configuration.
-        spec: measurement conditions and screen limits.
-        n_fft: coherent capture length for the spectral measurement.
-        ramp_points_per_code: ramp samples per output code for the
-            code-density DNL measurement.
-        calibrate: run foreground gain calibration first and screen the
-            calibrated reconstruction (extension beyond the paper).
-        calibration_samples_per_code: calibration-ramp density when
-            ``calibrate`` is set.
-    """
-
-    sample: ProcessSample
-    config: AdcConfig
-    spec: YieldSpec = field(default_factory=YieldSpec)
-    n_fft: int = 4096
-    ramp_points_per_code: int = 16
-    calibrate: bool = False
-    calibration_samples_per_code: int = 8
-
-    def __post_init__(self) -> None:
-        if self.n_fft <= 0:
-            raise ConfigurationError("n_fft must be positive")
-        if self.ramp_points_per_code < 16:
-            # histogram_linearity needs >= 16 hits per code for a
-            # defined DNL; fail at task construction, not per die.
-            raise ConfigurationError(
-                "ramp_points_per_code must be >= 16 for a valid "
-                f"code-density histogram, got {self.ramp_points_per_code}"
-            )
-        if self.calibrate and self.calibration_samples_per_code < 4:
-            raise ConfigurationError(
-                "calibration_samples_per_code must be >= 4, got "
-                f"{self.calibration_samples_per_code}"
-            )
 
 
 @dataclass(frozen=True)
@@ -205,99 +168,40 @@ def _die_metrics(
     )
 
 
-@profile_step("task", "measure-die")
-def measure_die(task: DieTask) -> DieMetrics:
-    """Measure one die: dynamic (SNDR/ENOB) and static (DNL/INL) screens.
-
-    Module-level and dependent only on ``task``, so it can run in any
-    worker process of any batch partition and produce identical bits.
-    With ``task.calibrate`` the die is foreground-calibrated first
-    (capture on the die's reserved calibration stream) and the screens
-    measure the calibrated reconstruction.
-    """
-    die = task.sample
-    spec = task.spec
-    adc = build_die(
-        task.config,
-        spec.conversion_rate,
-        operating_point=die.operating_point,
-        seed=die.seed,
-    )
-    calibration = None
-    if task.calibrate:
-        calibration = GainCalibration(
-            adc, samples_per_code=task.calibration_samples_per_code
-        )
-        calibration.calibrate()
-    tone = SineGenerator.coherent(
-        spec.input_frequency, spec.conversion_rate, task.n_fft, amplitude=0.995
-    )
-    capture = adc.convert(tone, task.n_fft)
-    tone_codes = (
-        calibration.reconstruct(capture.stage_codes, capture.flash_codes)
-        if calibration
-        else capture.codes
-    )
-    metrics = SpectrumAnalyzer().analyze(tone_codes, spec.conversion_rate)
-    n_codes = task.config.n_codes
-    ramp = np.linspace(
-        -_RAMP_OVERDRIVE, _RAMP_OVERDRIVE, n_codes * task.ramp_points_per_code
-    )
-    ramp_result = adc.convert_samples(ramp)
-    ramp_codes = (
-        calibration.reconstruct(
-            ramp_result.stage_codes, ramp_result.flash_codes
-        )
-        if calibration
-        else ramp_result.codes
-    )
-    linearity = ramp_linearity(ramp_codes, n_codes)
-    return _die_metrics(
-        die, spec, metrics, linearity, calibrated=task.calibrate
-    )
-
-
 @dataclass(frozen=True)
-class DieChunkTask:
-    """Everything one worker needs to measure a chunk of dies at once.
+class DieTask:
+    """Everything one worker needs to measure a chunk of dies.
+
+    The pool engine hands :func:`measure_die` one die per task; the
+    vectorized engine hands :func:`measure_die_chunk` a die chunk.
 
     Attributes:
-        samples: the chunk's die realizations, in batch order.
+        samples: the dies' realizations, in batch order.
         config: converter configuration.
         spec: measurement conditions and screen limits.
         n_fft: coherent capture length for the spectral measurement.
-        ramp_points_per_code: ramp samples per output code.
-        calibrate: foreground-calibrate the whole chunk in one batched
-            capture and screen the calibrated reconstruction.
+        calibrate: run foreground gain calibration first and screen the
+            calibrated reconstruction (extension beyond the paper).
         calibration_samples_per_code: calibration-ramp density when
             ``calibrate`` is set.
-        precision: ``"exact"`` (bit-exact with :func:`measure_die`) or
-            ``"fast"`` (float32 + fused draws, statistically gated).
+        precision: ``"exact"`` (bit-exact across engines) or ``"fast"``
+            (float32 + fused draws, vectorized only, statistically
+            gated).
     """
 
     samples: tuple[ProcessSample, ...]
     config: AdcConfig
     spec: YieldSpec = field(default_factory=YieldSpec)
     n_fft: int = 4096
-    ramp_points_per_code: int = 16
     calibrate: bool = False
     calibration_samples_per_code: int = 8
     precision: str = "exact"
 
     def __post_init__(self) -> None:
         if not self.samples:
-            raise ConfigurationError("die chunk must not be empty")
-        if self.precision not in ("exact", "fast"):
-            raise ConfigurationError(
-                f"precision must be 'exact' or 'fast', got '{self.precision}'"
-            )
+            raise ConfigurationError("die task must hold at least one die")
         if self.n_fft <= 0:
             raise ConfigurationError("n_fft must be positive")
-        if self.ramp_points_per_code < 16:
-            raise ConfigurationError(
-                "ramp_points_per_code must be >= 16 for a valid "
-                f"code-density histogram, got {self.ramp_points_per_code}"
-            )
         if self.calibrate and self.calibration_samples_per_code < 4:
             raise ConfigurationError(
                 "calibration_samples_per_code must be >= 4, got "
@@ -305,8 +209,56 @@ class DieChunkTask:
             )
 
 
+@profile_step("task", "measure-die")
+def measure_die(task: DieTask) -> tuple[DieMetrics, ...]:
+    """Measure each die of the task alone: the serial per-die reference.
+
+    Dynamic (SNDR/ENOB) and static (DNL/INL) screens on one
+    :class:`~repro.core.adc.PipelineAdc` per die.  Module-level and
+    dependent only on ``task``, so it can run in any worker process of
+    any batch partition and produce identical bits.  With
+    ``task.calibrate`` each die is foreground-calibrated first (capture
+    on the die's reserved calibration stream) and the screens measure
+    the calibrated reconstruction.
+    """
+    if task.precision != "exact":
+        raise ConfigurationError(
+            "the per-die path is exact-only; run precision="
+            f"'{task.precision}' screens on the vectorized engine"
+        )
+    return tuple(_measure_one_die(task, die) for die in task.samples)
+
+
+def _measure_one_die(task: DieTask, die: ProcessSample) -> DieMetrics:
+    config = task.config
+    rate = task.spec.conversion_rate
+    adc = build_die(
+        config, rate, operating_point=die.operating_point, seed=die.seed
+    )
+    calibration = None
+    if task.calibrate:
+        calibration = GainCalibration(
+            adc, samples_per_code=task.calibration_samples_per_code
+        )
+        calibration.calibrate()
+
+    def codes(result) -> np.ndarray:
+        if calibration is None:
+            return result.codes
+        return calibration.reconstruct(result.stage_codes, result.flash_codes)
+
+    tone = coherent_tone(config, rate, task.spec.input_frequency, task.n_fft)
+    capture = adc.convert(tone, task.n_fft)
+    spectrum = code_analyzer(config).analyze(codes(capture), rate)
+    ramp = linearity_ramp(config, RAMP_SAMPLES_PER_CODE)
+    linearity = ramp_linearity(codes(adc.convert_samples(ramp)), config.n_codes)
+    return _die_metrics(
+        die, task.spec, spectrum, linearity, calibrated=task.calibrate
+    )
+
+
 @profile_step("task", "measure-die-chunk")
-def measure_die_chunk(task: DieChunkTask) -> tuple[DieMetrics, ...]:
+def measure_die_chunk(task: DieTask) -> tuple[DieMetrics, ...]:
     """Measure a chunk of dies in one die-batched pass.
 
     One :class:`~repro.core.adc_array.AdcArray` converts the whole
@@ -321,33 +273,24 @@ def measure_die_chunk(task: DieChunkTask) -> tuple[DieMetrics, ...]:
     measure the calibrated reconstruction, die-for-die equivalent to
     the serial calibration in :func:`measure_die`.
     """
-    spec = task.spec
-    adc = AdcArray(
-        task.config,
-        spec.conversion_rate,
-        task.samples,
-        precision=task.precision,
-    )
+    config = task.config
+    rate = task.spec.conversion_rate
+    adc = AdcArray(config, rate, task.samples, precision=task.precision)
     calibration = None
     if task.calibrate:
         calibration = GainCalibrationArray(
             adc, samples_per_code=task.calibration_samples_per_code
         )
         calibration.calibrate()
-    tone = SineGenerator.coherent(
-        spec.input_frequency, spec.conversion_rate, task.n_fft, amplitude=0.995
-    )
+    tone = coherent_tone(config, rate, task.spec.input_frequency, task.n_fft)
     capture = adc.convert(tone, task.n_fft)
     tone_codes = (
         calibration.reconstruct(capture.stage_codes, capture.flash_codes)
         if calibration
         else capture.codes
     )
-    spectra = SpectrumAnalyzer().analyze_batch(tone_codes, spec.conversion_rate)
-    n_codes = task.config.n_codes
-    ramp = np.linspace(
-        -_RAMP_OVERDRIVE, _RAMP_OVERDRIVE, n_codes * task.ramp_points_per_code
-    )
+    spectra = code_analyzer(config).analyze_batch(tone_codes, rate)
+    ramp = linearity_ramp(config, RAMP_SAMPLES_PER_CODE)
     # The long ramp record is converted die by die in either tier: at
     # 16+ samples per code the (dies, samples) working set would thrash
     # the cache, while the per-die rows are bit-exact with the blocked
@@ -367,9 +310,11 @@ def measure_die_chunk(task: DieChunkTask) -> tuple[DieMetrics, ...]:
     ramp_codes = np.stack(
         [ramp_row(index, die) for index, die in enumerate(adc.dies)]
     )
-    linearities = ramp_linearity(ramp_codes, n_codes)
+    linearities = ramp_linearity(ramp_codes, config.n_codes)
     return tuple(
-        _die_metrics(die, spec, spectrum, linearity, calibrated=task.calibrate)
+        _die_metrics(
+            die, task.spec, spectrum, linearity, calibrated=task.calibrate
+        )
         for die, spectrum, linearity in zip(task.samples, spectra, linearities)
     )
 
@@ -528,40 +473,12 @@ def default_sampler(config: AdcConfig) -> MonteCarloSampler:
     )
 
 
-def _chunk_dies(
-    dies: list[ProcessSample], die_chunk: int
-) -> list[tuple[ProcessSample, ...]]:
-    """Consecutive die chunks for the vectorized engine."""
-    return [
-        tuple(dies[low : low + die_chunk])
-        for low in range(0, len(dies), die_chunk)
-    ]
-
-
-def _flatten_chunk_batch(
-    batch: BatchResult, chunks: list[tuple[ProcessSample, ...]]
-) -> BatchResult:
-    """Per-die outcomes from a per-chunk batch result.
-
-    Keeps :class:`YieldReport` engine-agnostic (see
-    :func:`repro.runtime.batch.flatten_chunk_batch`).
-    """
-    return flatten_chunk_batch(
-        batch,
-        chunks,
-        index_of=lambda die: die.index,
-        seed_of=lambda die: die.seed,
-    )
-
-
 def run_yield_analysis(
     n_dies: int = 24,
     seed: int = 2026,
     config: AdcConfig | None = None,
     spec: YieldSpec | None = None,
-    sampler: MonteCarloSampler | None = None,
     n_fft: int = 4096,
-    ramp_points_per_code: int = 16,
     seed_strategy: str = "stream",
     engine: str = "pool",
     calibrate: bool = False,
@@ -571,7 +488,6 @@ def run_yield_analysis(
     workers: int | None = 1,
     chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
-    mp_context: str | None = None,
 ) -> YieldReport:
     """Run a Monte Carlo yield analysis across the batch runtime.
 
@@ -582,9 +498,7 @@ def run_yield_analysis(
             regardless of ``engine``, ``workers`` and any chunk sizes.
         config: converter configuration (paper default when omitted).
         spec: screening spec and measurement conditions.
-        sampler: die sampler (industrial-range default when omitted).
         n_fft: coherent capture length per die.
-        ramp_points_per_code: ramp density for the DNL screen.
         calibrate: foreground-calibrate every die first and screen the
             calibrated reconstruction — per-die identical across
             engines (the vectorized engine calibrates whole chunks in
@@ -611,11 +525,17 @@ def run_yield_analysis(
         chunk_size: pool dispatch chunk size (None = auto).
         progress: progress callback (per die for the pool engine, per
             die chunk for the vectorized engine).
-        mp_context: multiprocessing start method override.
     """
+    dispatch = EngineDispatch(
+        engine=engine,
+        chunk=die_chunk,
+        precision=precision,
+        workers=workers,
+        chunk_size=chunk_size,
+    )
     config = config or AdcConfig.paper_default()
     spec = spec or YieldSpec()
-    sampler = sampler or default_sampler(config)
+    sampler = default_sampler(config)
     if seed_strategy == "stream":
         dies = sampler.sample(n_dies, population_generator(seed))
     elif seed_strategy == "spawn":
@@ -624,69 +544,26 @@ def run_yield_analysis(
         raise ConfigurationError(
             f"seed_strategy must be 'stream' or 'spawn', got '{seed_strategy}'"
         )
-    if die_chunk is not None and die_chunk < 1:
-        raise ConfigurationError(
-            f"die_chunk must be >= 1 or None, got {die_chunk}"
+
+    def task(chunk: tuple[ProcessSample, ...]) -> DieTask:
+        return DieTask(
+            samples=chunk,
+            config=config,
+            spec=spec,
+            n_fft=n_fft,
+            calibrate=calibrate,
+            calibration_samples_per_code=calibration_samples_per_code,
+            precision=precision,
         )
-    if die_chunk is not None and engine != "vectorized":
-        raise ConfigurationError(
-            "die_chunk applies to the vectorized engine only; "
-            f"got die_chunk={die_chunk} with engine='{engine}'"
-        )
-    if precision not in ("exact", "fast"):
-        raise ConfigurationError(
-            f"precision must be 'exact' or 'fast', got '{precision}'"
-        )
-    if precision == "fast" and engine != "vectorized":
-        raise ConfigurationError(
-            "precision='fast' needs the vectorized engine (the per-die "
-            f"path is exact-only); got engine='{engine}'"
-        )
-    runner = BatchRunner(
-        workers=workers,
-        chunk_size=chunk_size,
+
+    batch = dispatch.run(
+        dies,
+        pool=(measure_die, task),
+        vectorized=(measure_die_chunk, task),
+        index_of=lambda die: die.index,
+        seed_of=lambda die: die.seed,
         progress=progress,
-        mp_context=mp_context,
     )
-    if engine == "pool":
-        tasks = [
-            DieTask(
-                sample=die,
-                config=config,
-                spec=spec,
-                n_fft=n_fft,
-                ramp_points_per_code=ramp_points_per_code,
-                calibrate=calibrate,
-                calibration_samples_per_code=calibration_samples_per_code,
-            )
-            for die in dies
-        ]
-        batch = runner.run(measure_die, tasks)
-    elif engine == "vectorized":
-        if die_chunk is None:
-            per_worker = -(-n_dies // runner.resolve_workers(n_dies))
-            die_chunk = max(1, min(per_worker, _DEFAULT_DIE_CHUNK))
-        chunks = _chunk_dies(dies, die_chunk)
-        tasks = [
-            DieChunkTask(
-                samples=chunk,
-                config=config,
-                spec=spec,
-                n_fft=n_fft,
-                ramp_points_per_code=ramp_points_per_code,
-                calibrate=calibrate,
-                calibration_samples_per_code=calibration_samples_per_code,
-                precision=precision,
-            )
-            for chunk in chunks
-        ]
-        batch = _flatten_chunk_batch(
-            runner.run(measure_die_chunk, tasks), chunks
-        )
-    else:
-        raise ConfigurationError(
-            f"engine must be 'pool' or 'vectorized', got '{engine}'"
-        )
     return YieldReport(
         batch=batch,
         spec=spec,

@@ -13,7 +13,15 @@ from repro.core.adc import PipelineAdc
 from repro.core.adc_array import AdcArray
 from repro.core.correction import DigitalCorrection
 from repro.errors import ConfigurationError
-from repro.runtime.montecarlo import default_sampler, run_yield_analysis
+from repro.evaluation.testbench import DynamicTestbench, StaticTestbench
+from repro.runtime.montecarlo import (
+    DieTask,
+    default_sampler,
+    measure_die,
+    measure_die_chunk,
+    run_yield_analysis,
+)
+from repro.runtime.seeding import population_generator
 from repro.signal.generators import SineGenerator
 from repro.signal.linearity import ramp_linearity
 from repro.signal.spectrum import SpectrumAnalyzer
@@ -409,6 +417,19 @@ class TestVectorizedEngine:
         for a, b in zip(serial.dies, pooled.dies):
             assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-12)
 
+    def test_task_seeds_are_engine_independent(self, paper_config):
+        """Every outcome records its die's seed, whatever the engine."""
+        dies = default_sampler(paper_config).sample(
+            self.KWARGS["n_dies"], population_generator(self.KWARGS["seed"])
+        )
+        for engine in ("pool", "vectorized"):
+            report = run_yield_analysis(
+                config=paper_config, engine=engine, **self.KWARGS
+            )
+            assert [(o.index, o.seed) for o in report.batch.outcomes] == [
+                (die.index, die.seed) for die in dies
+            ]
+
     def test_unknown_engine_rejected(self, paper_config):
         with pytest.raises(ConfigurationError):
             run_yield_analysis(
@@ -440,3 +461,66 @@ class TestVectorizedEngine:
         document = json.loads(report.to_json())
         assert document["engine"] == "vectorized"
         assert document["yield"]["n_dies"] == 3
+
+    @pytest.fixture(scope="class")
+    def bench_dies(self, paper_config):
+        """Two paper-default dies, each with its serial-bench reference."""
+        dies = default_sampler(paper_config).sample(
+            2, np.random.default_rng(5)
+        )
+        references = []
+        for die in dies:
+            bench = dict(
+                die_seed=die.seed, operating_point=die.operating_point
+            )
+            spectrum = DynamicTestbench(
+                paper_config, n_samples=1024, **bench
+            ).measure(110e6, 10e6)
+            linearity = StaticTestbench(
+                paper_config, samples_per_code=16, **bench
+            ).measure(110e6)
+            references.append((spectrum, linearity))
+        return tuple(dies), references
+
+    @staticmethod
+    def _peaks(linearity):
+        return (
+            max(abs(linearity.dnl_min), abs(linearity.dnl_max)),
+            max(abs(linearity.inl_min), abs(linearity.inl_max)),
+        )
+
+    def test_measure_die_matches_serial_benches(self, paper_config, bench_dies):
+        """The yield screen's per-die reference is the serial benches."""
+        dies, references = bench_dies
+        task = DieTask(samples=dies, config=paper_config, n_fft=1024)
+        for metrics, (spectrum, linearity) in zip(
+            measure_die(task), references
+        ):
+            assert metrics.sndr_db == spectrum.sndr_db
+            assert metrics.enob_bits == spectrum.enob_bits
+            assert (
+                metrics.dnl_peak_lsb,
+                metrics.inl_peak_lsb,
+            ) == self._peaks(linearity)
+        assert references[0][0].sndr_db == pytest.approx(
+            64.52178501915054, rel=1e-12
+        )
+        assert self._peaks(references[0][1])[0] == 0.911922663802363
+
+    def test_measure_die_chunk_matches_serial_benches(
+        self, paper_config, bench_dies
+    ):
+        dies, references = bench_dies
+        task = DieTask(samples=dies, config=paper_config, n_fft=1024)
+        for metrics, (spectrum, linearity) in zip(
+            measure_die_chunk(task), references
+        ):
+            # Batched FFT: association order may differ by ulps.
+            assert metrics.sndr_db == pytest.approx(spectrum.sndr_db, rel=1e-9)
+            assert metrics.enob_bits == pytest.approx(
+                spectrum.enob_bits, rel=1e-9
+            )
+            assert (
+                metrics.dnl_peak_lsb,
+                metrics.inl_peak_lsb,
+            ) == self._peaks(linearity)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import build_mc_parser, build_parser, main
 from repro.experiments.registry import available_experiments
 
@@ -144,3 +146,22 @@ class TestMcCli:
             if line.strip() and not line.startswith("batch:")
         ]
         assert table(pool_table) == table(vectorized_table)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mc", "--dies", "1", "--fft-points", "1024"],
+        ["campaign", "--corners", "tt", "--temps=27", "--fft-points", "256"],
+        ["profile", "dynamic-screen", "--dies", "1", "--fft-points", "256"],
+        ["cell-store", "stats", "{tmp}"],
+        ["lint"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_json_path_exits_2(argv, tmp_path, capsys):
+    """Every --json writer reports an unwritable path the same way."""
+    target = tmp_path / "missing" / "out.json"
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main([*argv, "--json", str(target)]) == 2
+    assert f"error: cannot write {target}:" in capsys.readouterr().err

@@ -146,7 +146,6 @@ class TestStatisticalEquivalence:
         n_dies=3,
         seed=17,
         n_fft=1024,
-        ramp_points_per_code=16,
         engine="vectorized",
     )
 

@@ -244,7 +244,7 @@ class TestMonteCarloRuntime:
             abs(legacy_linearity.dnl_min), abs(legacy_linearity.dnl_max)
         )
 
-        metrics = measure_die(DieTask(sample=die, config=paper_config))
+        (metrics,) = measure_die(DieTask(samples=(die,), config=paper_config))
         assert metrics.enob_bits == legacy_spectrum.enob_bits
         assert metrics.sndr_db == legacy_spectrum.sndr_db
         assert metrics.dnl_peak_lsb == legacy_dnl
