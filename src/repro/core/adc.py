@@ -71,7 +71,8 @@ class ConversionResult:
 
     Attributes:
         codes: output words in [0, 2^R - 1], pipeline fill removed.
-        stage_codes: aligned per-stage decisions (n_samples, n_stages).
+        stage_codes: aligned per-stage decisions (n_samples, n_stages),
+            a view of a stage-major (n_stages, samples) buffer.
         flash_codes: aligned flash codes (n_samples,).
         sample_times: jittered acquisition instants [s] (aligned).
         timing: the phase budget the conversion ran with.
@@ -427,20 +428,22 @@ class PipelineAdc:
         total = held.size
         with record("references", "window"):
             references = self._stage_references(total, rng)
-        stage_codes = np.empty((total, self.config.n_stages), dtype=int)
+        # Stage-major: each stage writes one contiguous row, and the
+        # (samples, n_stages) layout is exposed as a transposed view.
+        stage_codes = np.empty((self.config.n_stages, total), dtype=int)
         residue = held
         for stage, refs in zip(self.stages, references):
             output = stage.process(
                 residue, refs, self.operating_point, rng, fast=fast
             )
-            stage_codes[:, stage.index] = output.codes
+            stage_codes[stage.index] = output.codes
             residue = output.residues
         with record("flash", "decide"):
             flash_codes = self.flash.decide(residue, rng)
 
         with record("correction", "align-combine"):
             aligned_codes, aligned_flash = self.correction.align(
-                stage_codes, flash_codes
+                stage_codes.T, flash_codes
             )
             words = self.correction.combine(aligned_codes, aligned_flash)
         return ConversionResult(

@@ -80,7 +80,8 @@ class ArrayConversionResult:
     Attributes:
         codes: output words in [0, 2^R - 1], shape (dies, n_samples).
         stage_codes: aligned per-stage decisions
-            (dies, n_samples, n_stages).
+            (dies, n_samples, n_stages), a view of a stage-major
+            (n_stages, dies, samples) buffer.
         flash_codes: aligned flash codes (dies, n_samples).
         sample_times: jittered acquisition instants [s]
             (dies, n_samples).
@@ -333,22 +334,24 @@ class AdcArray:
         total = held.shape[1]
         with record("references", "window"):
             references = self._stage_references(total, streams)
+        # Stage-major, as in PipelineAdc: one contiguous (dies, samples)
+        # slab per stage, exposed as a (dies, samples, n_stages) view.
         stage_codes = np.empty(
-            (self.n_dies, total, self.config.n_stages), dtype=int
+            (self.config.n_stages, self.n_dies, total), dtype=int
         )
         residue = held
         for stage, refs in zip(self.stages, references):
             output = stage.process(
                 residue, refs, self.operating_points, streams, fast=fast
             )
-            stage_codes[:, :, stage.index] = output.codes
+            stage_codes[stage.index] = output.codes
             residue = output.residues
         with record("flash", "decide"):
             flash_codes = self.flash.decide(residue, streams)
 
         with record("correction", "align-combine"):
             aligned_codes, aligned_flash = self.correction.align(
-                stage_codes, flash_codes
+                np.moveaxis(stage_codes, 0, -1), flash_codes
             )
             words = self.correction.combine(aligned_codes, aligned_flash)
         return ArrayConversionResult(
@@ -383,9 +386,15 @@ class AdcArray:
             )
             for index, die in enumerate(self.dies)
         ]
+        stage_codes = np.empty(
+            (self.config.n_stages, self.n_dies, results[0].codes.size),
+            dtype=int,
+        )
+        for index, result in enumerate(results):
+            stage_codes[:, index] = result.stage_codes.T
         return ArrayConversionResult(
             codes=np.stack([result.codes for result in results]),
-            stage_codes=np.stack([result.stage_codes for result in results]),
+            stage_codes=np.moveaxis(stage_codes, 0, -1),
             flash_codes=np.stack([result.flash_codes for result in results]),
             sample_times=np.stack(
                 [result.sample_times for result in results]

@@ -91,25 +91,47 @@ def _keep_mask(config: AdcConfig, target: np.ndarray) -> np.ndarray:
     return (target > margin) & (target < config.n_codes - 1 - margin)
 
 
+def _keep_range(config: AdcConfig, target: np.ndarray) -> slice:
+    """The kept samples as one slice of the monotone calibration ramp.
+
+    Slicing keeps the capture a view, so the design matrix is filled
+    straight from it instead of through a boolean gather.
+
+    Raises:
+        CalibrationError: if the kept samples are not one contiguous
+            run (the target is not a monotone ramp).
+    """
+    index = np.flatnonzero(_keep_mask(config, target))
+    if index.size == 0 or index[-1] - index[0] + 1 != index.size:
+        raise CalibrationError(
+            "calibration ramp keeps no single contiguous run of unclipped "
+            "samples"
+        )
+    return slice(int(index[0]), int(index[-1]) + 1)
+
+
 def _design_matrix(stage_codes, flash_codes) -> np.ndarray:
     """The least-squares design ``[stage decisions, flash, 1]``.
 
-    The ones column is broadcast from the input shape, so the same
+    One preallocated C-order float64 array, filled column block by
+    column block.  The ones column follows the input shape, so the same
     assembly serves a scalar conversion (``stage_codes`` of shape
     ``(n_stages,)``), a 1-D record (``(samples, n_stages)``) and a
     die-batched block (``(dies, samples, n_stages)``).
     """
-    stage = np.asarray(stage_codes, dtype=float)
-    flash = np.asarray(flash_codes, dtype=float)
+    stage = np.asarray(stage_codes)
+    flash = np.asarray(flash_codes)
     if stage.shape[:-1] != flash.shape:
         raise ConfigurationError(
             f"stage_codes leading shape {stage.shape[:-1]} must match "
             f"flash_codes shape {flash.shape}"
         )
-    flash_column = flash[..., None]
-    return np.concatenate(
-        [stage, flash_column, np.ones_like(flash_column)], axis=-1
-    )
+    n_stages = stage.shape[-1]
+    design = np.empty(flash.shape + (n_stages + 2,))
+    design[..., :n_stages] = stage
+    design[..., n_stages] = flash
+    design[..., n_stages + 1] = 1.0
+    return design
 
 
 def _fit_weights(design: np.ndarray, target: np.ndarray, die: int | None):
@@ -200,8 +222,10 @@ class GainCalibration:
             ramp, noise_seed=noise_seed, stream=CALIBRATION_NOISE_STREAM
         )
         target = _calibration_target(config, ramp)
-        keep = _keep_mask(config, target)
-        design = _design_matrix(result.stage_codes, result.flash_codes)[keep]
+        keep = _keep_range(config, target)
+        design = _design_matrix(
+            result.stage_codes[keep], result.flash_codes[keep]
+        )
         self._weights = _fit_weights(design, target[keep], die=None)
         return self._weights
 
@@ -309,11 +333,11 @@ class GainCalibrationArray:
             ramp, stream=CALIBRATION_NOISE_STREAM
         )
         target = _calibration_target(config, ramp)
-        keep = _keep_mask(config, target)
+        keep = _keep_range(config, target)
         # Shared assembly: one (dies, kept, n_weights) design stack …
-        design = _design_matrix(result.stage_codes, result.flash_codes)[
-            :, keep, :
-        ]
+        design = _design_matrix(
+            result.stage_codes[:, keep], result.flash_codes[:, keep]
+        )
         kept_target = target[keep]
         # … then stacked per-die solves, each rank-checked on its own.
         weights = np.empty((self.n_dies, design.shape[-1]))

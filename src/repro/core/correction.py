@@ -98,18 +98,23 @@ class DigitalCorrection:
                 "flash_codes shape must match stage_codes without the "
                 "stage axis"
             )
-        if codes.min(initial=0) < -1 or codes.max(initial=0) > 1:
-            raise ConfigurationError("stage codes must be in {-1, 0, +1}")
-        if flash.min(initial=0) < 0 or flash.max(initial=0) >= (1 << self.flash_bits):
-            raise ConfigurationError("flash codes out of range")
-
-        # The matmul contracts the trailing stage axis, so any leading
-        # batch axes (die populations) ride along for free.
         weights = 2 ** np.arange(self.resolution - 2, self.flash_bits - 2, -1)
         assert weights.shape == (self.n_stages,)
         base = (1 << (self.resolution - 1)) - (1 << (self.flash_bits - 1))
-        raw = base + codes @ weights + flash
-        return np.clip(raw, 0, self.n_codes - 1).astype(int)
+        # One stage at a time, checking and weighting each decision row
+        # while it is in cache: converters hand over stage-major
+        # decisions, whose rows are contiguous.  Leading batch axes (die
+        # populations) ride along, and integer sums are exact in any
+        # order.
+        raw = np.full(flash.shape, base, dtype=np.result_type(codes, weights, flash))
+        for weight, row in zip(weights, np.moveaxis(codes, -1, 0)):
+            if row.min(initial=0) < -1 or row.max(initial=0) > 1:
+                raise ConfigurationError("stage codes must be in {-1, 0, +1}")
+            raw += weight * row
+        if flash.min(initial=0) < 0 or flash.max(initial=0) >= (1 << self.flash_bits):
+            raise ConfigurationError("flash codes out of range")
+        raw += flash
+        return np.clip(raw, 0, self.n_codes - 1, out=raw).astype(int, copy=False)
 
     def align(
         self, stage_code_stream: np.ndarray, flash_code_stream: np.ndarray

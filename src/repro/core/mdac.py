@@ -298,21 +298,6 @@ class Mdac:
 
     # --- the residue transfer -------------------------------------------
 
-    def target_residue(
-        self, inputs: np.ndarray, codes: np.ndarray, references: np.ndarray
-    ) -> np.ndarray:
-        """DC residue the loop would settle to with infinite time [V].
-
-        Applies the capacitor ratio and the finite-gain static error;
-        dynamics are layered on by :meth:`amplify`.
-        """
-        v = np.asarray(inputs, dtype=float)
-        d = np.asarray(codes, dtype=float)
-        vref = np.asarray(references, dtype=float)
-        ratio = self.capacitor_ratio
-        raw = (1.0 + ratio) * v - ratio * d * vref
-        return raw * (1.0 - self.static_gain_error())
-
     def amplify(
         self,
         inputs: np.ndarray,
@@ -346,6 +331,12 @@ class Mdac:
             )
         c = self._constants(operating_point)
         v = np.asarray(inputs, dtype=float)
+        # Every step below evaluates the IEEE expression
+        # ``((1 + ratio) * (v + n_s) - ratio * d * vref) * gain`` and
+        # ``compress(settle(.)) + n_o`` in that order; buffers this call
+        # allocated are updated in place (addition and multiplication
+        # commute bit for bit), so the in-place forms move no bit.
+        owned = False
         opamp_noise = None
         if self.include_sampling_noise and self.include_noise:
             # The two per-stage draws are consecutive in the stream (no
@@ -355,16 +346,19 @@ class Mdac:
                 sampling_noise, opamp_noise = normal_pair(
                     rng, c.sampling_noise_rms, c.opamp_noise_rms, v.shape
                 )
-            v = v + sampling_noise
+            sampling_noise += v
+            v, owned = sampling_noise, True
         elif self.include_sampling_noise:
             with record("noise-draw", "mdac-sampling"):
-                v = v + rng.normal(
-                    0.0, c.sampling_noise_rms, size=v.shape
-                )
+                sampling_noise = rng.normal(0.0, c.sampling_noise_rms, size=v.shape)
+            sampling_noise += v
+            v, owned = sampling_noise, True
         ratio = c.capacitor_ratio
-        d = np.asarray(codes, dtype=float)
-        vref = np.asarray(references, dtype=float)
-        target = ((1.0 + ratio) * v - ratio * d * vref) * c.gain_factor
+        target = np.multiply(v, 1.0 + ratio, out=v if owned else None)
+        dac = np.multiply(codes, ratio, dtype=float)
+        dac *= np.asarray(references, dtype=float)
+        target -= dac
+        target *= c.gain_factor
         with record("mdac", "settle"):
             if self.include_settling:
                 # The output node is reset toward CM during phi1 (the
@@ -380,14 +374,13 @@ class Mdac:
                 residue = result.output
             else:
                 residue = target
+            # compress returns a fresh buffer, so the noise adds in place.
             residue = self.opamp.compress(residue)
         if opamp_noise is not None:
-            residue = residue + opamp_noise
+            residue += opamp_noise
         elif self.include_noise:
             with record("noise-draw", "mdac-opamp"):
-                residue = residue + rng.normal(
-                    0.0, c.opamp_noise_rms, size=residue.shape
-                )
+                residue += rng.normal(0.0, c.opamp_noise_rms, size=residue.shape)
         return residue
 
     def _amplify_fast(

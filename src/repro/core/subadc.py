@@ -101,5 +101,6 @@ class SubAdc:
         above_high = high.compare(v, rng)
         # A metastable flip can produce (below low, above high); resolve
         # it as the middle code, which the redundancy then absorbs.
-        codes = above_low.astype(int) + above_high.astype(int) - 1
+        codes = np.add(above_low, above_high, dtype=int)
+        codes -= 1
         return codes

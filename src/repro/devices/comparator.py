@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.profiling import record
-from repro.streams import normal_where, random_where, shared_value
+from repro.streams import normal_at, random_at, shared_value
 
 #: Inputs farther than this many noise sigmas from the effective
 #: threshold never draw decision noise: the flip probability out there
@@ -145,21 +145,25 @@ class DynamicComparator:
             margin = v - threshold
         if p.noise_rms == 0 and p.metastability_window == 0:
             return margin > 0
-        near = np.abs(margin) < (
-            _NOISE_CUT_SIGMA * p.noise_rms + p.metastability_window
-        )
+        # The near band as flat indices, found once: noise lands only
+        # there, and only there can a sample end inside the
+        # metastability window (outside it |margin| already exceeds the
+        # cut, which is >= the window).
+        flat = margin.reshape(-1)
+        cut = _NOISE_CUT_SIGMA * p.noise_rms + p.metastability_window
+        near = np.flatnonzero(np.abs(flat) < cut)
+        near_margin = flat[near]
         if p.noise_rms:
             with record("noise-draw", "comparator"):
-                margin = margin + normal_where(rng, near, p.noise_rms)
-        decisions = margin > 0
+                near_margin += normal_at(rng, near, margin.shape, p.noise_rms)
+            flat[near] = near_margin
+        decisions = flat > 0
         if p.metastability_window > 0:
-            # Only near-band samples can land inside the window: outside
-            # it |margin| already exceeds the cut, which is >= the window.
-            metastable = np.abs(margin) < p.metastability_window
+            metastable = near[np.abs(near_margin) < p.metastability_window]
             with record("noise-draw", "comparator"):
-                coin = random_where(rng, metastable)
-            decisions = np.where(metastable, coin < 0.5, decisions)
-        return decisions
+                coin = random_at(rng, metastable, margin.shape)
+            decisions[metastable] = coin < 0.5
+        return decisions.reshape(margin.shape)
 
 
 def build_comparator_bank(

@@ -115,18 +115,19 @@ class SettleConstants:
     knee: float | np.ndarray
 
 
-def _at(value, index, shape):
-    """``value`` gathered at ``index`` positions of a ``shape`` block.
+def _per_sample(value, counts):
+    """``value`` for each selected sample of a block, in flat order.
 
     Settling parameters are scalars (one die) or (dies, 1) columns (a
     stacked batch); the sparse slewing path needs them per selected
-    sample.  Scalars pass through; columns are broadcast (a view, no
-    copy) and gathered.
+    sample.  Scalars pass through; a column's row *d* is repeated once
+    per selected sample of row *d* (``counts``), which is its value at
+    every one of those flat positions.
     """
     arr = np.asarray(value)
     if arr.ndim == 0:
         return value
-    return np.broadcast_to(arr, shape)[index]
+    return np.repeat(arr.reshape(-1), counts)
 
 
 @dataclass(frozen=True)
@@ -291,8 +292,9 @@ class TwoStageMillerOpamp:
             # constant per amplifier, so the whole block reduces to a
             # single fused expression.  Bit-identical to the general
             # path below (IEEE multiplication is sign-symmetric).
+            output = step * constants.decay
             return SettlingResult(
-                output=target - step * constants.decay,
+                output=np.subtract(target, output, out=output),
                 slewing_fraction=0.0,
                 incomplete_fraction=0.0,
             )
@@ -303,31 +305,35 @@ class TwoStageMillerOpamp:
             # the residual is just ``magnitude * decay`` (``linear_time``
             # equals the full window exactly when no time was slewed).
             # The slew arithmetic — including the only exp() over
-            # non-constant input — runs on the slewing samples alone.
-            index = np.nonzero(slewing)
-            shape = target.shape
-            mag_s = magnitude[index]
-            knee_s = _at(linear_knee, index, shape)
-            slew_s = _at(slew_rate, index, shape)
-            tau_s = _at(tau, index, shape)
-            sign_s = sign[index]
-            start_s = start[index] if isinstance(start, np.ndarray) else start
+            # non-constant input — runs on the slewing samples alone,
+            # addressed by flat index.
+            index = np.flatnonzero(slewing)
+            counts = (
+                np.count_nonzero(slewing, axis=-1) if slewing.ndim > 1 else index.size
+            )
+            mag_s = magnitude.take(index)
+            knee_s = _per_sample(linear_knee, counts)
+            slew_s = _per_sample(slew_rate, counts)
+            tau_s = _per_sample(tau, counts)
+            sign_s = sign.take(index)
+            start_s = start.take(index) if isinstance(start, np.ndarray) else start
             t_slew_s = (mag_s - knee_s) / slew_s
             still_s = t_slew_s >= settle_time
             linear_time_s = np.maximum(settle_time - t_slew_s, 0.0)
             residual_s = knee_s * np.exp(-linear_time_s / tau_s)
-            # magnitude doubles as the signed-residual buffer from here.
-            residual = magnitude
-            residual *= constants.decay
-            residual *= sign
-            output = target - residual
-            output[index] = np.where(
+            # magnitude doubles as the signed-residual and the output
+            # buffer from here; its flat view takes the slewing samples.
+            output = magnitude
+            output *= constants.decay
+            output *= sign
+            flat = np.subtract(target, output, out=output).reshape(-1)
+            flat[index] = np.where(
                 still_s,
                 start_s + sign_s * slew_s * settle_time,
-                target[index] - sign_s * residual_s,
+                target.take(index) - sign_s * residual_s,
             )
             return SettlingResult(
-                output=output,
+                output=flat.reshape(output.shape),
                 slewing_fraction=float(n_slewing) / total,
                 incomplete_fraction=float(np.count_nonzero(still_s)) / total,
             )

@@ -18,8 +18,8 @@ hold:
   row by row from the owning die's generator, so the numbers are the
   ones the per-die path would have drawn.
 
-The helpers :func:`normal_where` / :func:`random_where` are the shared
-entry points for *sparse* draws (values only at masked positions, in
+The helpers :func:`normal_at` / :func:`random_at` are the shared entry
+points for *sparse* draws (values only at selected flat positions, in
 flat index order); they dispatch between a plain generator and a
 :class:`DieStreams` so device models can stay agnostic of which path is
 running them.
@@ -213,19 +213,17 @@ class DieStreams:
         generator's draw of ``2n`` standard normals is the concatenation
         of two consecutive draws of ``n`` — but with a single Generator
         call per die instead of two.  The MDAC uses this to fuse its
-        sampling-noise and opamp-noise draws.
+        sampling-noise and opamp-noise draws.  Both blocks are views of
+        one ``(dies, 2, n)`` buffer that each die fills and scales in
+        place.
         """
-        out_a = np.empty((self.n_dies, count))
-        out_b = np.empty((self.n_dies, count))
+        block = np.empty((self.n_dies, 2, count))
         for die, generator in enumerate(self.generators):
-            block = generator.standard_normal(2 * count)
-            np.multiply(
-                block[:count], self._per_die_scale(scale_a, die), out=out_a[die]
-            )
-            np.multiply(
-                block[count:], self._per_die_scale(scale_b, die), out=out_b[die]
-            )
-        return out_a, out_b
+            pair = block[die]
+            generator.standard_normal(out=pair.reshape(-1))
+            pair[0] *= self._per_die_scale(scale_a, die)
+            pair[1] *= self._per_die_scale(scale_b, die)
+        return block[:, 0], block[:, 1]
 
     def random(self, size=None) -> np.ndarray:
         """Uniform [0, 1) block of shape (n_dies, n)."""
@@ -235,37 +233,35 @@ class DieStreams:
             generator.random(out=out[die])
         return out
 
-    def normal_where(self, mask: np.ndarray, scale: float) -> np.ndarray:
-        """Gaussians at the True positions of ``mask``, zeros elsewhere.
+    def _row_parts(self, index: np.ndarray, shape, out: np.ndarray) -> list:
+        """``out`` split into the per-die runs of the flat ``index``.
 
-        Row *d* draws exactly ``mask[d].sum()`` values from die *d*'s
-        generator, in flat index order — the same consumption pattern
-        as the per-die path running :func:`normal_where` on one row.
+        ``index`` holds ascending flat positions into a ``(dies, n)``
+        block, so row *d*'s positions are one contiguous run of it.
         """
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] != self.n_dies:
-            raise ConfigurationError(
-                f"mask must be ({self.n_dies}, n), got {mask.shape}"
-            )
-        out = np.zeros(mask.shape)
-        for die, generator in enumerate(self.generators):
-            index = np.flatnonzero(mask[die])
-            if index.size:
-                out[die, index] = generator.normal(0.0, scale, size=index.size)
+        count = self._row_count(shape)
+        bounds = np.searchsorted(index, np.arange(1, self.n_dies) * count)
+        return np.split(out, bounds)
+
+    def normal_at(self, index: np.ndarray, shape, scale: float) -> np.ndarray:
+        """Gaussians for the flat positions ``index`` of a ``shape`` block.
+
+        Row *d*'s positions draw from die *d*'s generator, in flat index
+        order — the same consumption pattern as the per-die path running
+        :func:`normal_at` on one row.
+        """
+        out = np.empty(index.size)
+        for generator, part in zip(self.generators, self._row_parts(index, shape, out)):
+            if part.size:
+                part[...] = generator.normal(0.0, scale, size=part.size)
         return out
 
-    def random_where(self, mask: np.ndarray) -> np.ndarray:
-        """Uniforms at the True positions of ``mask``, zeros elsewhere."""
-        mask = np.asarray(mask, dtype=bool)
-        if mask.ndim != 2 or mask.shape[0] != self.n_dies:
-            raise ConfigurationError(
-                f"mask must be ({self.n_dies}, n), got {mask.shape}"
-            )
-        out = np.zeros(mask.shape)
-        for die, generator in enumerate(self.generators):
-            index = np.flatnonzero(mask[die])
-            if index.size:
-                out[die, index] = generator.random(size=index.size)
+    def random_at(self, index: np.ndarray, shape) -> np.ndarray:
+        """Uniforms for the flat positions ``index`` of a ``shape`` block."""
+        out = np.empty(index.size)
+        for generator, part in zip(self.generators, self._row_parts(index, shape, out)):
+            if part.size:
+                part[...] = generator.random(size=part.size)
         return out
 
 
@@ -276,43 +272,38 @@ def normal_pair(rng, scale_a, scale_b, shape) -> tuple[np.ndarray, np.ndarray]:
     followed by ``rng.normal(0, scale_b, shape)``: ``Generator.normal``
     is ``scale * standard_normal()`` value for value, and a single draw
     of ``2n`` standard normals is the concatenation of two consecutive
-    draws of ``n``.  Dispatches to :meth:`DieStreams.normal_pair` for
-    batched runs.
+    draws of ``n``.  The draw is scaled in place (``z * scale`` equals
+    ``scale * z`` bit for bit).  Dispatches to
+    :meth:`DieStreams.normal_pair` for batched runs.
     """
     if isinstance(rng, DieStreams):
         return rng.normal_pair(scale_a, scale_b, rng._row_count(shape))
     block = rng.standard_normal((2,) + tuple(shape))
-    return scale_a * block[0], scale_b * block[1]
+    block[0] *= scale_a
+    block[1] *= scale_b
+    return block[0], block[1]
 
 
-def normal_where(rng, mask: np.ndarray, scale: float) -> np.ndarray:
-    """Gaussians at masked positions from either kind of stream.
+def normal_at(rng, index: np.ndarray, shape, scale: float) -> np.ndarray:
+    """Gaussians for the flat positions ``index`` of a ``shape`` block.
 
-    Dispatches to :meth:`DieStreams.normal_where` for batched runs; a
-    plain generator draws ``mask.sum()`` values in flat index order.
+    ``index`` holds ascending flat (C-order) positions, as
+    ``np.flatnonzero`` returns them; the result holds one value per
+    position, in that order.  Dispatches to :meth:`DieStreams.normal_at`
+    for batched runs; a plain generator draws ``index.size`` values.
     Drawing only the needed values keeps the stream consumption
-    deterministic (it depends on the mask, which is itself a
+    deterministic (it depends on the positions, which are themselves a
     deterministic function of the inputs) while skipping the — usually
     overwhelming — majority of positions whose outcome the draw cannot
     change.
     """
     if isinstance(rng, DieStreams):
-        return rng.normal_where(mask, scale)
-    mask = np.asarray(mask, dtype=bool)
-    out = np.zeros(mask.shape)
-    index = np.flatnonzero(mask)
-    if index.size:
-        out.reshape(-1)[index] = rng.normal(0.0, scale, size=index.size)
-    return out
+        return rng.normal_at(index, shape, scale)
+    return rng.normal(0.0, scale, size=index.size)
 
 
-def random_where(rng, mask: np.ndarray) -> np.ndarray:
-    """Uniforms at masked positions from either kind of stream."""
+def random_at(rng, index: np.ndarray, shape) -> np.ndarray:
+    """Uniforms for the flat positions ``index`` of a ``shape`` block."""
     if isinstance(rng, DieStreams):
-        return rng.random_where(mask)
-    mask = np.asarray(mask, dtype=bool)
-    out = np.zeros(mask.shape)
-    index = np.flatnonzero(mask)
-    if index.size:
-        out.reshape(-1)[index] = rng.random(size=index.size)
-    return out
+        return rng.random_at(index, shape)
+    return rng.random(size=index.size)

@@ -74,6 +74,20 @@ class TestConvert:
         assert nominal_capture.flash_codes.shape == (4096,)
         assert nominal_capture.sample_times.shape == (4096,)
 
+    def test_stage_codes_are_a_stage_major_view(self, paper_adc, nominal_capture):
+        """Each stage's decisions are one contiguous row; the
+        (samples, n_stages) view combines to the output words."""
+        stage_codes = nominal_capture.stage_codes
+        assert stage_codes.strides[0] == stage_codes.itemsize
+        words = paper_adc.correction.combine(
+            np.ascontiguousarray(stage_codes), nominal_capture.flash_codes
+        )
+        assert np.array_equal(words, nominal_capture.codes)
+        assert np.array_equal(
+            paper_adc.correction.combine(stage_codes, nominal_capture.flash_codes),
+            words,
+        )
+
     def test_codes_in_range(self, nominal_capture):
         assert nominal_capture.codes.min() >= 0
         assert nominal_capture.codes.max() <= 4095

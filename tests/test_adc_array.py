@@ -30,7 +30,9 @@ from repro.streams import (
     SAMPLES_NOISE_STREAM,
     DieStreams,
     noise_generator,
+    normal_at,
     normal_pair,
+    random_at,
 )
 from repro.technology.corners import OperatingPointArray
 from repro.technology.montecarlo import MonteCarloSampler, ProcessSampleArray
@@ -78,19 +80,43 @@ class TestStreams:
             solo = noise_generator(seed, CONVERT_NOISE_STREAM)
             assert np.array_equal(block[die], solo.normal(0.0, 2.0, size=16))
 
-    def test_normal_where_draws_only_masked_positions(self):
-        streams = DieStreams.for_noise([1, 2], CONVERT_NOISE_STREAM)
-        mask = np.array([[True, False, True], [False, False, False]])
-        block = streams.normal_where(mask, 1.0)
-        assert block[1].tolist() == [0.0, 0.0, 0.0]
-        assert block[0][1] == 0.0 and block[0][0] != 0.0
+    def test_normal_at_draws_only_selected_positions(self):
+        """Each die draws one value per selected position of its own row,
+        in flat order, and a die with no selected position draws none."""
+        streams = DieStreams.for_noise([1, 2, 3], CONVERT_NOISE_STREAM)
+        mask = np.array(
+            [[True, False, True], [False, False, False], [False, True, False]]
+        )
+        values = normal_at(streams, np.flatnonzero(mask), mask.shape, 2.0)
+        die0 = noise_generator(1, CONVERT_NOISE_STREAM).normal(0.0, 2.0, 2)
+        die2 = noise_generator(3, CONVERT_NOISE_STREAM).normal(0.0, 2.0, 1)
+        assert np.array_equal(values, np.concatenate([die0, die2]))
+        untouched = noise_generator(2, CONVERT_NOISE_STREAM)
+        assert (
+            streams.generator(1).bit_generator.state
+            == untouched.bit_generator.state
+        )
+
+    def test_random_at_matches_plain_generator_per_row(self):
+        streams = DieStreams.for_noise([4, 5], CONVERT_NOISE_STREAM)
+        mask = np.array([[False, True, True, True], [True, False, False, True]])
+        values = random_at(streams, np.flatnonzero(mask), mask.shape)
+        rows = [
+            random_at(
+                noise_generator(seed, CONVERT_NOISE_STREAM),
+                np.flatnonzero(row),
+                row.shape,
+            )
+            for seed, row in zip((4, 5), mask)
+        ]
+        assert np.array_equal(values, np.concatenate(rows))
 
     def test_shape_validation(self):
         streams = DieStreams.for_noise([1, 2], CONVERT_NOISE_STREAM)
         with pytest.raises(ConfigurationError):
             streams.normal(size=(3, 4))
         with pytest.raises(ConfigurationError):
-            streams.random_where(np.zeros((3, 4), dtype=bool))
+            random_at(streams, np.arange(0), (3, 4))
 
     def test_normal_pair_matches_sequential_draws(self):
         """One fused 2n draw == two consecutive n draws, bit for bit."""
@@ -238,6 +264,15 @@ class TestBitExactness:
         ).convert_samples(ramp)
         assert np.array_equal(blocked.codes, per_die.codes)
         assert np.array_equal(blocked.stage_codes, per_die.stage_codes)
+        # Both execution orders expose a stage-major buffer whose
+        # (dies, samples, n_stages) view combines to the output words.
+        correction = DigitalCorrection(paper_config.n_stages, paper_config.flash_bits)
+        for result in (blocked, per_die):
+            assert result.stage_codes.strides[1] == result.stage_codes.itemsize
+            words = correction.combine(
+                np.ascontiguousarray(result.stage_codes), result.flash_codes
+            )
+            assert np.array_equal(words, result.codes)
 
     def test_die_view(self, adc_array):
         tone = SineGenerator.coherent(10e6, 110e6, 128, amplitude=0.9)

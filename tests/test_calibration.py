@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.core.adc import PipelineAdc
-from repro.core.calibration import GainCalibration
+from repro.core.calibration import (
+    GainCalibration,
+    _calibration_ramp,
+    _calibration_target,
+    _keep_mask,
+    _keep_range,
+)
 from repro.errors import CalibrationError, ConfigurationError
 from repro.signal.linearity import ramp_linearity
 
@@ -91,6 +97,33 @@ class TestGainCalibration:
         railed = (result.codes == 0) | (result.codes == 4095)
         assert railed.any()
         assert np.array_equal(codes[railed], result.codes[railed])
+
+
+class TestKeptRange:
+    """The fit reads the kept ramp samples as one slice of the capture."""
+
+    @pytest.mark.parametrize("samples_per_code", [4, 16, 24])
+    @pytest.mark.parametrize("overdrive", [0.001, 0.02, 0.1, 0.199])
+    def test_slice_equals_keep_mask(self, paper_config, samples_per_code, overdrive):
+        ramp = _calibration_ramp(paper_config, samples_per_code, overdrive)
+        target = _calibration_target(paper_config, ramp)
+        mask = _keep_mask(paper_config, target)
+        sliced = np.zeros_like(mask)
+        sliced[_keep_range(paper_config, target)] = True
+        assert mask.any()
+        assert np.array_equal(sliced, mask)
+
+    def test_non_contiguous_keep_raises(self, paper_config):
+        target = _calibration_target(
+            paper_config, _calibration_ramp(paper_config, 4, 0.02)
+        )
+        target[target.size // 2] = 0.0  # a clipped sample mid-ramp
+        with pytest.raises(CalibrationError, match="contiguous"):
+            _keep_range(paper_config, target)
+
+    def test_nothing_kept_raises(self, paper_config):
+        with pytest.raises(CalibrationError):
+            _keep_range(paper_config, np.zeros(64))
 
 
 class TestReconstructShapes:

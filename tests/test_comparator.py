@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from repro.devices.comparator import (
+    _NOISE_CUT_SIGMA,
     ComparatorParameters,
     DynamicComparator,
     build_comparator_bank,
 )
 from repro.errors import ConfigurationError
+from repro.streams import CONVERT_NOISE_STREAM, DieStreams, noise_generator
 
 
 def make(threshold=0.0, seed=0, **kwargs):
@@ -85,6 +87,56 @@ class TestDecisions:
         v = np.full(2000, 0.5e-3)  # inside the window, above threshold
         rate = comp.compare(v, rng).mean()
         assert 0.35 < rate < 0.65
+
+
+def dense_compare(comparator, v, rng):
+    """Reference: the near band as a boolean mask over the whole row."""
+    p = comparator.parameters
+    margin = v - comparator.effective_threshold
+    near = np.abs(margin) < _NOISE_CUT_SIGMA * p.noise_rms + p.metastability_window
+    margin[near] += rng.normal(0.0, p.noise_rms, size=np.count_nonzero(near))
+    decisions = margin > 0
+    metastable = np.abs(margin) < p.metastability_window
+    decisions[metastable] = rng.random(size=np.count_nonzero(metastable)) < 0.5
+    return decisions
+
+
+class TestSparseDraws:
+    """The flat-index compare consumes the stream as a dense reference."""
+
+    PARAMETERS = dict(offset_sigma=1e-3, noise_rms=0.4e-3, metastability_window=2e-4)
+
+    @staticmethod
+    def inputs(rows):
+        rng = np.random.default_rng(21)
+        return rng.uniform(-6e-3, 6e-3, (rows, 2000))
+
+    def test_generator_matches_dense_reference(self):
+        comp = make(**self.PARAMETERS)
+        v = self.inputs(1)[0]
+        sparse_rng, dense_rng = np.random.default_rng(4), np.random.default_rng(4)
+        sparse = comp.compare(v, sparse_rng)
+        dense = dense_compare(comp, v, dense_rng)
+        assert np.array_equal(sparse, dense)
+        assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
+
+    def test_die_streams_match_dense_reference_per_die(self):
+        seeds = [3, 8, 13]
+        dies = [make(seed=seed, **self.PARAMETERS) for seed in seeds]
+        stacked = DynamicComparator.stack(dies)
+        v = self.inputs(len(seeds))
+        streams = DieStreams.for_noise(seeds, CONVERT_NOISE_STREAM)
+        sparse = stacked.compare(v, streams)
+        for die, (comp, seed) in enumerate(zip(dies, seeds)):
+            reference = noise_generator(seed, CONVERT_NOISE_STREAM)
+            # The widened window makes the uniform branch run.
+            metastable = np.abs(v[die] - comp.effective_threshold) < 1e-4
+            assert metastable.any()
+            assert np.array_equal(sparse[die], dense_compare(comp, v[die], reference))
+            assert (
+                streams.generator(die).bit_generator.state
+                == reference.bit_generator.state
+            )
 
 
 class TestBank:
