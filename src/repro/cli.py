@@ -733,7 +733,7 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         raise ReproError("--shard and --cell-range are mutually exclusive")
     cell_range = None
     if args.shard is not None:
-        cell_range = spec.shard(*_parse_shard(args.shard)).cell_range
+        cell_range = spec.shard(*_parse_shard(args.shard))
     elif args.cell_range is not None:
         cell_range = _parse_cell_range(args.cell_range)
     report = run_campaign(

@@ -11,6 +11,15 @@ The runtime is the scaling layer every fan-out workload goes through:
 * :mod:`repro.runtime.campaign` — corner-batched PVT sign-off
   campaigns with resumable JSONL run ledgers, built on the runner and
   the vectorized engine.
+* :mod:`repro.runtime.shards` — a shard is a ``[start, stop)`` cell
+  range of a campaign; the one ledger-union rule that merges shard
+  ledgers back into a campaign report.
+* :mod:`repro.runtime.dispatcher` — the gap-driven dispatch loop: runs
+  shards in forked processes and re-dispatches only missing cells
+  until the merged grid is complete.
+* :mod:`repro.runtime.cell_store` — the content-addressed on-disk
+  store of completed cells, shared across campaigns, plus its
+  stats/verify/prune hygiene sweeps.
 * :mod:`repro.runtime.profiling` — opt-in per-stage wall-time
   instrumentation (the ``repro profile`` workloads and reports; the
   timing primitive itself lives in the leaf :mod:`repro.profiling`).

@@ -38,9 +38,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # import cycle: shards builds on this module
+if TYPE_CHECKING:  # import cycle: cell_store builds on this module
     from repro.runtime.cell_store import CellStore
-    from repro.runtime.shards import CampaignShard
 
 from repro.core.adc_array import AdcArray
 from repro.core.config import FINGERPRINT_EXCLUDED, AdcConfig
@@ -210,18 +209,42 @@ class CampaignSpec:
             "config": json_safe(config_dict),
         }
 
-    def shard(self, index: int, count: int) -> "CampaignShard":
-        """Shard ``index`` of ``count`` over this grid's cells.
+    @classmethod
+    def from_fingerprint(cls, fingerprint: dict) -> CampaignSpec:
+        """Rebuild the spec a :meth:`fingerprint` was taken from.
+
+        The rebuild round-trips: its fingerprint's spec part equals the
+        input's.  The root ``seed`` is not recoverable (fingerprints
+        store the resolved per-die seeds), so the rebuilt spec pins
+        ``die_seeds`` explicitly.
+
+        Raises:
+            ConfigurationError: when the fingerprint lacks a readable
+                campaign spec.
+        """
+        try:
+            spec = dict(fingerprint["spec"])
+            spec["corners"] = tuple(map(Corner, spec["corners"]))
+            spec["temperatures_c"] = tuple(map(float, spec["temperatures_c"]))
+            spec["die_seeds"] = tuple(map(int, spec["die_seeds"]))
+            return cls(**spec)
+        except (KeyError, TypeError, ValueError):
+            raise ConfigurationError(
+                "fingerprint does not carry a readable campaign spec; "
+                "cannot reconstruct the campaign"
+            ) from None
+
+    def shard(self, index: int, count: int) -> tuple[int, int]:
+        """Shard ``index`` of ``count``: its ``[start, stop)`` cell range.
 
         The grid splits into ``count`` contiguous, disjoint, covering
         cell ranges (balanced to within one cell, earlier shards take
-        the extras).  Every shard shares the parent spec — and with it
-        the per-cell seeds — so running all shards and merging their
+        the extras).  A shard runs as ``run_campaign(spec,
+        cell_range=...)`` on this same spec — and so with the same
+        per-cell seeds — so running all shards and merging their
         ledgers (:func:`repro.runtime.shards.merge_campaign_ledgers`)
         reproduces the single-process campaign bit for bit.
         """
-        from repro.runtime.shards import CampaignShard
-
         if count < 1:
             raise ConfigurationError(
                 f"shard count must be >= 1, got {count}"
@@ -238,12 +261,10 @@ class CampaignSpec:
         base, extra = divmod(self.n_cells, count)
         start = index * base + min(index, extra)
         stop = start + base + (1 if index < extra else 0)
-        return CampaignShard(
-            spec=self, index=index, count=count, start=start, stop=stop
-        )
+        return (start, stop)
 
-    def shards(self, count: int) -> "tuple[CampaignShard, ...]":
-        """All ``count`` shards of the grid, in cell order."""
+    def shards(self, count: int) -> tuple[tuple[int, int], ...]:
+        """All ``count`` shard cell ranges of the grid, in cell order."""
         return tuple(self.shard(index, count) for index in range(count))
 
 
@@ -438,27 +459,6 @@ def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     )
 
 
-def fingerprint_n_cells(fingerprint: dict) -> int:
-    """The grid size a campaign fingerprint describes.
-
-    Raises:
-        ConfigurationError: when the fingerprint does not carry a
-            recognizable campaign spec.
-    """
-    try:
-        spec = fingerprint["spec"]
-        return (
-            len(spec["corners"])
-            * len(spec["temperatures_c"])
-            * int(spec["n_dies"])
-        )
-    except (KeyError, TypeError, ValueError):
-        raise ConfigurationError(
-            "fingerprint does not describe a campaign grid "
-            "(missing corners/temperatures_c/n_dies)"
-        ) from None
-
-
 @dataclass(frozen=True)
 class LedgerContents:
     """One parsed, validated ledger: header fields plus the records.
@@ -468,11 +468,15 @@ class LedgerContents:
         cell_range: the shard's ``[start, stop)`` cell range, or None
             for an unsharded (whole-grid) ledger.
         records: completed cells by grid index.
+        torn_at: byte offset just past the last intact line's content
+            when the file does not end there with a newline (a torn
+            tail, or an unterminated last line); None for a clean file.
     """
 
     fingerprint: dict
     cell_range: tuple[int, int] | None
     records: dict[int, CellMetrics]
+    torn_at: int | None
 
 
 def _format_range(cell_range: tuple[int, int] | None) -> str:
@@ -502,9 +506,6 @@ class CampaignLedger:
         self.path = Path(path)
         self.fsync = fsync
 
-    def exists(self) -> bool:
-        return self.path.exists()
-
     def start(
         self,
         fingerprint: dict,
@@ -529,8 +530,12 @@ class CampaignLedger:
                 "start": int(cell_range[0]),
                 "stop": int(cell_range[1]),
             }
-        with self.path.open("w") as handle:
-            handle.write(json.dumps(header) + "\n")
+        self._write("w", [json.dumps(header) + "\n"])
+
+    def _write(self, mode: str, lines: Iterable[str]) -> None:
+        """Write ``lines`` in ``mode``, flushed and (by policy) fsynced."""
+        with self.path.open(mode) as handle:
+            handle.writelines(lines)
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
@@ -548,7 +553,8 @@ class CampaignLedger:
                 the valid range, a duplicate cell index, or corruption
                 that is not a torn tail.
         """
-        lines = self.path.read_text().splitlines()
+        text = self.path.read_bytes().decode()
+        lines = text.splitlines()
         if not lines:
             raise ConfigurationError(f"ledger {self.path} is empty")
         try:
@@ -568,7 +574,7 @@ class CampaignLedger:
             raise ConfigurationError(
                 f"ledger {self.path} header carries no fingerprint"
             )
-        n_cells = fingerprint_n_cells(fingerprint)
+        n_cells = CampaignSpec.from_fingerprint(fingerprint).n_cells
         cell_range = None
         shard = header.get("shard")
         if shard is not None:
@@ -594,6 +600,7 @@ class CampaignLedger:
             (i for i, line in enumerate(lines) if line.strip()), default=0
         )
         records: dict[int, CellMetrics] = {}
+        torn = False
         for position, line in enumerate(lines[1:], start=2):
             if not line.strip():
                 continue
@@ -604,6 +611,7 @@ class CampaignLedger:
                     # Interrupted mid-append: drop the torn tail (and
                     # any trailing blank lines after it), the cell
                     # re-runs on resume.
+                    torn = True
                     continue
                 raise ConfigurationError(
                     f"ledger {self.path} line {position} is corrupt"
@@ -619,10 +627,16 @@ class CampaignLedger:
                     f"cell index {metrics.index}"
                 )
             records[metrics.index] = metrics
+        # The header and records end where the torn line (if any) and
+        # trailing blanks begin; a resuming writer cuts the rest.
+        intact = text.rstrip()
+        if torn:
+            intact = intact[: intact.rfind("\n")].rstrip()
         return LedgerContents(
             fingerprint=fingerprint,
             cell_range=cell_range,
             records=records,
+            torn_at=None if text == intact + "\n" else len(intact.encode()),
         )
 
     def load(
@@ -630,7 +644,12 @@ class CampaignLedger:
         fingerprint: dict,
         cell_range: tuple[int, int] | None = None,
     ) -> dict[int, CellMetrics]:
-        """Completed cells of a previous run with matching fingerprint.
+        """Completed cells of a previous run, readied for appending.
+
+        The resume path: after the checks, a torn tail is cut and the
+        last intact line terminated, so the resumed run's appends start
+        on a line of their own (appending after a torn fragment would
+        corrupt the next read).  :meth:`read` never writes.
 
         Args:
             fingerprint: the expected campaign fingerprint.
@@ -657,6 +676,9 @@ class CampaignLedger:
                 f"{_format_range(contents.cell_range)}, expected "
                 f"{_format_range(cell_range)}; refusing to resume"
             )
+        if contents.torn_at is not None:
+            os.truncate(self.path, contents.torn_at)
+            self._write("a", ["\n"])
         return contents.records
 
     def record(self, cells: Iterable[CellMetrics]) -> None:
@@ -668,12 +690,12 @@ class CampaignLedger:
         cache — faster, but a power loss may drop whole flushed
         batches.
         """
-        with self.path.open("a") as handle:
-            for cell in cells:
-                handle.write(json.dumps(cell.to_record()) + "\n")
-            handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+        self._write("a", (json.dumps(cell.to_record()) + "\n" for cell in cells))
+
+    def write(self, fingerprint: dict, records: dict[int, CellMetrics]) -> None:
+        """Write ``records`` as a fresh, resumable whole-grid ledger."""
+        self.start(fingerprint)
+        self.record(records[index] for index in sorted(records))
 
 
 @dataclass(frozen=True)
@@ -707,12 +729,9 @@ class CampaignReport:
 
     @classmethod
     def from_records(
-        cls,
-        spec: CampaignSpec,
-        records: "dict[int, CellMetrics]",
-        engine: str = "merged",
-    ) -> "CampaignReport":
-        """A report assembled from already-measured cells.
+        cls, spec: CampaignSpec, records: dict[int, CellMetrics]
+    ) -> CampaignReport:
+        """A ``"merged"`` report assembled from already-measured cells.
 
         The shared exit of every path that reunites cells measured
         elsewhere — ledger merging (:func:`repro.runtime.shards.
@@ -728,7 +747,7 @@ class CampaignReport:
             batch=BatchResult(
                 outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
             ),
-            engine=engine,
+            engine="merged",
             resumed_cells=len(cells),
         )
 
@@ -959,11 +978,10 @@ def run_campaign(
         progress: progress callback (per cell for the pool engine, per
             cell chunk for the vectorized engine).
         cell_range: run only grid cells ``[start, stop)`` — a shard of
-            the campaign (usually via
-            :meth:`CampaignSpec.shard` and
-            :func:`repro.runtime.shards.run_campaign_shard`).  The
-            ledger header records the range, and the report's
-            completeness is judged against it.
+            the campaign (usually planned by
+            :meth:`CampaignSpec.shard`).  The ledger header records
+            the range, and the report's completeness is judged against
+            it.
         cell_store: content-addressed cell-result store (a
             :class:`~repro.runtime.cell_store.CellStore` or its root
             directory).  Cells whose physics identity — config
@@ -987,6 +1005,7 @@ def run_campaign(
         workers=workers,
         chunk_size=chunk_size,
     )
+    cells = spec.cells()
     if cell_range is not None:
         start, stop = cell_range
         if not 0 <= start < stop <= spec.n_cells:
@@ -995,16 +1014,13 @@ def run_campaign(
                 f"subrange of the campaign grid [0, {spec.n_cells})"
             )
         cell_range = (int(start), int(stop))
-
-    cells = spec.cells()
-    if cell_range is not None:
-        cells = cells[cell_range[0] : cell_range[1]]
+        cells = cells[start:stop]
     fingerprint = spec.fingerprint(config)
     ledger: CampaignLedger | None = None
     completed: dict[int, CellMetrics] = {}
     if ledger_path is not None:
         ledger = CampaignLedger(ledger_path, fsync=ledger_fsync)
-        if resume and ledger.exists():
+        if resume and ledger.path.exists():
             completed = ledger.load(fingerprint, cell_range)
         else:
             ledger.start(fingerprint, cell_range)
@@ -1018,14 +1034,12 @@ def run_campaign(
             if isinstance(cell_store, CellStore)
             else CellStore(cell_store)
         ).bind(spec, config)
-        # Ledger-resumed cells back-fill the store so later campaigns
-        # sharing those cells hit it even without this ledger.
         for cell in cells:
             metrics = completed.get(cell.index)
             if metrics is not None:
+                # Ledger-resumed cells back-fill the store so later
+                # campaigns sharing them hit it even without this ledger.
                 store.put(cell, metrics)
-        for cell in cells:
-            if cell.index in completed:
                 continue
             metrics = store.get(cell)
             if metrics is not None:

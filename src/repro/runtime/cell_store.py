@@ -464,17 +464,18 @@ class BoundCellStore:
         self.hits = 0
         self.misses = 0
 
-    def _key(self, cell: CampaignCell) -> str:
-        payload = {
-            **self.base,
-            "cell": {
-                "corner": cell.corner.value,
-                "temperature_c": float(cell.temperature_c),
-                "supply_scale": float(cell.supply_scale),
-                "die_seed": int(cell.die_seed),
-            },
+    @staticmethod
+    def _identity(cell: CampaignCell) -> dict:
+        """The cell-varying part of the key (grid position excluded)."""
+        return {
+            "corner": cell.corner.value,
+            "temperature_c": float(cell.temperature_c),
+            "supply_scale": float(cell.supply_scale),
+            "die_seed": int(cell.die_seed),
         }
-        return _digest(payload)
+
+    def _key(self, cell: CampaignCell) -> str:
+        return _digest({**self.base, "cell": self._identity(cell)})
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -521,31 +522,26 @@ class BoundCellStore:
     def put(self, cell: CampaignCell, metrics: CellMetrics) -> None:
         """Store one completed cell (idempotent; atomic per entry).
 
-        Best-effort against concurrent hygiene: a prune that removes
-        the prefix directory between our mkdir and the write is retried
-        once; losing the race twice leaves the entry unwritten (the
-        cell is simply recomputed next time), never raises.
+        A healthy existing entry is kept; a damaged one
+        (:meth:`CellStore._entry_problem`) is overwritten.  Best-effort
+        against concurrent hygiene: a prune that removes the prefix
+        directory between our mkdir and the write is retried once;
+        losing the race twice leaves the entry unwritten (the cell is
+        simply recomputed next time), never raises.
         """
         key = self._key(cell)
         path = self._path(key)
-        if path.exists():
-            return
+        try:
+            if CellStore._entry_problem(path, path.read_text()) is None:
+                return
+        except (OSError, ValueError):
+            pass  # no entry yet, or undecodable bytes: write one
         entry = {
             "schema": CELL_STORE_SCHEMA,
             "key": key,
             "base": self.base_digest,
-            "cell": {
-                "corner": cell.corner.value,
-                "temperature_c": float(cell.temperature_c),
-                "supply_scale": float(cell.supply_scale),
-                "die_seed": int(cell.die_seed),
-            },
-            "metrics": {
-                "snr_db": metrics.snr_db,
-                "sndr_db": metrics.sndr_db,
-                "sfdr_db": metrics.sfdr_db,
-                "enob_bits": metrics.enob_bits,
-            },
+            "cell": self._identity(cell),
+            "metrics": metrics.to_metrics(),
         }
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         payload = json.dumps(entry, sort_keys=True) + "\n"

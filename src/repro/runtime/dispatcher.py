@@ -76,9 +76,10 @@ from repro.runtime.campaign import (
     CampaignReport,
     CampaignSpec,
     CellMetrics,
+    LedgerContents,
     run_campaign,
 )
-from repro.runtime.shards import coalesce_cell_ranges
+from repro.runtime.shards import coalesce_cell_ranges, union_ledgers
 from repro.schemas import DISPATCH_REPORT_SCHEMA
 
 #: Fraction of the base delay the deterministic jitter may add.
@@ -398,9 +399,7 @@ class CampaignDispatcher:
         if not missing:
             return ()
         if len(missing) == self.spec.n_cells:
-            return tuple(
-                shard.cell_range for shard in self.spec.shards(self.shards)
-            )
+            return self.spec.shards(self.shards)
         ranges = list(coalesce_cell_ranges(missing))
         while len(ranges) < self.shards:
             widest = max(
@@ -419,41 +418,32 @@ class CampaignDispatcher:
 
     # --- merge (the source of truth) -------------------------------------
 
-    def _gather(self) -> tuple[dict[int, CellMetrics], tuple[str, ...]]:
+    def _gather(self, unreadable: list[str]) -> dict[int, CellMetrics]:
         """Merge every readable work-dir ledger into one record map.
 
+        The merge rules are :func:`~repro.runtime.shards.union_ledgers`.
         Unreadable ledgers (empty file, torn header — the remains of a
-        killed shard) are reported and skipped; their cells simply stay
-        missing.  A ledger from a *different campaign* is an error: the
+        killed shard) are added to ``unreadable`` (once per path) and
+        deleted; their cells stay missing and re-run into a fresh
+        ledger.  A ledger from a *different campaign* is an error: the
         work directory is the dispatcher's resume identity, and mixing
         campaigns in one would corrupt it silently.
         """
-        records: dict[int, CellMetrics] = {}
-        source: dict[int, Path] = {}
-        unreadable: list[str] = []
+        readable: list[tuple[Path, LedgerContents]] = []
         for path in sorted(self.work_dir.glob("range-*.jsonl")):
             try:
-                contents = CampaignLedger(path).read()
+                readable.append((path, CampaignLedger(path).read()))
             except ConfigurationError:
-                unreadable.append(str(path))
-                continue
-            if contents.fingerprint != self._fingerprint:
-                raise ConfigurationError(
-                    f"work dir {self.work_dir} holds ledger {path} from "
-                    "a different campaign; refusing to dispatch into it"
-                )
-            for index, metrics in contents.records.items():
-                held = records.get(index)
-                if held is None:
-                    records[index] = metrics
-                    source[index] = path
-                elif held != metrics:
-                    raise ConfigurationError(
-                        f"work-dir ledgers disagree on cell {index}: "
-                        f"{source[index]} and {path} hold conflicting "
-                        "records"
-                    )
-        return records, tuple(unreadable)
+                if str(path) not in unreadable:
+                    unreadable.append(str(path))
+                path.unlink(missing_ok=True)
+        fingerprint, records = union_ledgers(readable)
+        if fingerprint not in (None, self._fingerprint):
+            raise ConfigurationError(
+                f"work dir {self.work_dir} holds ledger {readable[0][0]} "
+                "from a different campaign; refusing to dispatch into it"
+            )
+        return records
 
     def _missing(
         self, records: dict[int, CellMetrics]
@@ -464,29 +454,15 @@ class CampaignDispatcher:
             if index not in records
         )
 
-    def _prepare_ledger(self, path: Path) -> None:
-        """Make a range's ledger resumable: drop it when unreadable.
-
-        A shard killed before its header hit disk leaves a file
-        ``--resume`` would refuse; deleting it lets the re-dispatch
-        start fresh (the records, if any, were unreadable anyway).
-        """
-        if not path.exists():
-            return
-        try:
-            CampaignLedger(path).read()
-        except ConfigurationError:
-            path.unlink(missing_ok=True)
-
     # --- the loop --------------------------------------------------------
 
     def run(self) -> DispatchReport:
         """Dispatch until the merge is complete or retries are exhausted."""
         t_start = time.monotonic()
         self.work_dir.mkdir(parents=True, exist_ok=True)
-        records, unreadable = self._gather()
+        unreadable: list[str] = []
+        records = self._gather(unreadable)
         resumed_cells = len(records)
-        all_unreadable = list(unreadable)
         attempts: list[DispatchAttempt] = []
         backoffs: list[float] = []
         dispatch_count: dict[int, int] = {}
@@ -534,16 +510,13 @@ class CampaignDispatcher:
                         dispatch_count.get(index, 0) + 1
                     )
             rounds += 1
-            records, unreadable = self._gather()
-            all_unreadable.extend(
-                path for path in unreadable if path not in all_unreadable
-            )
+            records = self._gather(unreadable)
         missing = self._missing(records)
         report = CampaignReport.from_records(self.spec, records)
         if self.out_ledger is not None and records:
-            ledger = CampaignLedger(self.out_ledger, fsync=self.fsync)
-            ledger.start(self._fingerprint)
-            ledger.record(records[index] for index in sorted(records))
+            CampaignLedger(self.out_ledger, fsync=self.fsync).write(
+                self._fingerprint, records
+            )
         return DispatchReport(
             spec=self.spec,
             shards=self.shards,
@@ -553,7 +526,7 @@ class CampaignDispatcher:
             attempts=tuple(attempts),
             backoffs_s=tuple(backoffs),
             resumed_cells=resumed_cells,
-            unreadable_ledgers=tuple(all_unreadable),
+            unreadable_ledgers=tuple(unreadable),
             complete=not missing,
             exhausted=exhausted,
             missing_cells=missing,
@@ -578,7 +551,6 @@ class CampaignDispatcher:
             while pending and len(running) < self.shards:
                 start, stop, attempt_no = pending.pop(0)
                 ledger = self._ledger_path(start, stop)
-                self._prepare_ledger(ledger)
                 armed = fault is not None and position == fault[0]
                 process = context.Process(
                     target=self._run_shard,

@@ -26,6 +26,7 @@ from repro.runtime.campaign import (
     CampaignSpec,
     run_campaign,
 )
+from repro.runtime.shards import merge_campaign_ledgers
 from repro.signal.generators import SineGenerator
 from repro.technology.corners import Corner, OperatingPointArray, pvt_grid
 from repro.technology.montecarlo import ProcessSampleArray
@@ -328,6 +329,34 @@ class TestLedgerResume:
         report = run_campaign(small_spec, ledger_path=ledger, resume=True)
         assert report.complete
         assert report.resumed_cells == small_spec.n_cells
+
+    @pytest.mark.parametrize(
+        ("cut", "sharded"),
+        [("mid-record", False), ("unterminated", False), ("mid-record", True)],
+    )
+    def test_resume_after_torn_tail_stays_resumable(
+        self, small_spec, vectorized_report, tmp_path, cut, sharded
+    ):
+        """Resumed appends start on a fresh line, not after the fragment."""
+        cell_range = small_spec.shard(0, 2) if sharded else None
+        ledger = tmp_path / "run.jsonl"
+        run_campaign(small_spec, ledger_path=ledger, cell_range=cell_range)
+        lines = ledger.read_text().splitlines(keepends=True)
+        # Header and two records intact; the third cut with no newline.
+        kept = lines[3][: len(lines[3]) // 2 if cut == "mid-record" else -1]
+        ledger.write_text("".join(lines[:3]) + kept)
+        first = run_campaign(
+            small_spec, ledger_path=ledger, resume=True, cell_range=cell_range
+        )
+        assert first.resumed_cells == (2 if cut == "mid-record" else 3)
+        second = run_campaign(
+            small_spec, ledger_path=ledger, resume=True, cell_range=cell_range
+        )
+        assert second.batch.n_tasks == 0
+        start, stop = cell_range or (0, small_spec.n_cells)
+        straight = vectorized_report.cells[start:stop]
+        assert first.cells == second.cells == straight
+        assert merge_campaign_ledgers([ledger]).cells == straight
 
     def test_ledger_rejects_corrupt_middle(self, small_spec, tmp_path):
         ledger = tmp_path / "run.jsonl"

@@ -40,7 +40,7 @@ from repro.runtime.dispatcher import (
     backoff_jitter,
     parse_fault_kill,
 )
-from repro.runtime.shards import coalesce_cell_ranges, merge_campaign_ledgers
+from repro.runtime.shards import coalesce_cell_ranges
 from repro.technology.corners import Corner
 
 SMALL = dict(
@@ -117,9 +117,7 @@ class TestPlanRanges:
             small_spec, shards=3, work_dir=tmp_path
         )
         planned = dispatcher.plan_ranges(tuple(range(small_spec.n_cells)))
-        assert planned == tuple(
-            shard.cell_range for shard in small_spec.shards(3)
-        )
+        assert planned == small_spec.shards(3)
 
     def test_partial_gap_splits_widest_range(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
@@ -350,6 +348,22 @@ class TestDispatchRecovery:
             str(tmp_path / "range-000000-000004.jsonl"),
         )
 
+    def test_unreadable_ledger_outside_the_plan_is_deleted(
+        self, small_spec, single_report, tmp_path
+    ):
+        # Three shards never re-plan the range [0, 4), so only the
+        # gather can clear its remains.
+        stale = tmp_path / "range-000000-000004.jsonl"
+        stale.write_text("garbage\n")
+        report = CampaignDispatcher(small_spec, shards=3, work_dir=tmp_path).run()
+        assert report.complete
+        assert report.unreadable_ledgers == (str(stale),)
+        assert not stale.exists()
+        rerun = CampaignDispatcher(small_spec, shards=3, work_dir=tmp_path).run()
+        assert rerun.unreadable_ledgers == ()
+        assert rerun.attempts == ()
+        assert rerun.report.cells == single_report.cells
+
     def test_foreign_campaign_work_dir_refused(self, small_spec, tmp_path):
         other = CampaignSpec(**{**SMALL, "seed": 1})
         run_campaign(
@@ -521,26 +535,6 @@ class TestDispatchCli:
         )
         assert code == 2
         assert "mutually exclusive" in capsys.readouterr().err
-
-
-class TestMergeFsync:
-    def test_out_ledger_without_fsync(self, small_spec, tmp_path):
-        paths = []
-        for shard in small_spec.shards(2):
-            path = tmp_path / f"shard-{shard.index}.jsonl"
-            run_campaign(
-                small_spec,
-                cell_range=shard.cell_range,
-                ledger_path=path,
-            )
-            paths.append(path)
-        merged = tmp_path / "merged.jsonl"
-        report = merge_campaign_ledgers(
-            paths, out_ledger=merged, fsync=False
-        )
-        assert report.complete
-        resumed = run_campaign(small_spec, ledger_path=merged, resume=True)
-        assert resumed.cells == report.cells
 
 
 class TestCellStoreHygiene:

@@ -22,11 +22,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.cell_store import CellStore
-from repro.runtime.shards import (
-    merge_campaign_ledgers,
-    run_campaign_shard,
-    spec_from_fingerprint,
-)
+from repro.runtime.shards import merge_campaign_ledgers
 from repro.technology.corners import Corner
 
 SMALL = dict(
@@ -53,9 +49,9 @@ def shard_ledgers(small_spec, tmp_path_factory):
     """Both shards of the small grid run to their own ledgers."""
     root = tmp_path_factory.mktemp("shards")
     paths = []
-    for shard in small_spec.shards(2):
-        path = root / f"shard-{shard.index}.jsonl"
-        report = run_campaign_shard(shard, ledger_path=path)
+    for index, cell_range in enumerate(small_spec.shards(2)):
+        path = root / f"shard-{index}.jsonl"
+        report = run_campaign(small_spec, cell_range=cell_range, ledger_path=path)
         assert report.complete
         paths.append(path)
     return paths
@@ -63,21 +59,20 @@ def shard_ledgers(small_spec, tmp_path_factory):
 
 class TestShardPlanning:
     def test_shards_partition_the_grid(self, small_spec):
-        shards = small_spec.shards(3)
         covered = []
-        for shard in shards:
-            covered.extend(range(shard.start, shard.stop))
+        for start, stop in small_spec.shards(3):
+            covered.extend(range(start, stop))
         assert covered == list(range(small_spec.n_cells))
 
     def test_uneven_split_balances_within_one(self, small_spec):
         assert small_spec.n_cells == 8
-        sizes = [shard.n_cells for shard in small_spec.shards(3)]
+        sizes = [stop - start for start, stop in small_spec.shards(3)]
         assert sizes == [3, 3, 2]
 
-    def test_shard_cells_keep_grid_indices_and_seeds(self, small_spec):
-        parent = small_spec.cells()
-        shard = small_spec.shard(1, 2)
-        assert shard.cells() == parent[shard.start : shard.stop]
+    def test_shard_cells_keep_grid_indices_and_seeds(self, small_spec, single_report):
+        start, stop = small_spec.shard(1, 2)
+        report = run_campaign(small_spec, cell_range=(start, stop))
+        assert report.cells == single_report.cells[start:stop]
 
     def test_shard_validation(self, small_spec):
         with pytest.raises(ConfigurationError, match="shard count"):
@@ -99,17 +94,15 @@ class TestShardPlanning:
                 small_spec, cell_range=(0, small_spec.n_cells + 1)
             )
 
-    def test_spec_from_fingerprint_roundtrips(
-        self, small_spec, paper_config
-    ):
+    def test_from_fingerprint_roundtrips(self, small_spec, paper_config):
         fingerprint = small_spec.fingerprint(paper_config)
-        rebuilt = spec_from_fingerprint(fingerprint)
+        rebuilt = CampaignSpec.from_fingerprint(fingerprint)
         assert rebuilt.fingerprint(paper_config) == fingerprint
         assert rebuilt.cells() == small_spec.cells()
 
-    def test_spec_from_fingerprint_rejects_garbage(self):
+    def test_from_fingerprint_rejects_garbage(self):
         with pytest.raises(ConfigurationError):
-            spec_from_fingerprint({"spec": {"corners": ["tt"]}})
+            CampaignSpec.from_fingerprint({"spec": {"corners": ["tt"]}})
 
 
 class TestShardMerge:
@@ -179,9 +172,7 @@ class TestShardMerge:
     ):
         other = CampaignSpec(**{**SMALL, "n_samples": 1024})
         foreign = tmp_path / "foreign.jsonl"
-        run_campaign_shard(
-            other.shard(0, 2), ledger_path=foreign
-        )
+        run_campaign(other, cell_range=other.shard(0, 2), ledger_path=foreign)
         expected = (
             f"shard ledger {foreign} was written by a different "
             f"campaign than {shard_ledgers[0]}; refusing to merge"
@@ -240,7 +231,7 @@ class TestCellStore:
         report = run_campaign(longer, cell_store=store)
         assert report.cached_cells == 0
 
-    def test_corrupt_entry_is_a_miss(self, small_spec, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, small_spec, single_report, tmp_path):
         store = tmp_path / "store"
         run_campaign(small_spec, cell_store=store)
         for path in store.rglob("*.json"):
@@ -248,6 +239,10 @@ class TestCellStore:
         report = run_campaign(small_spec, cell_store=store)
         assert report.cached_cells == 0
         assert report.complete
+        # That run overwrote every damaged entry.
+        warm = run_campaign(small_spec, cell_store=store)
+        assert warm.cached_cells == small_spec.n_cells
+        assert warm.cells == single_report.cells
 
     def test_ledger_resume_backfills_the_store(
         self, small_spec, tmp_path
@@ -268,16 +263,16 @@ class TestCellStore:
     def test_store_composes_with_shards(self, small_spec, tmp_path):
         """Shard 0 warms the store; shard 1's cells still miss."""
         store = tmp_path / "store"
-        first = run_campaign_shard(
-            small_spec.shard(0, 2), cell_store=store
+        first = run_campaign(
+            small_spec, cell_range=small_spec.shard(0, 2), cell_store=store
         )
         assert first.cached_cells == 0
-        again = run_campaign_shard(
-            small_spec.shard(0, 2), cell_store=store
+        again = run_campaign(
+            small_spec, cell_range=small_spec.shard(0, 2), cell_store=store
         )
         assert again.cached_cells == again.n_cells
-        other = run_campaign_shard(
-            small_spec.shard(1, 2), cell_store=store
+        other = run_campaign(
+            small_spec, cell_range=small_spec.shard(1, 2), cell_store=store
         )
         assert other.cached_cells == 0
         assert other.complete
@@ -352,5 +347,5 @@ class TestShardCli:
         assert "shard index" in capsys.readouterr().err
 
     def test_shard_render_names_the_range(self, small_spec):
-        report = run_campaign_shard(small_spec.shard(0, 2))
+        report = run_campaign(small_spec, cell_range=small_spec.shard(0, 2))
         assert "cells [0, 4) of 8" in report.render()
