@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ModelDomainError
 from repro.profiling import record
+from repro.streams import normal
 
 
 class ClockingScheme(enum.Enum):
@@ -156,9 +157,7 @@ class ClockGenerator:
         if self.aperture_jitter_rms == 0:
             return nominal
         with record("noise-draw", "jitter"):
-            return nominal + rng.normal(
-                0.0, self.aperture_jitter_rms, size=count
-            )
+            return nominal + normal(rng, 0.0, self.aperture_jitter_rms, count)
 
     def jitter_limited_snr_db(self, input_frequency: float) -> float:
         """Theoretical jitter-only SNR for a full-scale sine [dB].

@@ -23,6 +23,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.profiling import record
+from repro.streams import normal
 from repro.technology.corners import OperatingPoint
 
 
@@ -104,7 +105,7 @@ class ReferenceBuffer:
         if self.noise_rms == 0:
             return np.full(count, mean)
         with record("noise-draw", "reference"):
-            return mean + rng.normal(0.0, self.noise_rms, size=count)
+            return mean + normal(rng, 0.0, self.noise_rms, count)
 
     def power(self, operating_point: OperatingPoint) -> float:
         """Static buffer power [W]."""

@@ -35,6 +35,7 @@ import numpy as np
 from repro.devices.switch import SwitchModel
 from repro.errors import ConfigurationError, ModelDomainError
 from repro.profiling import record
+from repro.streams import normal
 from repro.technology.corners import OperatingPoint
 from repro.units import BOLTZMANN
 
@@ -216,7 +217,7 @@ class SamplingNetwork:
         held = held * (1.0 - droop * (1.0 + self.droop_nonlinearity * held**2))
         if self.include_noise:
             with record("noise-draw", "sample-ktc"):
-                held = held + rng.normal(
-                    0.0, self.noise_rms(operating_point), size=held.shape
+                held = held + normal(
+                    rng, 0.0, self.noise_rms(operating_point), held.shape
                 )
         return held

@@ -42,6 +42,7 @@ from repro.streams import (
     SAMPLES_NOISE_STREAM,
     mismatch_generator,
     noise_generator,
+    normal,
     seeded_generator,
 )
 from repro.technology.capacitor import CapacitorMismatchModel
@@ -284,10 +285,8 @@ class PipelineAdc:
         held = np.asarray(values, dtype=float)
         if self.config.include_thermal_noise:
             with record("noise-draw", "sample-ktc"):
-                held = held + rng.normal(
-                    0.0,
-                    self.frontend.noise_rms(self.operating_point),
-                    size=held.shape,
+                held = held + normal(
+                    rng, 0.0, self.frontend.noise_rms(self.operating_point), held.shape
                 )
         return held
 

@@ -29,7 +29,7 @@ import numpy as np
 from repro.devices.opamp import SettleConstants, TwoStageMillerOpamp
 from repro.errors import ConfigurationError
 from repro.profiling import record
-from repro.streams import any_true, normal_pair, shared_value
+from repro.streams import any_true, normal, normal_pair, shared_value
 from repro.technology.corners import OperatingPoint, OperatingPointArray
 from repro.units import BOLTZMANN
 
@@ -350,7 +350,7 @@ class Mdac:
             v, owned = sampling_noise, True
         elif self.include_sampling_noise:
             with record("noise-draw", "mdac-sampling"):
-                sampling_noise = rng.normal(0.0, c.sampling_noise_rms, size=v.shape)
+                sampling_noise = normal(rng, 0.0, c.sampling_noise_rms, v.shape)
             sampling_noise += v
             v, owned = sampling_noise, True
         ratio = c.capacitor_ratio
@@ -380,7 +380,7 @@ class Mdac:
             residue += opamp_noise
         elif self.include_noise:
             with record("noise-draw", "mdac-opamp"):
-                residue += rng.normal(0.0, c.opamp_noise_rms, size=residue.shape)
+                residue += normal(rng, 0.0, c.opamp_noise_rms, residue.shape)
         return residue
 
     def _amplify_fast(
@@ -422,9 +422,7 @@ class Mdac:
         residue = np.asarray(residue, dtype=np.float32)
         if c.output_noise_rms is not None:
             with record("noise-draw", "mdac-fused"):
-                noise = rng.normal(
-                    0.0, c.output_noise_rms, size=residue.shape
-                )
+                noise = normal(rng, 0.0, c.output_noise_rms, residue.shape)
             residue += noise
         return residue
 

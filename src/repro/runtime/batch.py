@@ -43,6 +43,8 @@ from typing import Any
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.native import blas
+from repro.native import normal as native_normal
 from repro.profiling import active as _active_profile
 from repro.runtime.seeding import derive_seeds
 from repro.schemas import BATCH_RESULT_SCHEMA
@@ -455,7 +457,11 @@ class BatchRunner:
                 if not outcome.ok and _stops_batch(stop_on_failure, outcome):
                     break
         else:
-            with multiprocessing.Pool(processes=workers) as pool:
+            # Workers fork with one BLAS thread each (their concurrent
+            # calibration solves would oversubscribe the CPUs otherwise)
+            # and with the compiled normal fill already loaded.
+            native_normal.kernel()
+            with blas.one_thread(), multiprocessing.Pool(processes=workers) as pool:
                 for outcome in pool.imap_unordered(
                     _run_task, payloads, chunksize=chunk_size
                 ):

@@ -32,6 +32,7 @@ from repro.core import die_cache
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.evaluation.reporting import format_table
+from repro.native import normal as native_normal
 from repro.profiling import (  # noqa: F401 — re-exported public surface
     OVERLAY_STAGES,
     PROFILE_ENV,
@@ -149,12 +150,15 @@ class ProfileReport:
         n_items: cells (or dies) each engine measured.
         fft_points: record length per cell.
         engines: one :class:`EngineProfile` per profiled engine.
+        normal_fill: what served the dense Gaussian draws: ``native``
+            (the compiled fill) or ``numpy: <reason>``.
     """
 
     workload: str
     n_items: int
     fft_points: int
     engines: tuple[EngineProfile, ...]
+    normal_fill: str
 
     def engine(self, name: str) -> EngineProfile:
         for profile in self.engines:
@@ -232,6 +236,7 @@ class ProfileReport:
                 f"to named stages, noise-draw share "
                 f"{noise * 100:.0f}%"
             )
+        lines.append(f"normal fill: {self.normal_fill}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -241,6 +246,7 @@ class ProfileReport:
             "n_items": self.n_items,
             "fft_points": self.fft_points,
             "engines": [profile.to_dict() for profile in self.engines],
+            "normal_fill": self.normal_fill,
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -380,4 +386,5 @@ def profile_workload(
         n_items=n_items,
         fft_points=fft_points,
         engines=tuple(profiles),
+        normal_fill=native_normal.status(),
     )

@@ -18,11 +18,19 @@ hold:
   row by row from the owning die's generator, so the numbers are the
   ones the per-die path would have drawn.
 
-The helpers :func:`normal_at` / :func:`random_at` are the shared entry
-points for *sparse* draws (values only at selected flat positions, in
-flat index order); they dispatch between a plain generator and a
-:class:`DieStreams` so device models can stay agnostic of which path is
-running them.
+The helpers :func:`normal` / :func:`normal_pair` are the shared entry
+points for *dense* Gaussian draws (a whole record), and
+:func:`normal_at` / :func:`random_at` those for *sparse* draws (values
+only at selected flat positions, in flat index order).  They dispatch
+between a plain generator and a :class:`DieStreams` so device models
+can stay agnostic of which path is running them.
+
+Every dense draw goes through :func:`fill_normal`, which hands it to
+the compiled PCG64 fill of :mod:`repro.native.normal` when that can
+serve and makes numpy's own call otherwise.  The two give the same
+values and leave the generator in the same state, so which one served
+a run never shows in its results.  Sparse draws stay on numpy: they
+are too short to repay the compiled call's fixed cost.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.native import normal as native_normal
 
 #: Spawn-key index of the noise stream consumed by ``convert`` (signal
 #: acquisition through the front end).
@@ -133,6 +142,34 @@ def shared_value(values: Iterable, name: str):
     return first
 
 
+#: Dense draws shorter than this go straight to numpy: the compiled
+#: fill's fixed cost per call (about 4 us, mostly the ctypes call,
+#: against numpy's 1.4 us) is repaid from about 256 values on.
+NATIVE_MIN_VALUES = 256
+
+
+def fill_normal(generator, out: np.ndarray, scale=1.0, loc=None) -> np.ndarray:
+    """Fill ``out`` with Gaussians from ``generator``, exactly as numpy.
+
+    With ``loc`` None, ``out`` holds ``scale * z`` for the next
+    ``out.size`` standard normals ``z`` (``standard_normal(out=out)``
+    then ``out *= scale``); with ``loc``, ``loc + scale * z`` (numpy's
+    ``generator.normal(loc, scale, out.shape)``).  The compiled fill
+    serves the draw when it can; the values, and the generator state
+    left behind, are the same either way.
+    """
+    if out.size >= NATIVE_MIN_VALUES and native_normal.fill(
+        generator, out, scale, loc
+    ):
+        return out
+    if loc is None:
+        generator.standard_normal(out=out)
+        out *= scale
+    else:
+        out[...] = generator.normal(loc, scale, size=out.shape)
+    return out
+
+
 class DieStreams:
     """One random stream per die of a batch.
 
@@ -188,41 +225,31 @@ class DieStreams:
     def normal(self, loc: float = 0.0, scale=1.0, size=None) -> np.ndarray:
         """Gaussian block (n_dies, n); ``scale`` may be per-die.
 
-        Each row is generated straight into the output block
-        (``standard_normal(out=row)``) and scaled in place — no per-row
-        temporary, no copy.  ``Generator.normal(loc, scale)`` is
-        bit-identical to ``loc + scale * standard_normal()`` (both
-        consume the same underlying standard draws), so this matches
-        the per-die path value for value.
+        Row *d* is die *d*'s ``normal(loc, scale_d, n)``, generated
+        straight into the output block by :func:`fill_normal` — the
+        values the per-die path draws.
         """
         count = self._row_count(size)
         out = np.empty((self.n_dies, count))
         for die, generator in enumerate(self.generators):
-            row = out[die]
-            generator.standard_normal(out=row)
-            row *= self._per_die_scale(scale, die)
-            if loc != 0.0:
-                row += loc
+            fill_normal(generator, out[die], self._per_die_scale(scale, die), loc)
         return out
 
-    def normal_pair(self, scale_a, scale_b, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """Two consecutive Gaussian blocks per die from one draw each.
+    def normal_pair(
+        self, scale_a, scale_b, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Two consecutive Gaussian blocks per die.
 
         Equivalent to ``normal(0, scale_a, (dies, n))`` followed by
-        ``normal(0, scale_b, (dies, n))`` — bit-exact, because a
-        generator's draw of ``2n`` standard normals is the concatenation
-        of two consecutive draws of ``n`` — but with a single Generator
-        call per die instead of two.  The MDAC uses this to fuse its
-        sampling-noise and opamp-noise draws.  Both blocks are views of
-        one ``(dies, 2, n)`` buffer that each die fills and scales in
-        place.
+        ``normal(0, scale_b, (dies, n))``, drawn as ``scale * z``: both
+        blocks are views of one ``(dies, 2, n)`` buffer whose halves
+        each die fills in turn.  The MDAC uses this for its consecutive
+        sampling-noise and opamp-noise draws.
         """
         block = np.empty((self.n_dies, 2, count))
         for die, generator in enumerate(self.generators):
-            pair = block[die]
-            generator.standard_normal(out=pair.reshape(-1))
-            pair[0] *= self._per_die_scale(scale_a, die)
-            pair[1] *= self._per_die_scale(scale_b, die)
+            fill_normal(generator, block[die, 0], self._per_die_scale(scale_a, die))
+            fill_normal(generator, block[die, 1], self._per_die_scale(scale_b, die))
         return block[:, 0], block[:, 1]
 
     def random(self, size=None) -> np.ndarray:
@@ -265,22 +292,32 @@ class DieStreams:
         return out
 
 
-def normal_pair(rng, scale_a, scale_b, shape) -> tuple[np.ndarray, np.ndarray]:
-    """Two consecutive Gaussian blocks from one draw per generator.
+def normal(rng, loc: float, scale, size) -> np.ndarray:
+    """A dense Gaussian block: ``rng.normal(loc, scale, size)`` exactly.
 
-    Equivalent — bit-exact — to ``rng.normal(0, scale_a, shape)``
-    followed by ``rng.normal(0, scale_b, shape)``: ``Generator.normal``
-    is ``scale * standard_normal()`` value for value, and a single draw
-    of ``2n`` standard normals is the concatenation of two consecutive
-    draws of ``n``.  The draw is scaled in place (``z * scale`` equals
-    ``scale * z`` bit for bit).  Dispatches to
+    Dispatches to :meth:`DieStreams.normal` for batched runs; a plain
+    generator draws through :func:`fill_normal`.
+    """
+    if isinstance(rng, DieStreams):
+        return rng.normal(loc, scale, size)
+    return fill_normal(rng, np.empty(size), scale, loc)
+
+
+def normal_pair(rng, scale_a, scale_b, shape) -> tuple[np.ndarray, np.ndarray]:
+    """Two consecutive Gaussian blocks, ``scale_a * z`` then ``scale_b * z``.
+
+    Equivalent to ``rng.normal(0, scale_a, shape)`` followed by
+    ``rng.normal(0, scale_b, shape)``: ``Generator.normal`` is ``0 +
+    scale * standard_normal()`` value for value, and two consecutive
+    draws of ``n`` standard normals are one draw of ``2n``.  Both blocks
+    are halves of one buffer.  Dispatches to
     :meth:`DieStreams.normal_pair` for batched runs.
     """
     if isinstance(rng, DieStreams):
         return rng.normal_pair(scale_a, scale_b, rng._row_count(shape))
-    block = rng.standard_normal((2,) + tuple(shape))
-    block[0] *= scale_a
-    block[1] *= scale_b
+    block = np.empty((2,) + tuple(shape))
+    fill_normal(rng, block[0], scale_a)
+    fill_normal(rng, block[1], scale_b)
     return block[0], block[1]
 
 

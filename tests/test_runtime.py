@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ModelDomainError
 from repro.evaluation.sweeps import sweep
+from repro.native import blas
 from repro.runtime.batch import (
     BatchRunner,
     default_metrics,
@@ -37,6 +38,11 @@ def _double(x):
 def _draw(task, seed):
     """Seeded task: value depends only on the derived seed."""
     return float(np.random.default_rng(seed).standard_normal())
+
+
+def _blas_threads(task):
+    get, _ = blas._entry_points()
+    return get()
 
 
 def _explode_on_three(x):
@@ -151,6 +157,20 @@ class TestBatchRunner:
             BatchRunner(workers=0)
         with pytest.raises(ConfigurationError):
             BatchRunner(chunk_size=0)
+
+    @pytest.mark.skipif(
+        blas._entry_points() is None, reason="numpy bundles no OpenBLAS"
+    )
+    def test_pooled_workers_run_one_blas_thread(self):
+        get, set_ = blas._entry_points()
+        previous = get()
+        set_(2)
+        try:
+            batch = BatchRunner(workers=2).run(_blas_threads, range(4))
+            assert batch.values == [1, 1, 1, 1]
+            assert get() == 2
+        finally:
+            set_(previous)
 
     def test_json_document_round_trips(self):
         batch = BatchRunner(workers=1).run(_double, [1, 2, 3])
