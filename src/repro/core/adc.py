@@ -429,13 +429,17 @@ class PipelineAdc:
             references = self._stage_references(total, rng)
         # Stage-major: each stage writes one contiguous row, and the
         # (samples, n_stages) layout is exposed as a transposed view.
+        # Residues alternate between two rows: a stage reads one and
+        # writes the other.
         stage_codes = np.empty((self.config.n_stages, total), dtype=int)
+        residues = np.empty((2, total))
         residue = held
         for stage, refs in zip(self.stages, references):
             output = stage.process(
-                residue, refs, self.operating_point, rng, fast=fast
+                residue, refs, self.operating_point, rng, fast=fast,
+                codes_out=stage_codes[stage.index],
+                residues_out=residues[stage.index % 2],
             )
-            stage_codes[stage.index] = output.codes
             residue = output.residues
         with record("flash", "decide"):
             flash_codes = self.flash.decide(residue, rng)

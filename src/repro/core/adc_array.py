@@ -342,9 +342,9 @@ class AdcArray:
         residue = held
         for stage, refs in zip(self.stages, references):
             output = stage.process(
-                residue, refs, self.operating_points, streams, fast=fast
+                residue, refs, self.operating_points, streams, fast=fast,
+                codes_out=stage_codes[stage.index],
             )
-            stage_codes[stage.index] = output.codes
             residue = output.residues
         with record("flash", "decide"):
             flash_codes = self.flash.decide(residue, streams)

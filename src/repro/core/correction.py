@@ -31,6 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.native import chain as native_chain
+
+
+#: combine's range errors, by the compiled chain's status code.
+_RANGE_ERRORS = {
+    1: "stage codes must be in {-1, 0, +1}",
+    2: "flash codes out of range",
+}
 
 
 @dataclass(frozen=True)
@@ -101,6 +109,9 @@ class DigitalCorrection:
         weights = 2 ** np.arange(self.resolution - 2, self.flash_bits - 2, -1)
         assert weights.shape == (self.n_stages,)
         base = (1 << (self.resolution - 1)) - (1 << (self.flash_bits - 1))
+        words = self._combine_native(codes, flash, weights, base)
+        if words is not None:
+            return words
         # One stage at a time, checking and weighting each decision row
         # while it is in cache: converters hand over stage-major
         # decisions, whose rows are contiguous.  Leading batch axes (die
@@ -109,12 +120,32 @@ class DigitalCorrection:
         raw = np.full(flash.shape, base, dtype=np.result_type(codes, weights, flash))
         for weight, row in zip(weights, np.moveaxis(codes, -1, 0)):
             if row.min(initial=0) < -1 or row.max(initial=0) > 1:
-                raise ConfigurationError("stage codes must be in {-1, 0, +1}")
+                raise ConfigurationError(_RANGE_ERRORS[1])
             raw += weight * row
         if flash.min(initial=0) < 0 or flash.max(initial=0) >= (1 << self.flash_bits):
-            raise ConfigurationError("flash codes out of range")
+            raise ConfigurationError(_RANGE_ERRORS[2])
         raw += flash
         return np.clip(raw, 0, self.n_codes - 1, out=raw).astype(int, copy=False)
+
+    def _combine_native(self, codes, flash, weights, base) -> np.ndarray | None:
+        """:meth:`combine` of one stage-major int64 record, compiled.
+
+        None when the compiled chain is not loaded or cannot read the
+        layout; then numpy combines.
+        """
+        if codes.ndim != 2 or not flash.size or not codes.dtype == flash.dtype == np.int64:
+            return None
+        functions = native_chain.kernel()
+        served = functions and native_chain.combine(
+            functions, codes, flash, weights, base,
+            1 << self.flash_bits, self.n_codes - 1,
+        )
+        if not served:
+            return None
+        words, status = served
+        if status:
+            raise ConfigurationError(_RANGE_ERRORS[status])
+        return words
 
     def align(
         self, stage_code_stream: np.ndarray, flash_code_stream: np.ndarray

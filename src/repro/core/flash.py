@@ -16,9 +16,11 @@ import numpy as np
 from repro.devices.comparator import (
     ComparatorParameters,
     DynamicComparator,
+    bank_parameters,
     build_comparator_bank,
 )
 from repro.errors import ConfigurationError
+from repro.native import chain as native_chain
 from repro.streams import shared_value
 
 
@@ -93,6 +95,12 @@ class FlashBackend:
             Integer codes in [0, 2^bits - 1].
         """
         v = np.asarray(inputs, dtype=float)
+        functions = native_chain.serves(rng, v)
+        parameters = bank_parameters(self.comparators) if functions else None
+        if parameters is not None:
+            return native_chain.bank(
+                functions, rng, v, parameters, len(self.comparators), 0
+            )
         code = np.zeros(v.shape, dtype=int)
         for comparator in self.comparators:
             code += comparator.compare(v, rng).astype(int)

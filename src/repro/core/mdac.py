@@ -22,12 +22,13 @@ layers the real-life errors on top:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.devices.opamp import SettleConstants, TwoStageMillerOpamp
 from repro.errors import ConfigurationError
+from repro.native import chain as native_chain
 from repro.profiling import record
 from repro.streams import any_true, normal, normal_pair, shared_value
 from repro.technology.corners import OperatingPoint, OperatingPointArray
@@ -47,6 +48,8 @@ class _AmplifyConstants:
 
     Fields are floats for one die or (dies, 1) columns for a stacked
     MDAC; ``None`` where the matching impairment switch is off.
+    ``chain`` is the same set as the compiled chain reads it (see
+    :func:`_chain_parameters`).
     """
 
     feedback_factor: object
@@ -55,6 +58,42 @@ class _AmplifyConstants:
     sampling_noise_rms: object
     opamp_noise_rms: object
     settle: SettleConstants | None
+    chain: tuple[np.ndarray, int] | None = None
+
+
+def _chain_parameters(
+    mdac: "Mdac", c: _AmplifyConstants
+) -> tuple[np.ndarray, int] | None:
+    """The compiled chain's description of an MDAC: (parameters, flags).
+
+    The vector follows :data:`repro.native.chain.MDAC_FIELDS` and holds
+    the very values :meth:`Mdac.amplify` computes with.  None for a
+    die-stacked MDAC, whose values are (dies, 1) columns.
+    """
+    p = mdac.opamp.parameters
+    settle = c.settle
+    values = {
+        "one_plus_ratio": 1.0 + c.capacitor_ratio,
+        "ratio": c.capacitor_ratio,
+        "gain": c.gain_factor,
+        "sampling_rms": 0.0 if c.sampling_noise_rms is None else c.sampling_noise_rms,
+        "opamp_rms": 0.0 if c.opamp_noise_rms is None else c.opamp_noise_rms,
+        "knee": settle.knee if settle else 0.0,
+        "slew_rate": p.slew_rate,
+        "tau": settle.tau if settle else 1.0,
+        "decay": settle.decay if settle else 0.0,
+        "settle_time": settle.settle_time if settle else 0.0,
+        "swing": p.output_swing,
+        "neg_compression": -p.compression,
+    }
+    if any(np.ndim(value) for value in values.values()):
+        return None
+    flags = (
+        native_chain.SAMPLING_NOISE * mdac.include_sampling_noise
+        | native_chain.OPAMP_NOISE * mdac.include_noise
+        | native_chain.SETTLING * mdac.include_settling
+    )
+    return np.array([values[name] for name in native_chain.MDAC_FIELDS]), flags
 
 
 @dataclass(frozen=True)
@@ -244,6 +283,8 @@ class Mdac:
                 else None
             ),
         )
+        if not np.ndim(self.ratio_error):
+            constants = replace(constants, chain=_chain_parameters(self, constants))
         object.__setattr__(self, "_op_constants", (operating_point, constants))
         return constants
 

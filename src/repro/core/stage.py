@@ -17,6 +17,8 @@ import numpy as np
 
 from repro.core.mdac import Mdac
 from repro.core.subadc import SubAdc
+from repro.devices.comparator import bank_parameters
+from repro.native import chain as native_chain
 from repro.profiling import record
 from repro.streams import shared_value
 from repro.technology.corners import OperatingPoint, OperatingPointArray
@@ -72,8 +74,16 @@ class PipelineStage:
         operating_point: OperatingPoint | OperatingPointArray,
         rng,
         fast: bool = False,
+        codes_out: np.ndarray | None = None,
+        residues_out: np.ndarray | None = None,
     ) -> StageOutput:
         """Run the stage over a sample array.
+
+        An exact-tier 1-D record with a ``PCG64`` generator runs on the
+        compiled chain (:mod:`repro.native.chain`) when it is loaded;
+        everything else, and every record when it is not, on numpy.  The
+        two give the same codes and residue bytes and leave the
+        generator in the same state.
 
         Args:
             inputs: held differential stage inputs [V]; a stacked stage
@@ -87,17 +97,65 @@ class PipelineStage:
             fast: run the MDAC through the ``precision="fast"`` tier
                 (float32, fused noise draw; statistically gated, not
                 bit-exact).
+            codes_out: optional int buffer of the inputs' shape; the
+                returned codes are this buffer, filled.
+            residues_out: optional float64 buffer of the inputs' shape
+                that does not overlap them.  The compiled chain writes
+                the residues into it; numpy returns a new array.
 
         Returns:
             The decisions and the residues for the next stage.
         """
+        functions = None if fast else native_chain.serves(rng, inputs)
+        if functions is not None:
+            served = self._process_native(
+                functions, inputs, references, operating_point, rng,
+                codes_out, residues_out,
+            )
+            if served is not None:
+                return served
         with record("subadc", "decide"):
             codes = self.subadc.decide(inputs, rng)
         with record("mdac", "amplify"):
             residues = self.mdac.amplify(
                 inputs, codes, references, operating_point, rng, fast=fast
             )
+        if codes_out is not None:
+            codes_out[...] = codes
+            codes = codes_out
         return StageOutput(codes=codes, residues=residues)
+
+    def _process_native(
+        self, functions, inputs, references, operating_point, rng,
+        codes_out, residues_out,
+    ) -> StageOutput | None:
+        """:meth:`process` on the compiled chain; None where it cannot serve."""
+        n = inputs.size
+        if not (
+            type(references) is np.ndarray
+            and references.shape == inputs.shape
+            and references.dtype == np.float64
+            and references.flags.c_contiguous
+        ):
+            return None
+        bank = bank_parameters(self.subadc.comparators)
+        mdac = self.mdac._constants(operating_point).chain
+        if bank is None or bank.size != 5 or mdac is None:
+            return None
+        if codes_out is None:
+            codes_out = np.empty(n, dtype=np.int64)
+        elif not _writable_record(codes_out, n, np.int64):
+            return None
+        if (
+            not _writable_record(residues_out, n, np.float64)
+            or np.may_share_memory(residues_out, inputs)
+            or np.may_share_memory(residues_out, references)
+        ):
+            residues_out = np.empty(n)
+        native_chain.stage(
+            functions, rng, inputs, references, bank, *mdac, codes_out, residues_out
+        )
+        return StageOutput(codes=codes_out, residues=residues_out)
 
     def describe(self) -> dict:
         """Small diagnostic summary used by reports and tests."""
@@ -109,3 +167,14 @@ class PipelineStage:
             "settling_error_bound": self.mdac.settling_error_bound(),
             "comparator_offsets": self.subadc.offsets,
         }
+
+
+def _writable_record(buffer, n: int, dtype) -> bool:
+    """Whether ``buffer`` is a writable, C-contiguous ``dtype`` record of n."""
+    return (
+        type(buffer) is np.ndarray
+        and buffer.shape == (n,)
+        and buffer.dtype == dtype
+        and buffer.flags.c_contiguous
+        and buffer.flags.writeable
+    )

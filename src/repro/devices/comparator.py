@@ -166,6 +166,28 @@ class DynamicComparator:
         return decisions.reshape(margin.shape)
 
 
+def bank_parameters(comparators: Sequence[DynamicComparator]) -> np.ndarray | None:
+    """A comparator bank as the compiled stage chain reads it.
+
+    ``[noise_rms, metastability_window, near-band cut, threshold...]``
+    with one effective threshold per comparator, in bank order; None
+    when the chain cannot serve the bank (stacked (dies, 1) offsets, or
+    comparators with differing parameters).
+    """
+    p = comparators[0].parameters
+    values = [
+        p.noise_rms,
+        p.metastability_window,
+        _NOISE_CUT_SIGMA * p.noise_rms + p.metastability_window,
+    ]
+    for comparator in comparators:
+        same = comparator.parameters is p or comparator.parameters == p
+        if not same or not isinstance(comparator.offset, float):
+            return None
+        values.append(comparator.effective_threshold)
+    return np.array(values, dtype=float)
+
+
 def build_comparator_bank(
     thresholds: list[float] | np.ndarray,
     parameters: ComparatorParameters,

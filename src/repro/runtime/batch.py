@@ -42,9 +42,9 @@ from typing import Any
 
 import numpy as np
 
+from repro import native
 from repro.errors import ConfigurationError
 from repro.native import blas
-from repro.native import normal as native_normal
 from repro.profiling import active as _active_profile
 from repro.runtime.seeding import derive_seeds
 from repro.schemas import BATCH_RESULT_SCHEMA
@@ -459,8 +459,8 @@ class BatchRunner:
         else:
             # Workers fork with one BLAS thread each (their concurrent
             # calibration solves would oversubscribe the CPUs otherwise)
-            # and with the compiled normal fill already loaded.
-            native_normal.kernel()
+            # and with the compiled kernels already loaded.
+            native.preload()
             with blas.one_thread(), multiprocessing.Pool(processes=workers) as pool:
                 for outcome in pool.imap_unordered(
                     _run_task, payloads, chunksize=chunk_size

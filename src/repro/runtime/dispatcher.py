@@ -16,8 +16,8 @@ is exhausted.
 A forked shard starts warm: numpy and ``repro`` are already imported
 (a fresh ``python -m repro`` interpreter costs about 0.45 s to start on
 a 2-CPU Linux host), and the child inherits the dispatcher's
-:class:`~repro.core.config.AdcConfig`, die cache and loaded normal fill
-(:mod:`repro.native.normal`) as they are.  Its
+:class:`~repro.core.config.AdcConfig`, die cache and loaded compiled
+kernels (:mod:`repro.native`) as they are.  Its
 stdout and stderr go to ``os.devnull``.  The ``fork`` start method is
 POSIX-only; ``repro campaign --cell-range`` stays for hand-run shards.
 
@@ -68,9 +68,9 @@ from multiprocessing.connection import wait
 from multiprocessing.process import BaseProcess
 from pathlib import Path
 
+from repro import native
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
-from repro.native import normal as native_normal
 from repro.profiling import active
 from repro.runtime.batch import BatchProgress, ProgressCallback
 from repro.runtime.campaign import (
@@ -545,7 +545,7 @@ class CampaignDispatcher:
         """Launch one round's ranges (at most ``shards`` concurrent)."""
         wave_start = time.monotonic()
         context = multiprocessing.get_context("fork")
-        native_normal.kernel()  # loaded and checked once, inherited by shards
+        native.preload()  # loaded and checked once, inherited by shards
         pending = list(wave)
         position = 0
         running: list[_Launched] = []

@@ -12,7 +12,9 @@ that the codes absorb.
 
 The matrix is serial/vectorized x exact/fast x {paper default, one PVT
 corner} x {110, 160 MS/s}, plus a calibrated capture (whose weights go
-through BLAS) and a slew-heavy 200 MS/s conversion.
+through BLAS) and a slew-heavy 200 MS/s conversion.  Every cell runs
+with the compiled stage chain (:mod:`repro.native.chain`) serving and
+with it forced off.
 
 Residue bits depend on numpy's transcendental dispatch (``np.exp`` on an
 AVX-512 host disagrees with libm's on about 5% of arguments) and on the
@@ -40,6 +42,7 @@ from repro.core.adc_array import AdcArray
 from repro.core.calibration import GainCalibration
 from repro.core.config import AdcConfig
 from repro.core.stage import PipelineStage
+from repro.native import chain as native_chain
 from repro.signal.generators import SineGenerator
 from repro.technology.corners import Corner, OperatingPoint
 from repro.technology.montecarlo import ProcessSample
@@ -129,6 +132,7 @@ CASES["serial-exact-tt27-200"] = (_convert, ("serial", "exact", "tt27", "200"))
 def digests(case: str) -> dict:
     """Digests of one cell's outputs and every stage's residues."""
     function, arguments = CASES[case]
+    native_chain.kernel()  # its load-time self-check calls process too
     original = PipelineStage.process
     residues = []
 
@@ -167,8 +171,11 @@ def golden() -> dict:
     return recorded
 
 
+@pytest.mark.parametrize("chain", ["native", "numpy"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_golden_digests(golden, case):
+def test_golden_digests(golden, case, chain, monkeypatch):
+    if chain == "numpy":
+        monkeypatch.setattr(native_chain, "_loaded", (None, "numpy: forced"))
     expected = golden[case]
     found = digests(case)
     for field in expected:

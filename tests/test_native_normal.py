@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import streams
+from repro.native import library
 from repro.native import normal as native_normal
 
 SEEDS = range(16)
@@ -157,37 +158,52 @@ class TestLoader:
 
     def test_cache_directory_is_private(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        loose = native_normal.cache_dir()
+        loose = library.cache_dir()
         loose.mkdir(mode=0o755)
         os.chmod(loose, 0o755)
-        native_normal._private_dir(loose)
+        library._private_dir(loose)
         assert stat.S_IMODE(os.stat(loose).st_mode) == 0o700
 
     def test_library_name_keys_source_and_numpy(self, monkeypatch):
-        name = native_normal.library_name()
+        name = library.library_name()
         monkeypatch.setattr(np, "__version__", np.__version__ + ".other")
-        assert native_normal.library_name() != name
+        assert library.library_name() != name
+
+    def test_library_name_keys_the_build(self, monkeypatch):
+        """A changed flag, ISA level or compiler never reuses a build."""
+        name = library.library_name()
+        with monkeypatch.context() as patch:
+            patch.setattr(library, "CFLAGS", (*library.CFLAGS, "-DREPRO_OTHER"))
+            assert library.library_name() != name
+        with monkeypatch.context() as patch:
+            other = () if library.isa_flags() else library.X86_64_V3
+            patch.setattr(library, "isa_flags", lambda: other)
+            assert library.library_name() != name
+        with monkeypatch.context() as patch:
+            patch.setattr(library, "compiler", lambda: ["other-cc"])
+            assert library.library_name() != name
+        assert library.library_name() == name
 
     @needs_kernel
     def test_cold_cache_builds_loads_and_checks(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         function, status = native_normal._load()
         assert status == "native" and function is not None
-        directory = native_normal.cache_dir()
+        directory = library.cache_dir()
         assert stat.S_IMODE(os.stat(directory).st_mode) == 0o700
         # One library under its final name, no temp file left behind.
         assert [path.name for path in directory.iterdir()] == [
-            native_normal.library_name()
+            library.library_name()
         ]
 
     def test_no_compiler_means_numpy(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(
-            native_normal.sysconfig,
+            library.sysconfig,
             "get_config_var",
             lambda name: "no-such-compiler-repro",
         )
         function, status = native_normal._load()
         assert function is None
         assert status.startswith("numpy: no C compiler")
-        assert list(native_normal.cache_dir().iterdir()) == []
+        assert list(library.cache_dir().iterdir()) == []

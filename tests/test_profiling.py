@@ -17,6 +17,8 @@ from repro.cli import main
 from repro.core.adc import PipelineAdc
 from repro.core.adc_array import AdcArray
 from repro.core.config import AdcConfig
+from repro.native import chain as native_chain
+from repro.native import normal as native_normal
 from repro.profiling import (
     OVERLAY_STAGES,
     PROFILE_SCHEMA,
@@ -38,6 +40,13 @@ from repro.runtime.montecarlo import default_sampler
 from repro.signal.generators import SineGenerator
 
 RATE = 110e6
+
+
+def _chain_stages() -> set:
+    """The profile stages a serial conversion's stage chain records."""
+    if native_chain.status() == "native":
+        return {"chain"}
+    return {"subadc", "mdac"}
 
 
 def _tone(n):
@@ -64,9 +73,10 @@ class TestTransparency:
         np.testing.assert_array_equal(
             baseline.sample_times, profiled_run.sample_times
         )
-        # ...and the profiled run actually recorded the engine stages.
+        # ...and the profiled run actually recorded the engine stages:
+        # the compiled chain's rows, or numpy's per-block ones.
         stages = {stat.stage for stat in recorder.stats()}
-        assert {"build", "sample", "subadc", "mdac", "noise-draw"} <= stages
+        assert {"build", "sample", "noise-draw", *_chain_stages()} <= stages
 
     def test_array_codes_bit_exact_with_profiling_enabled(self):
         config = AdcConfig.paper_default()
@@ -118,13 +128,14 @@ class TestAccounting:
         # The identity is exact by construction (self = total - children
         # at every frame); the tolerance only absorbs float summation.
         assert partition == pytest.approx(total, rel=1e-9)
-        # Inclusive >= exclusive for a stage with children.
-        amplify = next(
+        # Inclusive >= exclusive for a stage with children (the jitter
+        # draw runs inside the stimulus).
+        stimulus = next(
             s
             for s in recorder.stats()
-            if (s.stage, s.phase) == ("mdac", "amplify")
+            if (s.stage, s.phase) == ("sample", "stimulus")
         )
-        assert amplify.total_s > amplify.self_s > 0.0
+        assert stimulus.total_s > stimulus.self_s > 0.0
 
     def test_add_and_merge_fold_entries(self):
         recorder = ProfileRecorder()
@@ -163,15 +174,23 @@ class TestProfileWorkload:
         assert report.workload == "dynamic-screen"
         assert report.n_items == 2
         assert tuple(p.engine for p in report.engines) == ENGINES
+        # Serial records run on the compiled chain when it is loaded;
+        # short stacked blocks always run on numpy.
+        native = native_chain.status() == "native"
+        rows = {
+            "serial": ("chain", "native") if native else ("mdac", "settle"),
+            "vectorized": ("mdac", "settle"),
+        }
         for profile in report.engines:
             assert profile.wall_s > 0
             # The engine stages show up under both engines, and the
             # partition never exceeds the run it partitions.
-            assert profile.stat("mdac", "settle") is not None
+            assert profile.stat(*rows[profile.engine]) is not None
             assert 0 < profile.attributed_fraction() <= 1.0 + 1e-9
         rendered = report.render()
         assert "mdac" in rendered and "noise-draw" in rendered
         assert "attributed to named stages" in rendered
+        assert f"stage chain: {native_chain.status()}" in rendered.splitlines()
 
     def test_report_json_document_stable(self):
         report = profile_workload(
@@ -182,6 +201,8 @@ class TestProfileWorkload:
         assert document["workload"] in WORKLOADS
         assert document["n_items"] == 1
         assert document["fft_points"] == 256
+        assert document["stage_chain"] == native_chain.status()
+        assert document["normal_fill"] == native_normal.status()
         (engine,) = document["engines"]
         assert engine.keys() == {
             "engine",
