@@ -93,6 +93,10 @@ class DigitalCorrection:
         Returns:
             Output codes in [0, 2^resolution - 1], dtype int, shape
             (..., n_samples).
+
+        One record of stage-major int64 codes is combined by the
+        compiled chain (:mod:`repro.native.chain`) when it is loaded;
+        integer sums are exact, so the words are the same.
         """
         codes = np.asarray(stage_codes)
         flash = np.asarray(flash_codes)

@@ -87,6 +87,10 @@ class FlashBackend:
     ) -> np.ndarray:
         """Thermometer-decode the final residue.
 
+        A 1-D record with a ``PCG64`` generator runs on the compiled
+        chain (:mod:`repro.native.chain`) when it is loaded, with the
+        same codes and draws as the comparators' own path.
+
         Args:
             inputs: final residue voltages [V].
             rng: generator for per-decision noise.

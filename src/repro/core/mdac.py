@@ -49,7 +49,7 @@ class _AmplifyConstants:
     Fields are floats for one die or (dies, 1) columns for a stacked
     MDAC; ``None`` where the matching impairment switch is off.
     ``chain`` is the same set as the compiled chain reads it (see
-    :func:`_chain_parameters`).
+    :func:`_chain_parameters`), None for a stacked MDAC.
     """
 
     feedback_factor: object
@@ -61,14 +61,11 @@ class _AmplifyConstants:
     chain: tuple[np.ndarray, int] | None = None
 
 
-def _chain_parameters(
-    mdac: "Mdac", c: _AmplifyConstants
-) -> tuple[np.ndarray, int] | None:
-    """The compiled chain's description of an MDAC: (parameters, flags).
+def _chain_parameters(mdac: "Mdac", c: _AmplifyConstants) -> tuple[np.ndarray, int]:
+    """The compiled chain's description of a one-die MDAC: (parameters, flags).
 
     The vector follows :data:`repro.native.chain.MDAC_FIELDS` and holds
-    the very values :meth:`Mdac.amplify` computes with.  None for a
-    die-stacked MDAC, whose values are (dies, 1) columns.
+    the very values :meth:`Mdac.amplify` computes with.
     """
     p = mdac.opamp.parameters
     settle = c.settle
@@ -86,8 +83,6 @@ def _chain_parameters(
         "swing": p.output_swing,
         "neg_compression": -p.compression,
     }
-    if any(np.ndim(value) for value in values.values()):
-        return None
     flags = (
         native_chain.SAMPLING_NOISE * mdac.include_sampling_noise
         | native_chain.OPAMP_NOISE * mdac.include_noise

@@ -81,8 +81,8 @@ def compiler() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def build_command(output: str) -> list[str]:
-    return [*compiler(), *CFLAGS, *isa_flags(), "-o", output, str(SOURCE), "-lm"]
+def _compiler_flags() -> list[str]:
+    return [*compiler(), *CFLAGS, *isa_flags()]
 
 
 def library_name() -> str:
@@ -90,15 +90,8 @@ def library_name() -> str:
     key = hashlib.sha256()
     for source in SOURCES:
         key.update(source.read_bytes())
-    key.update(
-        "|".join(
-            (
-                shlex.join(build_command("-")),
-                np.__version__,
-                sysconfig.get_platform(),
-            )
-        ).encode()
-    )
+    build = (shlex.join(_compiler_flags()), np.__version__, sysconfig.get_platform())
+    key.update("|".join(build).encode())
     return f"repro-native-{key.hexdigest()[:20]}.so"
 
 
@@ -118,7 +111,7 @@ def _compile(target: Path) -> None:
     fd, temp = tempfile.mkstemp(dir=target.parent, suffix=".so.tmp")
     os.close(fd)
     try:
-        command = build_command(temp)
+        command = [*_compiler_flags(), "-o", temp, str(SOURCE), "-lm"]
         try:
             result = subprocess.run(
                 command, capture_output=True, text=True, timeout=120, check=False

@@ -1,4 +1,4 @@
-"""The compiled standard-normal fill: build, cache, load, self-check.
+"""The compiled standard-normal fill: load and self-check.
 
 :file:`pcg64_normal.c` is a second implementation of numpy's
 ``Generator.standard_normal`` for ``PCG64`` generators (see its header).

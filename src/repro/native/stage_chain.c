@@ -35,7 +35,8 @@
  * cut, then one effective threshold per comparator. */
 enum { BANK_NOISE, BANK_WINDOW, BANK_CUT, BANK_THRESHOLDS };
 
-/* MDAC parameters (the cached constants of Mdac.amplify). */
+/* MDAC parameters (the cached constants of Mdac.amplify), in the order
+ * of repro.native.chain.MDAC_FIELDS. */
 enum {
     MDAC_ONE_PLUS_RATIO, /* 1 + C1/C2 */
     MDAC_RATIO,          /* C1/C2 */
@@ -48,8 +49,7 @@ enum {
     MDAC_DECAY,          /* exp(-T / tau) */
     MDAC_SETTLE_TIME,
     MDAC_SWING,
-    MDAC_NEG_COMPRESSION, /* -compression */
-    MDAC_PARAMETERS
+    MDAC_NEG_COMPRESSION /* -compression */
 };
 
 /* Mdac.amplify's impairment switches. */
