@@ -311,8 +311,9 @@ void repro_stage_finish(int64_t count, const int64_t *restrict index,
     }
 }
 
-/* FlashBackend.decide (base 0) or SubAdc.decide (base -1) of a
- * ``count``-comparator bank; ``near`` and ``margin`` hold n values. */
+/* FlashBackend.decide of a ``count``-comparator bank (base 0); the
+ * stage call runs the same bank for SubAdc.decide with base -1.
+ * ``near`` and ``margin`` hold n values. */
 void repro_bank_decide(void *state_address, const double *restrict inputs,
                        int64_t n, const double *restrict bank, int64_t count,
                        int64_t base, int64_t *restrict codes,
