@@ -12,6 +12,8 @@ draw too many or too few.
 
 from __future__ import annotations
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -239,3 +241,36 @@ def test_dense_settle_branch(monkeypatch):
     assert native.codes.tobytes() == reference.codes.tobytes()
     assert native.residues.tobytes() == reference.residues.tobytes()
     assert state_a == state_b
+
+
+def test_threads_share_nothing(paper_config):
+    """Conversions on more threads than cores match the serial codes.
+
+    Each thread has its own scratch workspace and its own die's
+    generator; a workspace shared by mistake would mix records.
+    """
+    ramps = [np.linspace(-1.0, 1.0, 3000 + 500 * k) for k in range(6)]
+
+    def convert(k):
+        return PipelineAdc(paper_config, 110e6, seed=k).convert_samples(ramps[k])
+
+    expected = [convert(k).codes.tobytes() for k in range(len(ramps))]
+    found = [[] for _ in ramps]
+
+    def worker(k):
+        for _ in range(8):
+            found[k].append(convert(k).codes.tobytes())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(ramps))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for want, got in zip(expected, found):
+        assert got == [want] * 8
