@@ -3,9 +3,9 @@
 A resumable ledger is only safe if the fingerprint in its header
 really covers everything that can change a measured bit
 (docs/architecture.md invariant 4).  The fingerprint serializes the
-whole :class:`AdcConfig`, minus an explicit exclusion registry — the
-``per_die_record_threshold`` precedent: a pure execution heuristic that
-must *not* invalidate ledgers.  The failure mode this checker guards
+whole :class:`AdcConfig`, minus an explicit exclusion registry for
+pure execution heuristics that must *not* invalidate ledgers (empty
+while no such field exists).  The failure mode this checker guards
 against is silent: someone adds a config field, never decides its
 ledger semantics, and either stale ledgers resume against changed
 physics (missing from the fingerprint) or harmless heuristics

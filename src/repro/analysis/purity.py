@@ -7,9 +7,8 @@ leak state into every later campaign cell that shares the key — the
 kind of bug that only shows up as a bit mismatch three workloads away.
 This checker makes the property static: in the cached-die classes,
 attribute assignment is legal only inside the documented constructors
-(``__init__`` / ``__post_init__`` / the ``stack()`` die-batching
-constructors / the ``_build*`` construction helpers ``__init__``
-delegates to).
+(``__init__`` / ``__post_init__`` / the ``_build*`` construction
+helpers ``__init__`` delegates to).
 
 Rules:
 
@@ -45,7 +44,7 @@ DIE_CLASSES: dict[str, frozenset[str]] = {
 }
 
 #: Methods allowed to assign attributes.
-CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__", "stack"})
+CONSTRUCTOR_METHODS = frozenset({"__init__", "__post_init__"})
 
 #: Construction helpers ``__init__`` delegates to.
 CONSTRUCTOR_PREFIX = "_build"

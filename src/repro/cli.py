@@ -121,8 +121,9 @@ def build_mc_parser() -> argparse.ArgumentParser:
         default="pool",
         help=(
             "execution engine: 'pool' measures one die per task, "
-            "'vectorized' converts die chunks as single (dies, samples) "
-            "NumPy batches; per-die codes are bit-exact across engines "
+            "'vectorized' measures die chunks: each die converts alone, "
+            "the chunk's analysis (FFT, linearity, calibration fit) runs "
+            "batched; per-die codes are bit-exact across engines "
             "(default pool)"
         ),
     )
@@ -143,8 +144,8 @@ def build_mc_parser() -> argparse.ArgumentParser:
             "foreground gain-calibrate every die before screening "
             "(extension beyond the paper): the screens then measure the "
             "calibrated reconstruction; per-die identical across engines "
-            "(the vectorized engine calibrates whole chunks in one "
-            "batched capture)"
+            "(the vectorized engine fits whole chunks in one stacked "
+            "solve)"
         ),
     )
     parser.add_argument(
@@ -155,17 +156,6 @@ def build_mc_parser() -> argparse.ArgumentParser:
         help=(
             "calibration-ramp samples per output code when --calibrate "
             "is set (default 8)"
-        ),
-    )
-    parser.add_argument(
-        "--precision",
-        choices=("exact", "fast"),
-        default="exact",
-        help=(
-            "'exact' is bit-exact across engines; 'fast' runs the "
-            "vectorized engine in float32 with fused noise draws — "
-            "statistically equivalent metrics (documented ENOB/SNDR "
-            "tolerance), faster (default exact)"
         ),
     )
     parser.add_argument(
@@ -353,17 +343,6 @@ def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
             f"(default {defaults.supply_scale})"
         ),
     )
-    parser.add_argument(
-        "--precision",
-        choices=("exact", "fast"),
-        default="exact",
-        help=(
-            "'exact' is bit-exact across engines; 'fast' runs the "
-            "vectorized engine in float32 with fused noise draws — "
-            "statistically equivalent metrics, faster; part of the "
-            "ledger fingerprint (default exact)"
-        ),
-    )
 
 
 def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
@@ -391,7 +370,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         input_frequency=args.fin,
         n_samples=args.fft_points,
         amplitude_fraction=args.amplitude,
-        precision=args.precision,
     )
 
 
@@ -416,9 +394,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         help=(
             "execution engine: 'pool' measures one cell per task "
             "through the serial DynamicTestbench, 'vectorized' "
-            "converts cell chunks as single (cells, samples) NumPy "
-            "batches; per-cell metrics are bit-exact across engines "
-            "(default vectorized)"
+            "measures cell chunks: each cell converts alone, then one "
+            "batched FFT analyzes the chunk; per-cell metrics are "
+            "bit-exact across engines (default vectorized)"
         ),
     )
     parser.add_argument(
@@ -1090,7 +1068,6 @@ def run_mc(argv: Sequence[str] | None = None) -> int:
         engine=args.engine,
         calibrate=args.calibrate,
         calibration_samples_per_code=args.cal_samples,
-        precision=args.precision,
         die_chunk=args.die_chunk,
         workers=args.workers,
         chunk_size=args.chunk_size,

@@ -12,7 +12,8 @@ Public entry points:
 - :class:`~repro.core.adc.PipelineAdc` — the converter; call
   :meth:`~repro.core.adc.PipelineAdc.convert`.
 - :class:`~repro.core.adc_array.AdcArray` — a die population converted
-  as one (dies, samples) batch, bit-exact per die with the above.
+  die by die into (dies, samples) results, bit-exact per die with the
+  above.
 - :class:`~repro.core.power.PowerModel` — the Fig. 4 power budget.
 - :class:`~repro.core.floorplan.Floorplan` — the Fig. 7 area budget.
 """

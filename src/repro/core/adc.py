@@ -315,8 +315,7 @@ class PipelineAdc:
                 rng,
             )
             return [
-                buffer_record[..., i : i + count]
-                for i in range(config.n_stages)
+                buffer_record[i : i + count] for i in range(config.n_stages)
             ]
         effective = np.full(
             count,
@@ -374,7 +373,6 @@ class PipelineAdc:
         held_values: np.ndarray,
         noise_seed: int | None = None,
         stream: int = SAMPLES_NOISE_STREAM,
-        fast: bool = False,
     ) -> ConversionResult:
         """Digitize pre-acquired held voltages (bypasses the front end).
 
@@ -392,10 +390,6 @@ class PipelineAdc:
                 pass :data:`repro.streams.CALIBRATION_NOISE_STREAM` so
                 they stay independent of measurement noise; ignored
                 when an explicit ``noise_seed`` is given.
-            fast: run the stage chain in the float32 fused-draw tier
-                (see ``precision`` on
-                :class:`~repro.core.adc_array.AdcArray`) — not bit-exact
-                with the default path.
         """
         held = np.asarray(held_values, dtype=float)
         if held.ndim != 1:
@@ -414,7 +408,7 @@ class PipelineAdc:
         skip = self.correction.latency_cycles
         padded = np.concatenate([np.zeros(skip), held])
         times = np.arange(padded.size) * self.timing.period
-        return self._convert_held(padded, times, rng, skip, fast=fast)
+        return self._convert_held(padded, times, rng, skip)
 
     def _convert_held(
         self,
@@ -422,7 +416,6 @@ class PipelineAdc:
         times: np.ndarray,
         rng: np.random.Generator,
         skip: int,
-        fast: bool = False,
     ) -> ConversionResult:
         total = held.size
         with record("references", "window"):
@@ -436,7 +429,7 @@ class PipelineAdc:
         residue = held
         for stage, refs in zip(self.stages, references):
             output = stage.process(
-                residue, refs, self.operating_point, rng, fast=fast,
+                residue, refs, self.operating_point, rng,
                 codes_out=stage_codes[stage.index],
                 residues_out=residues[stage.index % 2],
             )

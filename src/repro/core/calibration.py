@@ -24,8 +24,8 @@ for one die:
 3. Reconstruct subsequent conversions with the fitted weights.
 
 :class:`GainCalibrationArray` is the die-batched form: one
-:meth:`~repro.core.adc_array.AdcArray.convert_samples` pass captures the
-calibration ramp for D dies at once, the per-die weight fits run as
+:meth:`~repro.core.adc_array.AdcArray.convert_samples` call captures the
+calibration ramp on all D dies, the per-die weight fits run as
 stacked least-squares solves over one shared design assembly, and the
 calibrated reconstruction applies inside the vectorized conversion path
 (``(dies, samples)`` blocks in, calibrated code blocks out).  Die *d* of

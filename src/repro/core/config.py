@@ -188,12 +188,6 @@ class AdcConfig:
         include_settling / include_tracking / include_reference_noise:
             impairment switches.  All True for the paper model; all False
             reduces the converter to an ideal quantizer.
-        per_die_record_threshold: record length [samples] above which a
-            die-batched conversion switches to per-die row execution
-            (``None`` uses
-            :data:`repro.core.adc_array.PER_DIE_RECORD_SAMPLES`).  A
-            pure throughput heuristic — both sides of the threshold are
-            bit-exact — so it is excluded from campaign fingerprints.
     """
 
     technology: Technology = field(default_factory=Technology)
@@ -253,17 +247,7 @@ class AdcConfig:
     include_tracking: bool = True
     include_reference_noise: bool = True
 
-    per_die_record_threshold: int | None = None
-
     def __post_init__(self) -> None:
-        if (
-            self.per_die_record_threshold is not None
-            and self.per_die_record_threshold < 1
-        ):
-            raise ConfigurationError(
-                "per_die_record_threshold must be >= 1 (or None for the "
-                "adc_array default)"
-            )
         if self.resolution < 4:
             raise ConfigurationError("resolution below 4 bits is not a pipeline")
         if self.flash_bits < 1:
@@ -503,9 +487,5 @@ FINGERPRINT_FIELDS = (
 
 #: Fields deliberately left out of the fingerprint, each with the
 #: one-line justification for why it cannot change a measured bit.
-FINGERPRINT_EXCLUDED = {
-    "per_die_record_threshold": (
-        "pure throughput heuristic: both sides of the per-die-row "
-        "switch are bit-exact, so it must not invalidate ledgers"
-    ),
-}
+#: Empty today: every field can change a measured bit.
+FINGERPRINT_EXCLUDED: dict[str, str] = {}

@@ -9,19 +9,15 @@ comparators can be as sloppy as the ADSC's.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.devices.comparator import (
     ComparatorParameters,
-    DynamicComparator,
     bank_parameters,
     build_comparator_bank,
 )
 from repro.errors import ConfigurationError
 from repro.native import chain as native_chain
-from repro.streams import shared_value
 
 
 class FlashBackend:
@@ -55,22 +51,6 @@ class FlashBackend:
         self.comparators = build_comparator_bank(
             [f * vref for f in fractions], parameters, rng
         )
-
-    @classmethod
-    def stack(cls, backends: Sequence["FlashBackend"]) -> "FlashBackend":
-        """One flash deciding a (dies, samples) residue block in one pass.
-
-        Comparator offsets become (dies, 1) columns; vref and the bit
-        count are configuration and must agree across dies.
-        """
-        stacked = cls.__new__(cls)
-        stacked.vref = shared_value((b.vref for b in backends), "vref")
-        stacked.bits = shared_value((b.bits for b in backends), "bits")
-        stacked.comparators = [
-            DynamicComparator.stack([b.comparators[i] for b in backends])
-            for i in range(len(backends[0].comparators))
-        ]
-        return stacked
 
     @property
     def n_levels(self) -> int:

@@ -21,7 +21,6 @@ layers the real-life errors on top:
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -30,8 +29,8 @@ from repro.devices.opamp import SettleConstants, TwoStageMillerOpamp
 from repro.errors import ConfigurationError
 from repro.native import chain as native_chain
 from repro.profiling import record
-from repro.streams import any_true, normal, normal_pair, shared_value
-from repro.technology.corners import OperatingPoint, OperatingPointArray
+from repro.streams import normal, normal_pair
+from repro.technology.corners import OperatingPoint
 from repro.units import BOLTZMANN
 
 
@@ -46,17 +45,17 @@ class _AmplifyConstants:
     converters hold one operating-point object for their lifetime, so
     the single slot hits on every conversion after the first.
 
-    Fields are floats for one die or (dies, 1) columns for a stacked
-    MDAC; ``None`` where the matching impairment switch is off.
-    ``chain`` is the same set as the compiled chain reads it (see
-    :func:`_chain_parameters`), None for a stacked MDAC.
+    Noise and settling fields are ``None`` where the matching
+    impairment switch is off.  ``chain`` is the same set as the
+    compiled chain reads it (see :func:`_chain_parameters`), which
+    :meth:`Mdac._constants` fills in.
     """
 
-    feedback_factor: object
-    capacitor_ratio: object
-    gain_factor: object
-    sampling_noise_rms: object
-    opamp_noise_rms: object
+    feedback_factor: float
+    capacitor_ratio: float
+    gain_factor: float
+    sampling_noise_rms: float | None
+    opamp_noise_rms: float | None
     settle: SettleConstants | None
     chain: tuple[np.ndarray, int] | None = None
 
@@ -92,34 +91,6 @@ def _chain_parameters(mdac: "Mdac", c: _AmplifyConstants) -> tuple[np.ndarray, i
 
 
 @dataclass(frozen=True)
-class _FastAmplifyConstants:
-    """Float32 residue-transfer invariants of the ``precision="fast"`` tier.
-
-    The fast tier rewrites the residue as ``signal_gain * v -
-    dac_gain * d * vref`` (both products folded with the static gain
-    factor) and replaces the per-stage pair of noise draws with one
-    output-referred draw: the input-referred kT/C noise is carried to
-    the output through the linear closed-loop gain, so
-
-        output_noise_rms = sqrt((signal_gain * rms_s)^2 + rms_o^2)
-
-    This is an approximation — the exact path pushes the sampling noise
-    through the slewing nonlinearity and the compression — which is why
-    the tier is gated statistically (ENOB/SNDR tolerance), never
-    bitwise.  All fields are float32 (scalars or (dies, 1) columns)
-    except ``output_noise_rms``, which stays float64 because the stream
-    layer fills float64 buffers; the in-place add casts it once.
-    """
-
-    signal_gain: object
-    dac_gain: object
-    output_noise_rms: object
-    output_swing: object
-    compression: object
-    settle: SettleConstants | None
-
-
-@dataclass(frozen=True)
 class Mdac:
     """Residue amplifier of one stage.
 
@@ -134,10 +105,6 @@ class Mdac:
         include_noise: add opamp sampled noise.
         include_sampling_noise: add this stage's own kT/C acquisition
             noise (off for stage 1, whose front-end network owns it).
-
-    ``ratio_error`` (and the opamp parameters) may be (dies, 1) columns
-    for a die-stacked instance (see :meth:`stack`); the residue
-    expressions broadcast either way.
     """
 
     unit_capacitance: float
@@ -153,49 +120,14 @@ class Mdac:
     def __post_init__(self) -> None:
         if self.unit_capacitance <= 0:
             raise ConfigurationError("unit capacitance must be positive")
-        if any_true(abs(self.ratio_error) >= 0.5):
+        if abs(self.ratio_error) >= 0.5:
             raise ConfigurationError(
                 "capacitor ratio error beyond 50% is outside the model"
             )
-        if any_true(self.load_capacitance <= 0) or self.summing_parasitic < 0:
+        if self.load_capacitance <= 0 or self.summing_parasitic < 0:
             raise ConfigurationError("load/parasitic capacitances invalid")
         if self.settle_time <= 0:
             raise ConfigurationError("settle time must be positive")
-
-    @classmethod
-    def stack(cls, mdacs: Sequence["Mdac"]) -> "Mdac":
-        """One MDAC whose per-die draws are (dies, 1) columns.
-
-        Everything that is configuration (capacitor sizes, timing,
-        impairment switches) must agree across the dies; the frozen
-        mismatch draw and the per-die opamp bias point are stacked.
-        """
-        return cls(
-            unit_capacitance=shared_value(
-                (m.unit_capacitance for m in mdacs), "unit_capacitance"
-            ),
-            ratio_error=np.array([[m.ratio_error] for m in mdacs]),
-            opamp=TwoStageMillerOpamp.stack([m.opamp for m in mdacs]),
-            # The load carries the die's absolute capacitance scale, so
-            # it is a per-die column, not shared configuration.
-            load_capacitance=np.array([[m.load_capacitance] for m in mdacs]),
-            summing_parasitic=shared_value(
-                (m.summing_parasitic for m in mdacs), "summing_parasitic"
-            ),
-            settle_time=shared_value(
-                (m.settle_time for m in mdacs), "settle_time"
-            ),
-            include_settling=shared_value(
-                (m.include_settling for m in mdacs), "include_settling"
-            ),
-            include_noise=shared_value(
-                (m.include_noise for m in mdacs), "include_noise"
-            ),
-            include_sampling_noise=shared_value(
-                (m.include_sampling_noise for m in mdacs),
-                "include_sampling_noise",
-            ),
-        )
 
     # --- small-signal quantities ----------------------------------------
 
@@ -228,9 +160,7 @@ class Mdac:
         """Per-side acquisition capacitance C1 + C2 [F]."""
         return self.unit_capacitance * (1.0 + self.capacitor_ratio)
 
-    def sampling_noise_rms(
-        self, operating_point: OperatingPoint | OperatingPointArray
-    ):
+    def sampling_noise_rms(self, operating_point: OperatingPoint):
         """Differential kT/C noise of this stage's own acquisition [V]."""
         c_actual = (
             self.sampling_capacitance() * operating_point.capacitance_scale()
@@ -239,9 +169,7 @@ class Mdac:
             2.0 * BOLTZMANN * operating_point.temperature_k / c_actual
         )
 
-    def _constants(
-        self, operating_point: OperatingPoint | OperatingPointArray
-    ) -> _AmplifyConstants:
+    def _constants(self, operating_point: OperatingPoint) -> _AmplifyConstants:
         """The cached per-operating-point amplify invariants.
 
         Identity-keyed, single slot: each converter passes the one
@@ -278,58 +206,8 @@ class Mdac:
                 else None
             ),
         )
-        if not np.ndim(self.ratio_error):
-            constants = replace(constants, chain=_chain_parameters(self, constants))
+        constants = replace(constants, chain=_chain_parameters(self, constants))
         object.__setattr__(self, "_op_constants", (operating_point, constants))
-        return constants
-
-    def _fast_constants(
-        self, operating_point: OperatingPoint | OperatingPointArray
-    ) -> _FastAmplifyConstants:
-        """The cached float32 invariants of the fast tier.
-
-        Same identity-keyed single-slot caching as :meth:`_constants`
-        (which it builds on, so the underlying physics values are
-        computed once either way).
-        """
-        cached = self.__dict__.get("_op_fast_constants")
-        if cached is not None and cached[0] is operating_point:
-            return cached[1]
-        c = self._constants(operating_point)
-
-        def f32(value):
-            return np.asarray(value, dtype=np.float32)
-
-        signal_gain = (1.0 + c.capacitor_ratio) * c.gain_factor
-        dac_gain = c.capacitor_ratio * c.gain_factor
-        if c.sampling_noise_rms is not None and c.opamp_noise_rms is not None:
-            output_noise = np.sqrt(
-                (signal_gain * c.sampling_noise_rms) ** 2
-                + c.opamp_noise_rms**2
-            )
-        elif c.sampling_noise_rms is not None:
-            output_noise = signal_gain * c.sampling_noise_rms
-        else:
-            output_noise = c.opamp_noise_rms
-        settle = c.settle
-        if settle is not None:
-            settle = SettleConstants(
-                settle_time=settle.settle_time,
-                tau=f32(settle.tau),
-                decay=f32(settle.decay),
-                knee=f32(settle.knee),
-            )
-        constants = _FastAmplifyConstants(
-            signal_gain=f32(signal_gain),
-            dac_gain=f32(dac_gain),
-            output_noise_rms=output_noise,
-            output_swing=f32(self.opamp.parameters.output_swing),
-            compression=f32(self.opamp.parameters.compression),
-            settle=settle,
-        )
-        object.__setattr__(
-            self, "_op_fast_constants", (operating_point, constants)
-        )
         return constants
 
     # --- the residue transfer -------------------------------------------
@@ -339,32 +217,19 @@ class Mdac:
         inputs: np.ndarray,
         codes: np.ndarray,
         references: np.ndarray,
-        operating_point: OperatingPoint | OperatingPointArray,
-        rng,
-        fast: bool = False,
+        operating_point: OperatingPoint,
+        rng: np.random.Generator,
     ) -> np.ndarray:
         """Produce the residue actually delivered to the next stage [V].
 
         Args:
             inputs: held stage inputs [V] (already include acquisition
-                noise when ``include_sampling_noise`` is False).  A
-                die-stacked MDAC accepts (dies, samples) blocks.
+                noise when ``include_sampling_noise`` is False).
             codes: ADSC decisions in {-1, 0, +1}.
             references: per-sample delivered reference voltages [V].
-            operating_point: PVT context for noise temperatures (an
-                :class:`~repro.technology.corners.OperatingPointArray`
-                for stacked runs).
-            rng: generator (or :class:`repro.streams.DieStreams`) for
-                noise draws.
-            fast: run the ``precision="fast"`` tier — float32 state and
-                one fused output-referred noise draw per stage.  Not
-                bit-exact with the default path; statistically
-                equivalent within the documented ENOB/SNDR tolerance.
+            operating_point: PVT context for noise temperatures.
+            rng: generator for noise draws.
         """
-        if fast:
-            return self._amplify_fast(
-                inputs, codes, references, operating_point, rng
-            )
         c = self._constants(operating_point)
         v = np.asarray(inputs, dtype=float)
         # Every step below evaluates the IEEE expression
@@ -417,49 +282,6 @@ class Mdac:
         elif self.include_noise:
             with record("noise-draw", "mdac-opamp"):
                 residue += normal(rng, 0.0, c.opamp_noise_rms, residue.shape)
-        return residue
-
-    def _amplify_fast(
-        self,
-        inputs: np.ndarray,
-        codes: np.ndarray,
-        references: np.ndarray,
-        operating_point: OperatingPoint | OperatingPointArray,
-        rng,
-    ) -> np.ndarray:
-        """The ``precision="fast"`` residue transfer: float32, one draw.
-
-        Same physics as :meth:`amplify` with two deliberate trades (see
-        :class:`_FastAmplifyConstants`): float32 arithmetic through the
-        settle/compress chain, and the per-stage sampling+opamp noise
-        pair collapsed into a single output-referred draw.  Consumes a
-        different number of stream values than the exact path, so codes
-        differ sample-by-sample; the population metrics agree within
-        the statistical-equivalence gate.
-        """
-        c = self._fast_constants(operating_point)
-        v = np.asarray(inputs, dtype=np.float32)
-        d = np.asarray(codes, dtype=np.float32)
-        vref = np.asarray(references, dtype=np.float32)
-        target = c.signal_gain * v
-        target -= c.dac_gain * d * vref
-        with record("mdac", "settle"):
-            if self.include_settling:
-                target = self.opamp.settle(
-                    target=target,
-                    initial=0.0,
-                    settle_time=self.settle_time,
-                    feedback_factor=None,
-                    constants=c.settle,
-                ).output
-            residue = self.opamp.compress(
-                target, swing=c.output_swing, compression=c.compression
-            )
-        residue = np.asarray(residue, dtype=np.float32)
-        if c.output_noise_rms is not None:
-            with record("noise-draw", "mdac-fused"):
-                noise = normal(rng, 0.0, c.output_noise_rms, residue.shape)
-            residue += noise
         return residue
 
     def settling_error_bound(self):

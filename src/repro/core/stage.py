@@ -10,7 +10,6 @@ end of the amplification phase.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +19,7 @@ from repro.core.subadc import SubAdc
 from repro.devices.comparator import bank_parameters
 from repro.native import chain as native_chain
 from repro.profiling import record
-from repro.streams import shared_value
-from repro.technology.corners import OperatingPoint, OperatingPointArray
+from repro.technology.corners import OperatingPoint
 
 
 @dataclass(frozen=True)
@@ -52,51 +50,28 @@ class PipelineStage:
         self.subadc = subadc
         self.mdac = mdac
 
-    @classmethod
-    def stack(cls, stages: Sequence["PipelineStage"]) -> "PipelineStage":
-        """One stage processing a (dies, samples) block in one pass.
-
-        Stacks the same-index stage of every die: the sub-ADC offsets,
-        the MDAC mismatch draw and the opamp bias point become (dies, 1)
-        columns while all configuration stays shared.
-        """
-        index = shared_value((s.index for s in stages), "stage index")
-        return cls(
-            index=index,
-            subadc=SubAdc.stack([s.subadc for s in stages]),
-            mdac=Mdac.stack([s.mdac for s in stages]),
-        )
-
     def process(
         self,
         inputs: np.ndarray,
         references: np.ndarray,
-        operating_point: OperatingPoint | OperatingPointArray,
-        rng,
-        fast: bool = False,
+        operating_point: OperatingPoint,
+        rng: np.random.Generator,
         codes_out: np.ndarray | None = None,
         residues_out: np.ndarray | None = None,
     ) -> StageOutput:
         """Run the stage over a sample array.
 
-        An exact-tier 1-D record with a ``PCG64`` generator runs on the
-        compiled chain (:mod:`repro.native.chain`) when it is loaded;
-        everything else, and every record when it is not, on numpy.  The
-        two give the same codes and residue bytes and leave the
-        generator in the same state.
+        A 1-D record with a ``PCG64`` generator runs on the compiled
+        chain (:mod:`repro.native.chain`) when it is loaded; everything
+        else, and every record when it is not, on numpy.  The two give
+        the same codes and residue bytes and leave the generator in the
+        same state.
 
         Args:
-            inputs: held differential stage inputs [V]; a stacked stage
-                accepts (dies, samples) blocks.
+            inputs: held differential stage inputs [V].
             references: per-sample delivered reference voltages [V].
-            operating_point: PVT context (an
-                :class:`~repro.technology.corners.OperatingPointArray`
-                for stacked runs).
-            rng: generator (or :class:`repro.streams.DieStreams`) for
-                decision noise / MDAC noise.
-            fast: run the MDAC through the ``precision="fast"`` tier
-                (float32, fused noise draw; statistically gated, not
-                bit-exact).
+            operating_point: PVT context.
+            rng: generator for decision noise / MDAC noise.
             codes_out: optional int buffer of the inputs' shape; the
                 returned codes are this buffer, filled.
             residues_out: optional float64 buffer of the inputs' shape
@@ -106,7 +81,7 @@ class PipelineStage:
         Returns:
             The decisions and the residues for the next stage.
         """
-        functions = None if fast else native_chain.serves(rng, inputs)
+        functions = native_chain.serves(rng, inputs)
         if functions is not None:
             served = self._process_native(
                 functions, inputs, references, operating_point, rng,
@@ -118,7 +93,7 @@ class PipelineStage:
             codes = self.subadc.decide(inputs, rng)
         with record("mdac", "amplify"):
             residues = self.mdac.amplify(
-                inputs, codes, references, operating_point, rng, fast=fast
+                inputs, codes, references, operating_point, rng
             )
         if codes_out is not None:
             codes_out[...] = codes
@@ -140,7 +115,7 @@ class PipelineStage:
             return None
         bank = bank_parameters(self.subadc.comparators)
         mdac = self.mdac._constants(operating_point).chain
-        if bank is None or bank.size != 5 or mdac is None:
+        if bank is None or bank.size != 5:
             return None
         if codes_out is None:
             codes_out = np.empty(n, dtype=np.int64)

@@ -11,8 +11,6 @@ comparators can be tiny dynamic latches.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 from repro.devices.comparator import (
@@ -21,7 +19,6 @@ from repro.devices.comparator import (
     build_comparator_bank,
 )
 from repro.errors import ConfigurationError
-from repro.streams import shared_value
 
 
 class SubAdc:
@@ -52,27 +49,9 @@ class SubAdc:
             thresholds, parameters, rng
         )
 
-    @classmethod
-    def stack(cls, subadcs: Sequence["SubAdc"]) -> "SubAdc":
-        """One sub-ADC deciding a (dies, samples) block in one pass.
-
-        The comparator offsets become (dies, 1) columns; vref and the
-        statistical parameters are configuration and must agree.
-        """
-        stacked = cls.__new__(cls)
-        stacked.vref = shared_value((s.vref for s in subadcs), "vref")
-        stacked.comparators = [
-            DynamicComparator.stack([s.comparators[i] for s in subadcs])
-            for i in range(len(subadcs[0].comparators))
-        ]
-        return stacked
-
     @property
-    def offsets(self) -> tuple:
-        """Frozen comparator offsets [V] (diagnostics / tests).
-
-        Floats for one die; (dies, 1) columns for a stacked instance.
-        """
+    def offsets(self) -> tuple[float, ...]:
+        """Frozen comparator offsets [V] (diagnostics / tests)."""
         return tuple(c.offset for c in self.comparators)
 
     def redundancy_margin(self) -> float:

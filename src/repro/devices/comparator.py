@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.profiling import record
-from repro.streams import normal_at, random_at, shared_value
 
 #: Inputs farther than this many noise sigmas from the effective
 #: threshold never draw decision noise: the flip probability out there
@@ -73,37 +72,15 @@ class DynamicComparator:
         self.parameters = parameters
         self.offset = float(rng.normal(0.0, parameters.offset_sigma))
 
-    @classmethod
-    def stack(cls, comparators: Sequence["DynamicComparator"]) -> "DynamicComparator":
-        """One comparator whose frozen offset is a (dies, 1) column.
-
-        The stacked instance decides ``(dies, samples)`` input blocks in
-        one pass: the nominal threshold and the statistical parameters
-        are configuration (must agree across dies), only the frozen
-        offset draw differs die to die.
-        """
-        stacked = cls.__new__(cls)
-        stacked.threshold = shared_value(
-            (c.threshold for c in comparators), "threshold"
-        )
-        stacked.parameters = shared_value(
-            (c.parameters for c in comparators), "comparator parameters"
-        )
-        stacked.offset = np.array([[c.offset] for c in comparators])
-        return stacked
-
     @property
-    def effective_threshold(self):
-        """Nominal threshold plus the frozen offset [V].
-
-        A float for a single die; a (dies, 1) column for a stacked bank.
-        """
+    def effective_threshold(self) -> float:
+        """Nominal threshold plus the frozen offset [V]."""
         return self.threshold + self.offset
 
     def compare(
         self,
         inputs: np.ndarray,
-        rng,
+        rng: np.random.Generator,
         previous: np.ndarray | None = None,
     ) -> np.ndarray:
         """Decide ``inputs > threshold`` per sample, with impairments.
@@ -114,13 +91,11 @@ class DynamicComparator:
         certain, so skipping the draw changes nothing while removing
         most of the random-number cost of a conversion.  The draw
         pattern is a deterministic function of the inputs, so a seeded
-        run still replays exactly — per die and batched alike.
+        run still replays exactly.
 
         Args:
-            inputs: differential input voltages [V]; a stacked
-                comparator accepts (dies, samples) blocks.
-            rng: generator (or :class:`repro.streams.DieStreams`) for
-                per-decision noise and metastability.
+            inputs: differential input voltages [V].
+            rng: generator for per-decision noise and metastability.
             previous: previous decisions (booleans) for hysteresis; None
                 disables the history term.
 
@@ -155,13 +130,13 @@ class DynamicComparator:
         near_margin = flat[near]
         if p.noise_rms:
             with record("noise-draw", "comparator"):
-                near_margin += normal_at(rng, near, margin.shape, p.noise_rms)
+                near_margin += rng.normal(0.0, p.noise_rms, size=near.size)
             flat[near] = near_margin
         decisions = flat > 0
         if p.metastability_window > 0:
             metastable = near[np.abs(near_margin) < p.metastability_window]
             with record("noise-draw", "comparator"):
-                coin = random_at(rng, metastable, margin.shape)
+                coin = rng.random(size=metastable.size)
             decisions[metastable] = coin < 0.5
         return decisions.reshape(margin.shape)
 
@@ -171,8 +146,8 @@ def bank_parameters(comparators: Sequence[DynamicComparator]) -> np.ndarray | No
 
     ``[noise_rms, metastability_window, near-band cut, threshold...]``
     with one effective threshold per comparator, in bank order; None
-    when the chain cannot serve the bank (stacked (dies, 1) offsets, or
-    comparators with differing parameters).
+    when the chain cannot serve the bank (comparators with differing
+    parameters).
     """
     p = comparators[0].parameters
     values = [
@@ -181,8 +156,7 @@ def bank_parameters(comparators: Sequence[DynamicComparator]) -> np.ndarray | No
         _NOISE_CUT_SIGMA * p.noise_rms + p.metastability_window,
     ]
     for comparator in comparators:
-        same = comparator.parameters is p or comparator.parameters == p
-        if not same or not isinstance(comparator.offset, float):
+        if comparator.parameters is not p and comparator.parameters != p:
             return None
         values.append(comparator.effective_threshold)
     return np.array(values, dtype=float)

@@ -21,13 +21,11 @@ a knee is inevitable.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ModelDomainError
-from repro.streams import any_true
 from repro.units import BOLTZMANN, ROOM_TEMPERATURE
 
 
@@ -50,11 +48,6 @@ class OpampParameters:
         input_capacitance: differential input capacitance [F]; degrades
             the feedback factor.
         quiescent_current: total opamp supply current at this bias [A].
-
-    Every field is a float for one opamp instance, or a (dies, 1)
-    column array for a die-stacked instance (see
-    :meth:`TwoStageMillerOpamp.stack`) — the electrical expressions
-    broadcast either way.
     """
 
     dc_gain: float
@@ -67,23 +60,21 @@ class OpampParameters:
     quiescent_current: float = 1e-3
 
     def __post_init__(self) -> None:
-        if any_true(self.dc_gain <= 1):
+        if self.dc_gain <= 1:
             raise ConfigurationError("opamp DC gain must exceed 1 V/V")
-        if any_true(self.unity_gain_bandwidth <= 0):
+        if self.unity_gain_bandwidth <= 0:
             raise ConfigurationError("GBW must be positive")
-        if any_true(self.slew_rate <= 0):
+        if self.slew_rate <= 0:
             raise ConfigurationError("slew rate must be positive")
-        if any_true(self.output_swing <= 0):
+        if self.output_swing <= 0:
             raise ConfigurationError("output swing must be positive")
-        if any_true(self.compression < 0):
+        if self.compression < 0:
             raise ConfigurationError("compression must be non-negative")
-        if any_true(self.noise_excess_factor < 1.0):
+        if self.noise_excess_factor < 1.0:
             raise ConfigurationError(
                 "noise excess factor below 1 would beat kT/C — unphysical"
             )
-        if any_true(self.input_capacitance < 0) or any_true(
-            self.quiescent_current < 0
-        ):
+        if self.input_capacitance < 0 or self.quiescent_current < 0:
             raise ConfigurationError(
                 "input capacitance and quiescent current must be >= 0"
             )
@@ -104,30 +95,12 @@ class SettleConstants:
         decay: linear settling factor ``exp(-settle_time/tau)``.
         knee: error level ``SR*tau`` where slewing hands over to the
             exponential regime [V].
-
-    Each field is a float, or a (dies, 1) column for a die-stacked
-    amplifier.
     """
 
     settle_time: float
-    tau: float | np.ndarray
-    decay: float | np.ndarray
-    knee: float | np.ndarray
-
-
-def _per_sample(value, counts):
-    """``value`` for each selected sample of a block, in flat order.
-
-    Settling parameters are scalars (one die) or (dies, 1) columns (a
-    stacked batch); the sparse slewing path needs them per selected
-    sample.  Scalars pass through; a column's row *d* is repeated once
-    per selected sample of row *d* (``counts``), which is its value at
-    every one of those flat positions.
-    """
-    arr = np.asarray(value)
-    if arr.ndim == 0:
-        return value
-    return np.repeat(arr.reshape(-1), counts)
+    tau: float
+    decay: float
+    knee: float
 
 
 @dataclass(frozen=True)
@@ -159,35 +132,11 @@ class TwoStageMillerOpamp:
     def __init__(self, parameters: OpampParameters):
         self.parameters = parameters
 
-    @classmethod
-    def stack(cls, opamps: Sequence["TwoStageMillerOpamp"]) -> "TwoStageMillerOpamp":
-        """One opamp whose parameters are (dies, 1) columns.
-
-        The stacked instance settles / compresses (dies, samples) blocks
-        in one pass; each die row sees its own bias point, exactly as the
-        per-die instances would.
-        """
-        def column(name: str) -> np.ndarray:
-            return np.array([[getattr(o.parameters, name)] for o in opamps])
-
-        return cls(
-            OpampParameters(
-                dc_gain=column("dc_gain"),
-                unity_gain_bandwidth=column("unity_gain_bandwidth"),
-                slew_rate=column("slew_rate"),
-                output_swing=column("output_swing"),
-                compression=column("compression"),
-                noise_excess_factor=column("noise_excess_factor"),
-                input_capacitance=column("input_capacitance"),
-                quiescent_current=column("quiescent_current"),
-            )
-        )
-
     # --- closed-loop helpers -------------------------------------------
 
     def closed_loop_tau(self, feedback_factor):
         """Closed-loop settling time constant 1/(2*pi*beta*GBW) [s]."""
-        if any_true(feedback_factor <= 0) or any_true(feedback_factor > 1):
+        if feedback_factor <= 0 or feedback_factor > 1:
             raise ModelDomainError(
                 f"feedback factor must be in (0, 1], got {feedback_factor}"
             )
@@ -197,7 +146,7 @@ class TwoStageMillerOpamp:
 
     def static_gain_error(self, feedback_factor):
         """Fractional closed-loop gain error 1/(1 + A0*beta)."""
-        if any_true(feedback_factor <= 0) or any_true(feedback_factor > 1):
+        if feedback_factor <= 0 or feedback_factor > 1:
             raise ModelDomainError(
                 f"feedback factor must be in (0, 1], got {feedback_factor}"
             )
@@ -267,9 +216,7 @@ class TwoStageMillerOpamp:
         settle_time = constants.settle_time
         tau = constants.tau
         slew_rate = self.parameters.slew_rate
-        target = np.asarray(target)
-        if target.dtype not in (np.float32, np.float64):
-            target = target.astype(float)
+        target = np.asarray(target, dtype=float)
         if isinstance(initial, (int, float)) and initial == 0.0:
             # The MDAC resets its output toward CM every phi1, so the
             # hot path always starts from zero: ``target - 0.0`` is
@@ -308,19 +255,13 @@ class TwoStageMillerOpamp:
             # non-constant input — runs on the slewing samples alone,
             # addressed by flat index.
             index = np.flatnonzero(slewing)
-            counts = (
-                np.count_nonzero(slewing, axis=-1) if slewing.ndim > 1 else index.size
-            )
             mag_s = magnitude.take(index)
-            knee_s = _per_sample(linear_knee, counts)
-            slew_s = _per_sample(slew_rate, counts)
-            tau_s = _per_sample(tau, counts)
             sign_s = sign.take(index)
             start_s = start.take(index) if isinstance(start, np.ndarray) else start
-            t_slew_s = (mag_s - knee_s) / slew_s
+            t_slew_s = (mag_s - linear_knee) / slew_rate
             still_s = t_slew_s >= settle_time
             linear_time_s = np.maximum(settle_time - t_slew_s, 0.0)
-            residual_s = knee_s * np.exp(-linear_time_s / tau_s)
+            residual_s = linear_knee * np.exp(-linear_time_s / tau)
             # magnitude doubles as the signed-residual and the output
             # buffer from here; its flat view takes the slewing samples.
             output = magnitude
@@ -329,7 +270,7 @@ class TwoStageMillerOpamp:
             flat = np.subtract(target, output, out=output).reshape(-1)
             flat[index] = np.where(
                 still_s,
-                start_s + sign_s * slew_s * settle_time,
+                start_s + sign_s * slew_rate * settle_time,
                 target.take(index) - sign_s * residual_s,
             )
             return SettlingResult(
@@ -358,27 +299,15 @@ class TwoStageMillerOpamp:
 
     # --- static nonlinearity and noise ----------------------------------
 
-    def compress(
-        self, output: np.ndarray, swing=None, compression=None
-    ) -> np.ndarray:
+    def compress(self, output: np.ndarray) -> np.ndarray:
         """Apply the output-stage soft compression and hard clip.
 
         ``v -> v * (1 - c*(v/Vmax)^2)`` inside the swing, hard-clipped at
         ``+-Vmax``.  The cubic term contributes the (small) static HD3
         floor of the converter.
-
-        ``swing``/``compression`` override the instance parameters; the
-        fast precision tier passes float32 copies so a float32 block is
-        compressed without promoting back to float64.
         """
-        p = self.parameters
-        if swing is None:
-            swing = p.output_swing
-        if compression is None:
-            compression = p.compression
-        v = np.asarray(output)
-        if v.dtype not in (np.float32, np.float64):
-            v = v.astype(float)
+        swing = self.parameters.output_swing
+        v = np.asarray(output, dtype=float)
         # One working buffer end to end; every in-place step evaluates
         # the same IEEE expression as the naive chain
         # ``clip(v * (1 - c * clip(v/Vmax, -1, 1)^2), -Vmax, Vmax)``
@@ -387,7 +316,7 @@ class TwoStageMillerOpamp:
         work = v / swing
         np.clip(work, -1.0, 1.0, out=work)
         work *= work
-        work *= -compression
+        work *= -self.parameters.compression
         work += 1.0
         work *= v
         return np.clip(work, -swing, swing, out=work)
@@ -404,12 +333,11 @@ class TwoStageMillerOpamp:
         ``pi/2 * beta * GBW``; integrating the white input noise over that
         band gives the familiar ``NEF * kT / (beta * C_load)`` charge
         noise.  The excess factor folds in the current sources and the
-        second stage.  Returns a float, or a (dies, 1) column when the
-        feedback factor / temperature are per-die columns.
+        second stage.
         """
-        if any_true(load_capacitance <= 0):
+        if load_capacitance <= 0:
             raise ModelDomainError("load capacitance must be positive")
-        if any_true(feedback_factor <= 0) or any_true(feedback_factor > 1):
+        if feedback_factor <= 0 or feedback_factor > 1:
             raise ModelDomainError(
                 f"feedback factor must be in (0, 1], got {feedback_factor}"
             )

@@ -18,7 +18,7 @@ this module has shown, once per process, that one short conversion gives
 the same codes, residue bytes and generator state through both paths.
 The model classes call :func:`kernel` and take numpy's path when it is
 None: no C compiler, a failed build or self-check, another bit
-generator, a stacked (dies, samples) block, or the fast tier.
+generator, or a record that is not 1-D.
 
 Scratch arrays (the opamp noise, the near-band and slewing lists, the
 exp arguments) live in a per-thread workspace that only grows.  No
@@ -57,10 +57,6 @@ SAMPLING_NOISE, OPAMP_NOISE, SETTLING = 1, 2, 4
 #: Seed and record length of the load-time comparison with numpy.
 SELF_CHECK_SEED = 20040218
 SELF_CHECK_SAMPLES = 700
-
-#: (functions or None, status line); None until the first :func:`kernel`.
-_loaded: tuple[object | None, str] | None = None
-_LOAD_LOCK = threading.Lock()
 
 _POINTER = ctypes.c_void_p
 _INT = ctypes.c_int64
@@ -191,13 +187,8 @@ def _self_check(functions: _Functions) -> None:
         _override.active = False
 
 
-def _load() -> tuple[object | None, str]:
-    try:
-        functions = _open(library.build())
-        _self_check(functions)
-    except (Unavailable, OSError, RuntimeError) as error:
-        return None, f"numpy: {error}"
-    return functions, "native"
+#: The chain, loaded and self-checked on first use.
+_kernel = library.Kernel(_open, _self_check)
 
 
 def kernel() -> _Functions | None:
@@ -206,21 +197,14 @@ def kernel() -> _Functions | None:
     Builds, loads and checks on the first call of the process; later
     calls, and forked children, reuse that outcome.
     """
-    global _loaded
     if _override.active:
         return _override.functions
-    if _loaded is None:
-        with _LOAD_LOCK:
-            if _loaded is None:
-                _loaded = _load()
-    return _loaded[0]
+    return _kernel.functions()
 
 
 def status() -> str:
     """``native`` when the chain serves, else ``numpy: <reason>``."""
-    kernel()
-    assert _loaded is not None
-    return _loaded[1]
+    return _kernel.status()
 
 
 def serves(generator, inputs) -> _Functions | None:

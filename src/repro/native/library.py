@@ -3,8 +3,8 @@
 :file:`stage_chain.c` includes :file:`pcg64_normal.c`, so one shared
 library holds both the standard-normal fill (:mod:`repro.native.normal`)
 and the exact stage chain (:mod:`repro.native.chain`).  Each of those
-modules opens its functions from it and checks them against numpy before
-serving anything.
+modules opens its functions from it through a :class:`Kernel`, which
+checks them against numpy before they serve anything.
 
 The first process to need the library compiles the shipped sources with
 the system C compiler (the one Python was built with, else ``cc``).  It
@@ -30,6 +30,8 @@ import stat
 import subprocess
 import sysconfig
 import tempfile
+import threading
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -156,3 +158,50 @@ def address(array: np.ndarray) -> int:
     if array.flags.writeable:
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
     return array.ctypes.data
+
+
+class Kernel:
+    """Functions of the library, loaded and self-checked once per process.
+
+    ``open_`` returns the functions from a library path; ``self_check``
+    raises :class:`Unavailable` unless they reproduce numpy.  The first
+    :meth:`functions` call builds, opens and checks under a lock, so
+    threads that start at once load the library once; later calls, and
+    forked children, reuse the outcome.
+    """
+
+    def __init__(
+        self,
+        open_: Callable[[Path], object],
+        self_check: Callable[[object], None],
+    ):
+        self._open = open_
+        self._self_check = self_check
+        self._lock = threading.Lock()
+        #: (functions or None, status line); None until first loaded.
+        self.loaded: tuple[object | None, str] | None = None
+
+    def load(self) -> tuple[object | None, str]:
+        """Build, open and check now: (functions or None, status line)."""
+        try:
+            functions = self._open(build())
+            self._self_check(functions)
+        except (Unavailable, OSError, RuntimeError) as error:
+            return None, f"numpy: {error}"
+        return functions, "native"
+
+    def functions(self):
+        """The checked functions, or None when numpy must compute."""
+        loaded = self.loaded
+        if loaded is None:
+            with self._lock:
+                if self.loaded is None:
+                    self.loaded = self.load()
+                loaded = self.loaded
+        return loaded[0]
+
+    def status(self) -> str:
+        """``native`` when the functions serve, else ``numpy: <reason>``."""
+        self.functions()
+        assert self.loaded is not None
+        return self.loaded[1]

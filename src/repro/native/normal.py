@@ -29,10 +29,6 @@ from repro.native.library import Unavailable
 SELF_CHECK_SEED = 20040216
 SELF_CHECK_VALUES = 20000
 
-#: (kernel or None, status line); None until the first :func:`kernel`.
-_loaded: tuple[object | None, str] | None = None
-
-
 def _open(path):
     """The kernel function from the library at ``path``, fully typed."""
     return library.function(
@@ -69,13 +65,8 @@ def _self_check(function) -> None:
             raise Unavailable("self-check against numpy failed")
 
 
-def _load() -> tuple[object | None, str]:
-    try:
-        function = _open(library.build())
-        _self_check(function)
-    except (Unavailable, OSError, RuntimeError) as error:
-        return None, f"numpy: {error}"
-    return function, "native"
+#: The fill, loaded and self-checked on first use.
+_kernel = library.Kernel(_open, _self_check)
 
 
 def kernel():
@@ -84,17 +75,12 @@ def kernel():
     Builds, loads and checks on the first call of the process; later
     calls, and forked children, reuse that outcome.
     """
-    global _loaded
-    if _loaded is None:
-        _loaded = _load()
-    return _loaded[0]
+    return _kernel.functions()
 
 
 def status() -> str:
     """``native`` when the kernel serves draws, else ``numpy: <reason>``."""
-    kernel()
-    assert _loaded is not None
-    return _loaded[1]
+    return _kernel.status()
 
 
 def _call(function, generator, out: np.ndarray, scale: float, loc) -> None:

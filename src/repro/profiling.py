@@ -40,7 +40,6 @@ stage / phase           what it times
 ======================  ================================================
 ``build/die``           one die's construction (bias solve, opamp
                         design, frozen mismatch draws)
-``build/stack``         stacking dies into an ``AdcArray``
 ``sample/stimulus``     signal evaluation at the (jittered) instants
 ``sample/acquire``      front-end tracking, pedestal, droop
 ``references/window``   delivered-reference record + per-stage windows
@@ -54,9 +53,8 @@ stage / phase           what it times
 ``noise-draw/*``        every per-sample random draw: ``jitter``,
                         ``sample-ktc``, ``reference``, ``comparator``,
                         ``mdac-pair`` (the fused per-stage
-                        sampling+opamp draw), ``mdac-fused`` (the single
-                        output-referred draw of the fast precision
-                        tier), plus ``mdac-sampling`` / ``mdac-opamp``
+                        sampling+opamp draw), plus ``mdac-sampling`` /
+                        ``mdac-opamp``
                         when only one of the two MDAC draws is enabled
 ``dispatch/*``          BatchRunner task wall times (worker-side,
                         aggregated by the dispatching process; overlaps

@@ -483,14 +483,13 @@ class BatchRunner:
 
 #: The execution engines: ``pool`` dispatches one item per task through
 #: the serial per-die path, ``vectorized`` dispatches item chunks, each
-#: converted as one die-batched :class:`~repro.core.adc_array.AdcArray`
-#: pass.
+#: measured through one :class:`~repro.core.adc_array.AdcArray` with
+#: batched analysis.
 ENGINES = ("pool", "vectorized")
 
 #: Items per vectorized chunk when the caller does not choose: big
-#: enough to amortize Python dispatch, small enough that the (items,
-#: samples) working set stays cache-friendly (8 measured best at record
-#: lengths of 2048-4096 samples).
+#: enough to amortize task dispatch and batch the analysis, small enough
+#: that a chunk's (items, samples) results stay cache-sized.
 DEFAULT_CHUNK = 8
 
 #: An engine's ``(measure, make_task)`` pair: ``make_task`` builds the
@@ -511,18 +510,15 @@ class EngineDispatch:
 
     Attributes:
         engine: ``"pool"`` (one item per task) or ``"vectorized"``
-            (item chunks, one die-batched pass each).
+            (item chunks, batched analysis per chunk).
         chunk: items per vectorized task; None splits the items evenly
             across the workers, at most :data:`DEFAULT_CHUNK` each.
-        precision: ``"exact"`` (bit-exact across engines) or ``"fast"``
-            (the vectorized-only float32 tier, statistically gated).
         workers: worker processes (1 = serial, None = all CPUs).
         chunk_size: pool dispatch chunk size (None = auto).
     """
 
     engine: str = "pool"
     chunk: int | None = None
-    precision: str = "exact"
     workers: int | None = 1
     chunk_size: int | None = None
 
@@ -539,15 +535,6 @@ class EngineDispatch:
             raise ConfigurationError(
                 "a chunk size applies to the vectorized engine only; "
                 f"got chunk={self.chunk} with engine='{self.engine}'"
-            )
-        if self.precision not in ("exact", "fast"):
-            raise ConfigurationError(
-                f"precision must be 'exact' or 'fast', got '{self.precision}'"
-            )
-        if self.precision == "fast" and self.engine != "vectorized":
-            raise ConfigurationError(
-                "precision='fast' needs the vectorized engine (the per-die "
-                f"path is exact-only); got engine='{self.engine}'"
             )
 
     def run(

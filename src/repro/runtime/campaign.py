@@ -13,13 +13,14 @@ a first-class batch workload:
   ``SeedSequence``-derived die seed.
 * **Execution** — cells dispatch through
   :class:`~repro.runtime.batch.BatchRunner` (composable with
-  ``workers``); the vectorized engine converts whole cell chunks as
-  single :class:`~repro.core.adc_array.AdcArray` passes, mixing corners
-  and temperatures freely inside one ``(cells, samples)`` block.  Each
-  cell's noise streams derive from its die seed alone
-  (:class:`repro.streams.DieStreams`), so a cell's codes are bit-exact
-  with the serial :class:`DynamicTestbench` on the same (point, seed) —
-  regardless of engine, chunking or worker count.
+  ``workers``); the vectorized engine measures whole cell chunks
+  through one :class:`~repro.core.adc_array.AdcArray` each, mixing
+  corners and temperatures freely inside one chunk, with one batched
+  FFT pass per chunk.  Each cell's noise streams derive from its die
+  seed alone (:func:`repro.streams.noise_generator`), so a cell's
+  codes are bit-exact with the serial :class:`DynamicTestbench` on
+  the same (point, seed) — regardless of engine, chunking or worker
+  count.
 * **Checkpointing** — completed cells append to a JSONL run ledger as
   they finish; an interrupted campaign resumes from the ledger and
   recomputes nothing, and the resumed report is identical to a
@@ -96,10 +97,6 @@ class CampaignSpec:
         input_frequency: test-tone target frequency [Hz].
         n_samples: coherent FFT record length per cell.
         amplitude_fraction: stimulus amplitude relative to full scale.
-        precision: ``"exact"`` (default; cell metrics bit-exact across
-            engines) or ``"fast"`` — the vectorized-only float32 +
-            fused-draw tier.  Part of the fingerprint: a fast ledger
-            never resumes an exact campaign or vice versa.
     """
 
     corners: tuple[Corner, ...] = tuple(Corner)
@@ -112,13 +109,8 @@ class CampaignSpec:
     input_frequency: float = 10e6
     n_samples: int = 4096
     amplitude_fraction: float = NEAR_FULL_SCALE
-    precision: str = "exact"
 
     def __post_init__(self) -> None:
-        if self.precision not in ("exact", "fast"):
-            raise ConfigurationError(
-                f"precision must be 'exact' or 'fast', got '{self.precision}'"
-            )
         if not self.corners:
             raise ConfigurationError("campaign needs at least one corner")
         if not self.temperatures_c:
@@ -165,11 +157,9 @@ class CampaignSpec:
     def cells(self) -> list[CampaignCell]:
         """The flattened grid, point-major then die-major.
 
-        Cell order derives from :meth:`points` — the same
-        :func:`~repro.technology.corners.pvt_grid` enumeration the
-        stacked planning constructors
-        (:meth:`~repro.technology.montecarlo.ProcessSampleArray.from_grid`)
-        use — so every grid consumer shares one order authority.
+        Cell order derives from :meth:`points` — the
+        :func:`~repro.technology.corners.pvt_grid` enumeration — so
+        every grid consumer shares one order authority.
         """
         seeds = self.resolved_die_seeds()
         return [
@@ -374,7 +364,7 @@ class CellTask:
 
 @dataclass(frozen=True)
 class CellChunkTask:
-    """One worker's vectorized task: a cell chunk as one AdcArray pass."""
+    """One worker's vectorized task: a cell chunk on one AdcArray."""
 
     cells: tuple[CampaignCell, ...]
     config: AdcConfig
@@ -408,11 +398,6 @@ def measure_cell(task: CellTask) -> CellMetrics:
     in any worker of any partition.
     """
     spec = task.spec
-    if spec.precision != "exact":
-        raise ConfigurationError(
-            "the serial testbench is exact-only; run precision="
-            f"'{spec.precision}' campaigns on the vectorized engine"
-        )
     bench = DynamicTestbench(
         task.config,
         n_samples=spec.n_samples,
@@ -426,12 +411,12 @@ def measure_cell(task: CellTask) -> CellMetrics:
 
 @profile_step("task", "measure-cell-chunk")
 def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
-    """Measure a cell chunk in one die-batched pass.
+    """Measure a cell chunk with one batched FFT.
 
     The chunk's cells — mixed corners, temperatures and dies — convert
-    as a single :class:`~repro.core.adc_array.AdcArray` of
-    ``(cells, samples)`` blocks, then one batched FFT produces the
-    per-cell metrics.  Cell-for-cell bit-exact with
+    one at a time through one :class:`~repro.core.adc_array.AdcArray`
+    into a ``(cells, samples)`` code block, then one batched FFT
+    produces the per-cell metrics.  Cell-for-cell bit-exact with
     :func:`measure_cell`: each cell draws only from its own
     seed-derived streams, and the tone and analyzer are the ones
     :meth:`DynamicTestbench.measure` uses.
@@ -439,9 +424,7 @@ def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
     spec = task.spec
     config = task.config
     samples = [cell.process_sample(config.technology) for cell in task.cells]
-    adc = AdcArray(
-        config, spec.conversion_rate, samples, precision=spec.precision
-    )
+    adc = AdcArray(config, spec.conversion_rate, samples)
     tone = coherent_tone(
         config,
         spec.conversion_rate,
@@ -574,7 +557,10 @@ class CampaignLedger:
             raise ConfigurationError(
                 f"ledger {self.path} header carries no fingerprint"
             )
-        n_cells = CampaignSpec.from_fingerprint(fingerprint).n_cells
+        try:
+            n_cells = CampaignSpec.from_fingerprint(fingerprint).n_cells
+        except ConfigurationError as error:
+            raise ConfigurationError(f"ledger {self.path}: {error}") from None
         cell_range = None
         shard = header.get("shard")
         if shard is not None:
@@ -894,11 +880,8 @@ class CampaignReport:
             if self.cell_range is not None
             else ""
         )
-        tier = (
-            " fast-precision," if self.spec.precision == "fast" else ""
-        )
         lines.append(
-            f"campaign: {self.engine} engine,{tier}{shard}{resumed}"
+            f"campaign: {self.engine} engine,{shard}{resumed}"
             f"{cached} {self.batch.workers} worker(s), "
             f"{self.batch.elapsed_s:.2f} s"
         )
@@ -1001,7 +984,6 @@ def run_campaign(
     dispatch = EngineDispatch(
         engine=engine,
         chunk=cell_chunk,
-        precision=spec.precision,
         workers=workers,
         chunk_size=chunk_size,
     )

@@ -64,7 +64,6 @@ _BENCH_FIELDS = (
     "input_frequency",
     "n_samples",
     "amplitude_fraction",
-    "precision",
 )
 
 

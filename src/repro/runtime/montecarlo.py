@@ -8,9 +8,10 @@ shared :class:`~repro.runtime.batch.EngineDispatch` route; both take a
   die's :class:`~repro.core.adc.PipelineAdc` and measures it alone.
   ``workers=1`` is the serial per-die loop.
 * ``engine="vectorized"`` — dies are grouped into chunks and
-  :func:`measure_die_chunk` converts each chunk as one
-  :class:`~repro.core.adc_array.AdcArray` batch (one NumPy pass for D
-  dies x S samples, batched FFTs and batched code-density histograms).
+  :func:`measure_die_chunk` measures each chunk through one
+  :class:`~repro.core.adc_array.AdcArray`: the dies convert one at a
+  time, then batched FFTs and batched code-density histograms analyze
+  the whole chunk.
   The engines compose: with ``workers > 1`` the pool fans the
   vectorized chunks out across processes.
 
@@ -184,9 +185,6 @@ class DieTask:
             calibrated reconstruction (extension beyond the paper).
         calibration_samples_per_code: calibration-ramp density when
             ``calibrate`` is set.
-        precision: ``"exact"`` (bit-exact across engines) or ``"fast"``
-            (float32 + fused draws, vectorized only, statistically
-            gated).
     """
 
     samples: tuple[ProcessSample, ...]
@@ -195,7 +193,6 @@ class DieTask:
     n_fft: int = 4096
     calibrate: bool = False
     calibration_samples_per_code: int = 8
-    precision: str = "exact"
 
     def __post_init__(self) -> None:
         if not self.samples:
@@ -221,11 +218,6 @@ def measure_die(task: DieTask) -> tuple[DieMetrics, ...]:
     on the die's reserved calibration stream) and the screens measure
     the calibrated reconstruction.
     """
-    if task.precision != "exact":
-        raise ConfigurationError(
-            "the per-die path is exact-only; run precision="
-            f"'{task.precision}' screens on the vectorized engine"
-        )
     return tuple(_measure_one_die(task, die) for die in task.samples)
 
 
@@ -259,23 +251,24 @@ def _measure_one_die(task: DieTask, die: ProcessSample) -> DieMetrics:
 
 @profile_step("task", "measure-die-chunk")
 def measure_die_chunk(task: DieTask) -> tuple[DieMetrics, ...]:
-    """Measure a chunk of dies in one die-batched pass.
+    """Measure a chunk of dies with batched analysis.
 
-    One :class:`~repro.core.adc_array.AdcArray` converts the whole
-    chunk — tone capture and linearity ramp — then batched FFTs and
+    One :class:`~repro.core.adc_array.AdcArray` converts the chunk's
+    tone capture and linearity ramp die by die, then batched FFTs and
     batched code-density histograms produce the per-die metrics.  Each
     die's output codes are bit-exact with :func:`measure_die` on the
     same die, because every die draws from its own seed-derived noise
     streams regardless of the chunking.  With ``task.calibrate`` the
     whole chunk is foreground-calibrated first —
     :class:`~repro.core.calibration.GainCalibrationArray` captures the
-    calibration ramp for every die in one batched pass and the screens
+    calibration ramp for every die and fits all dies in one stacked
+    solve, and the screens
     measure the calibrated reconstruction, die-for-die equivalent to
     the serial calibration in :func:`measure_die`.
     """
     config = task.config
     rate = task.spec.conversion_rate
-    adc = AdcArray(config, rate, task.samples, precision=task.precision)
+    adc = AdcArray(config, rate, task.samples)
     calibration = None
     if task.calibrate:
         calibration = GainCalibrationArray(
@@ -291,16 +284,13 @@ def measure_die_chunk(task: DieTask) -> tuple[DieMetrics, ...]:
     )
     spectra = code_analyzer(config).analyze_batch(tone_codes, rate)
     ramp = linearity_ramp(config, RAMP_SAMPLES_PER_CODE)
-    # The long ramp record is converted die by die in either tier: at
-    # 16+ samples per code the (dies, samples) working set would thrash
-    # the cache, while the per-die rows are bit-exact with the blocked
-    # path (each die draws only from its own seed-derived stream, and
-    # the stage arithmetic is elementwise).  The code-density
+    # Each die's long ramp is reduced to its output codes before the
+    # next die converts, so only one die's per-stage decisions (16+
+    # samples per code) are alive at a time.  The code-density
     # histograms are then built in one batched bincount pass.
-    fast = task.precision == "fast"
 
     def ramp_row(index: int, die: PipelineAdc) -> np.ndarray:
-        result = die.convert_samples(ramp, fast=fast)
+        result = die.convert_samples(ramp)
         if calibration is None:
             return result.codes
         return calibration.reconstruct_die(
@@ -330,15 +320,12 @@ class YieldReport:
             "vectorized"); per-die metrics are engine-independent.
         calibrated: whether the dies were foreground-calibrated before
             screening (extension beyond the paper).
-        precision: the tier the dies were measured at (``"fast"`` is
-            statistically — not bitwise — equivalent to ``"exact"``).
     """
 
     batch: BatchResult
     spec: YieldSpec
     engine: str = "pool"
     calibrated: bool = False
-    precision: str = "exact"
 
     @property
     def dies(self) -> list[DieMetrics]:
@@ -438,9 +425,8 @@ class YieldReport:
                 f"{failure.error_type}: {failure.error}"
             )
         calibration = " foreground-calibrated," if self.calibrated else ""
-        tier = " fast-precision," if self.precision == "fast" else ""
         lines.append(
-            f"batch: {self.engine} engine,{calibration}{tier} "
+            f"batch: {self.engine} engine,{calibration} "
             f"{self.batch.workers} worker(s), "
             f"chunk size {self.batch.chunk_size}, {self.batch.elapsed_s:.2f} s"
         )
@@ -450,7 +436,6 @@ class YieldReport:
         document = self.batch.to_dict()
         document["engine"] = self.engine
         document["calibrated"] = self.calibrated
-        document["precision"] = self.precision
         document["spec"] = json_safe(self.spec)
         document["yield"] = {
             "n_dies": self.n_dies,
@@ -483,7 +468,6 @@ def run_yield_analysis(
     engine: str = "pool",
     calibrate: bool = False,
     calibration_samples_per_code: int = 8,
-    precision: str = "exact",
     die_chunk: int | None = None,
     workers: int | None = 1,
     chunk_size: int | None = None,
@@ -504,10 +488,6 @@ def run_yield_analysis(
             engines (the vectorized engine calibrates whole chunks in
             one batched capture).
         calibration_samples_per_code: calibration-ramp density.
-        precision: ``"exact"`` (default, bit-exact across engines) or
-            ``"fast"`` — the vectorized-only float32 + fused-draw tier,
-            statistically equivalent within the documented ENOB/SNDR
-            tolerance.
         seed_strategy: ``"stream"`` draws dies from one sequential
             generator (bit-compatible with the legacy serial loops);
             ``"spawn"`` derives each die from its own
@@ -529,7 +509,6 @@ def run_yield_analysis(
     dispatch = EngineDispatch(
         engine=engine,
         chunk=die_chunk,
-        precision=precision,
         workers=workers,
         chunk_size=chunk_size,
     )
@@ -553,7 +532,6 @@ def run_yield_analysis(
             n_fft=n_fft,
             calibrate=calibrate,
             calibration_samples_per_code=calibration_samples_per_code,
-            precision=precision,
         )
 
     batch = dispatch.run(
@@ -569,5 +547,4 @@ def run_yield_analysis(
         spec=spec,
         engine=engine,
         calibrated=calibrate,
-        precision=precision,
     )

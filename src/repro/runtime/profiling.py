@@ -67,7 +67,7 @@ WORKLOADS = ("dynamic-screen", "yield-screen", "pvt-campaign")
 
 #: The engine columns of a profile report.  ``serial`` is the per-die
 #: path (``engine="pool"`` with one worker); ``vectorized`` is the
-#: die-batched :class:`~repro.core.adc_array.AdcArray` path.
+#: :class:`~repro.core.adc_array.AdcArray` path with batched analysis.
 ENGINES = ("serial", "vectorized")
 
 #: The root stage every profiled engine run is wrapped in.

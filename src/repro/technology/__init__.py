@@ -17,17 +17,8 @@ Exports the pieces the device and circuit layers build on:
 """
 
 from repro.technology.capacitor import CapacitorMismatchModel, MetalCapacitor
-from repro.technology.corners import (
-    Corner,
-    OperatingPoint,
-    OperatingPointArray,
-    pvt_grid,
-)
-from repro.technology.montecarlo import (
-    MonteCarloSampler,
-    ProcessSample,
-    ProcessSampleArray,
-)
+from repro.technology.corners import Corner, OperatingPoint, pvt_grid
+from repro.technology.montecarlo import MonteCarloSampler, ProcessSample
 from repro.technology.mosfet import Mosfet, MosPolarity
 from repro.technology.process import Technology
 
@@ -39,9 +30,7 @@ __all__ = [
     "Mosfet",
     "MosPolarity",
     "OperatingPoint",
-    "OperatingPointArray",
     "ProcessSample",
-    "ProcessSampleArray",
     "Technology",
     "pvt_grid",
 ]

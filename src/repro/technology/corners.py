@@ -15,8 +15,6 @@ import enum
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from repro.errors import ConfigurationError
 from repro.technology.process import Technology
 from repro.units import celsius_to_kelvin
@@ -143,76 +141,6 @@ class OperatingPoint:
             self.temperature_k - celsius_to_kelvin(27.0)
         )
         return self.cap_scale * temp_factor
-
-
-class OperatingPointArray:
-    """Column-stacked PVT context for a die population.
-
-    Implements the slice of the :class:`OperatingPoint` interface the
-    die-batched conversion chain consumes — per-die noise temperature
-    and capacitance scale — as (dies, 1) columns so device expressions
-    broadcast against (dies, samples) sample blocks.  The rows need not
-    share a corner or temperature: a (points x dies) PVT campaign
-    flattens its whole grid into one array and converts it in one
-    vectorized pass.  The full points stay reachable through
-    :meth:`__getitem__` for anything outside the hot path.
-    """
-
-    def __init__(self, points: Iterable[OperatingPoint]):
-        self.points: tuple[OperatingPoint, ...] = tuple(points)
-        if not self.points:
-            raise ConfigurationError(
-                "OperatingPointArray needs at least one die"
-            )
-        self._temperature_k = np.array(
-            [[p.temperature_k] for p in self.points]
-        )
-        self._capacitance_scale = np.array(
-            [[p.capacitance_scale()] for p in self.points]
-        )
-
-    @classmethod
-    def from_grid(
-        cls,
-        technology: Technology | None = None,
-        corners: Iterable[Corner] = tuple(Corner),
-        temperatures_c: Iterable[float] = (27.0,),
-        supply_scale: float = 1.0,
-    ) -> "OperatingPointArray":
-        """The corners x temperatures cross product, corner-major.
-
-        Row ``p * len(temperatures) + t`` is corner *p* at temperature
-        *t* — the cell order every campaign consumer (ledger, sign-off
-        tables) relies on.
-        """
-        return cls(
-            pvt_grid(
-                technology=technology,
-                corners=corners,
-                temperatures_c=temperatures_c,
-                supply_scale=supply_scale,
-            )
-        )
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __getitem__(self, index: int) -> OperatingPoint:
-        return self.points[index]
-
-    @property
-    def corners(self) -> tuple[Corner, ...]:
-        """Per-die process corners, in row order."""
-        return tuple(p.corner for p in self.points)
-
-    @property
-    def temperature_k(self) -> np.ndarray:
-        """Per-die junction temperatures [K], shape (dies, 1)."""
-        return self._temperature_k
-
-    def capacitance_scale(self) -> np.ndarray:
-        """Per-die absolute-capacitance multipliers, shape (dies, 1)."""
-        return self._capacitance_scale
 
 
 def nominal_operating_point(technology: Technology | None = None) -> OperatingPoint:

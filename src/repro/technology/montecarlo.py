@@ -10,13 +10,11 @@ consumes.  :class:`MonteCarloSampler` produces those as
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.streams import shared_value
 from repro.technology.capacitor import CapacitorMismatchModel
 from repro.technology.corners import Corner, OperatingPoint
 from repro.technology.process import Technology
@@ -40,132 +38,6 @@ class ProcessSample:
     def rng(self) -> np.random.Generator:
         """Fresh generator for this die's local-mismatch draws."""
         return np.random.default_rng(self.seed)
-
-
-@dataclass(frozen=True)
-class ProcessSampleArray:
-    """A die population as parameter arrays with a leading die axis.
-
-    The stacked counterpart of a ``list[ProcessSample]``: the PVT draws
-    (corner, temperature, supply, capacitor scale) and the per-die
-    mismatch seeds live in flat arrays so population-scale consumers —
-    :class:`repro.core.adc_array.AdcArray`, summary statistics, JSON
-    artifacts — never loop over record objects.  Indexing and iteration
-    reconstruct per-die :class:`ProcessSample` records, so the stacked
-    and listed forms are interchangeable.
-
-    Attributes:
-        technology: shared process parameter set.
-        corners: per-die corner, length D.
-        temperature_c: per-die junction temperatures [Celsius], (D,).
-        supply_scale: per-die supply multipliers, (D,).
-        cap_scale: per-die absolute-capacitance multipliers, (D,).
-        seeds: per-die local-mismatch seeds, (D,).
-        indices: per-die positions in the Monte Carlo batch, (D,).
-    """
-
-    technology: Technology
-    corners: tuple[Corner, ...]
-    temperature_c: np.ndarray
-    supply_scale: np.ndarray
-    cap_scale: np.ndarray
-    seeds: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        n = len(self.corners)
-        if n == 0:
-            raise ConfigurationError("die population must not be empty")
-        for name in ("temperature_c", "supply_scale", "cap_scale", "seeds", "indices"):
-            if getattr(self, name).shape != (n,):
-                raise ConfigurationError(
-                    f"{name} must have one entry per die ({n})"
-                )
-
-    @classmethod
-    def from_samples(
-        cls, samples: Sequence[ProcessSample]
-    ) -> "ProcessSampleArray":
-        """Stack per-die records (all sharing one technology)."""
-        if not samples:
-            raise ConfigurationError("die population must not be empty")
-        technology = shared_value(
-            (s.operating_point.technology for s in samples), "technology"
-        )
-        return cls(
-            technology=technology,
-            corners=tuple(s.operating_point.corner for s in samples),
-            temperature_c=np.array(
-                [s.operating_point.temperature_c for s in samples]
-            ),
-            supply_scale=np.array(
-                [s.operating_point.supply_scale for s in samples]
-            ),
-            cap_scale=np.array(
-                [s.operating_point.cap_scale for s in samples]
-            ),
-            seeds=np.array([s.seed for s in samples], dtype=np.int64),
-            indices=np.array([s.index for s in samples], dtype=np.int64),
-        )
-
-    def __len__(self) -> int:
-        return len(self.corners)
-
-    def __getitem__(self, index: int) -> ProcessSample:
-        return ProcessSample(
-            operating_point=OperatingPoint(
-                technology=self.technology,
-                corner=self.corners[index],
-                temperature_c=float(self.temperature_c[index]),
-                supply_scale=float(self.supply_scale[index]),
-                cap_scale=float(self.cap_scale[index]),
-            ),
-            seed=int(self.seeds[index]),
-            index=int(self.indices[index]),
-        )
-
-    def __iter__(self) -> Iterator[ProcessSample]:
-        for index in range(len(self)):
-            yield self[index]
-
-    @classmethod
-    def from_grid(
-        cls,
-        points: Sequence[OperatingPoint],
-        die_seeds: Sequence[int],
-    ) -> "ProcessSampleArray":
-        """The (points x dies) campaign population, point-major.
-
-        Cell ``p * len(die_seeds) + d`` is operating point *p* measured
-        on the die with seed ``die_seeds[d]`` — the same physical die
-        (identical mismatch draws and noise streams) re-characterized at
-        every operating point, which is exactly what a PVT sign-off
-        sweep does on the bench.
-        """
-        if not points:
-            raise ConfigurationError("campaign grid needs operating points")
-        if not die_seeds:
-            raise ConfigurationError("campaign grid needs die seeds")
-        technology = shared_value(
-            (p.technology for p in points), "technology"
-        )
-        n_dies = len(die_seeds)
-        return cls(
-            technology=technology,
-            corners=tuple(p.corner for p in points for _ in die_seeds),
-            temperature_c=np.repeat(
-                [p.temperature_c for p in points], n_dies
-            ),
-            supply_scale=np.repeat(
-                [p.supply_scale for p in points], n_dies
-            ),
-            cap_scale=np.repeat([p.cap_scale for p in points], n_dies),
-            # Campaign die seeds are SeedSequence-spawned 64-bit words,
-            # which exceed the int64 range the sampler's own seeds
-            # (drawn below 2^63) stay inside.
-            seeds=np.tile(np.asarray(die_seeds, dtype=np.uint64), len(points)),
-            indices=np.arange(len(points) * n_dies, dtype=np.int64),
-        )
 
 
 @dataclass(frozen=True)
@@ -231,25 +103,6 @@ class MonteCarloSampler:
             self._sample_one(index, np.random.default_rng(child))
             for index, child in enumerate(children)
         ]
-
-    def sample_stacked(
-        self, count: int, rng: np.random.Generator
-    ) -> ProcessSampleArray:
-        """Draw ``count`` dies as stacked parameter arrays.
-
-        Bit-compatible with :meth:`sample`: the draw order — and hence
-        every die realization — is identical; only the container shape
-        differs (a leading die axis instead of one record per die).
-        """
-        return ProcessSampleArray.from_samples(self.sample(count, rng))
-
-    def sample_spawned_stacked(
-        self, count: int, root_seed: int
-    ) -> ProcessSampleArray:
-        """Stacked form of :meth:`sample_spawned` (partition-invariant)."""
-        return ProcessSampleArray.from_samples(
-            self.sample_spawned(count, root_seed)
-        )
 
     def _sample_one(self, index: int, rng: np.random.Generator) -> ProcessSample:
         """One die from ``rng``; draw order is part of the replay contract."""

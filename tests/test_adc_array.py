@@ -1,9 +1,9 @@
-"""Tests for the die-batched engine stack.
+"""Tests for the die-batched engine.
 
 The load-bearing contract: die *d* of any batch is bit-exact with the
 same die simulated alone, regardless of die chunking, worker count or
-execution engine.  Everything else (stacked draws, batched evaluation,
-input validation) hangs off that.
+execution engine.  Everything else (batched evaluation, input
+validation) hangs off that.
 """
 
 import numpy as np
@@ -14,6 +14,7 @@ from repro.core.adc_array import AdcArray
 from repro.core.correction import DigitalCorrection
 from repro.errors import ConfigurationError
 from repro.evaluation.testbench import DynamicTestbench, StaticTestbench
+from repro.native import chain as native_chain
 from repro.runtime.montecarlo import (
     DieTask,
     default_sampler,
@@ -26,16 +27,12 @@ from repro.signal.generators import SineGenerator
 from repro.signal.linearity import ramp_linearity
 from repro.signal.spectrum import SpectrumAnalyzer
 from repro.streams import (
+    CALIBRATION_NOISE_STREAM,
     CONVERT_NOISE_STREAM,
     SAMPLES_NOISE_STREAM,
-    DieStreams,
     noise_generator,
-    normal_at,
     normal_pair,
-    random_at,
 )
-from repro.technology.corners import OperatingPointArray
-from repro.technology.montecarlo import MonteCarloSampler, ProcessSampleArray
 
 
 @pytest.fixture(scope="module")
@@ -72,57 +69,10 @@ class TestStreams:
         samples = noise_generator(42, SAMPLES_NOISE_STREAM).normal(size=8)
         assert not np.array_equal(convert, samples)
 
-    def test_die_streams_match_per_die_generators(self):
-        seeds = [3, 5, 9]
-        streams = DieStreams.for_noise(seeds, CONVERT_NOISE_STREAM)
-        block = streams.normal(0.0, 2.0, size=16)
-        for die, seed in enumerate(seeds):
-            solo = noise_generator(seed, CONVERT_NOISE_STREAM)
-            assert np.array_equal(block[die], solo.normal(0.0, 2.0, size=16))
-
-    def test_normal_at_draws_only_selected_positions(self):
-        """Each die draws one value per selected position of its own row,
-        in flat order, and a die with no selected position draws none."""
-        streams = DieStreams.for_noise([1, 2, 3], CONVERT_NOISE_STREAM)
-        mask = np.array(
-            [[True, False, True], [False, False, False], [False, True, False]]
-        )
-        values = normal_at(streams, np.flatnonzero(mask), mask.shape, 2.0)
-        die0 = noise_generator(1, CONVERT_NOISE_STREAM).normal(0.0, 2.0, 2)
-        die2 = noise_generator(3, CONVERT_NOISE_STREAM).normal(0.0, 2.0, 1)
-        assert np.array_equal(values, np.concatenate([die0, die2]))
-        untouched = noise_generator(2, CONVERT_NOISE_STREAM)
-        assert (
-            streams.generator(1).bit_generator.state
-            == untouched.bit_generator.state
-        )
-
-    def test_random_at_matches_plain_generator_per_row(self):
-        streams = DieStreams.for_noise([4, 5], CONVERT_NOISE_STREAM)
-        mask = np.array([[False, True, True, True], [True, False, False, True]])
-        values = random_at(streams, np.flatnonzero(mask), mask.shape)
-        rows = [
-            random_at(
-                noise_generator(seed, CONVERT_NOISE_STREAM),
-                np.flatnonzero(row),
-                row.shape,
-            )
-            for seed, row in zip((4, 5), mask)
-        ]
-        assert np.array_equal(values, np.concatenate(rows))
-
-    def test_shape_validation(self):
-        streams = DieStreams.for_noise([1, 2], CONVERT_NOISE_STREAM)
-        with pytest.raises(ConfigurationError):
-            streams.normal(size=(3, 4))
-        with pytest.raises(ConfigurationError):
-            random_at(streams, np.arange(0), (3, 4))
-
     def test_normal_pair_matches_sequential_draws(self):
         """One fused 2n draw == two consecutive n draws, bit for bit."""
-        seeds = [3, 5]
-        fused = DieStreams.for_noise(seeds, CONVERT_NOISE_STREAM)
-        sequential = DieStreams.for_noise(seeds, CONVERT_NOISE_STREAM)
+        fused = noise_generator(3, CONVERT_NOISE_STREAM)
+        sequential = noise_generator(3, CONVERT_NOISE_STREAM)
         pair_a, pair_b = normal_pair(fused, 0.5, 2.0, (2, 16))
         assert np.array_equal(pair_a, sequential.normal(0.0, 0.5, (2, 16)))
         assert np.array_equal(pair_b, sequential.normal(0.0, 2.0, (2, 16)))
@@ -149,32 +99,15 @@ class TestStackedConstruction:
     def test_stacked_parameters_match_per_die(self, adc_array, solo_adcs):
         for die, solo in enumerate(solo_adcs):
             for i, stage in enumerate(solo.stages):
+                assert adc_array.ratio_errors[die, i] == stage.mdac.ratio_error
                 assert (
-                    adc_array.stages[i].mdac.ratio_error[die, 0]
-                    == stage.mdac.ratio_error
-                )
-                assert (
-                    adc_array.stages[i].subadc.offsets[0][die, 0]
+                    adc_array.comparator_offsets[die, i, 0]
                     == stage.subadc.offsets[0]
                 )
-
-    def test_accepts_stacked_samples(self, paper_config, die_population):
-        stacked = ProcessSampleArray.from_samples(die_population)
-        array = AdcArray(paper_config, 110e6, stacked)
-        assert array.seeds == [die.seed for die in die_population]
 
     def test_rejects_empty_population(self, paper_config):
         with pytest.raises(ConfigurationError):
             AdcArray(paper_config, 110e6, [])
-
-    def test_operating_point_array(self, die_population):
-        points = OperatingPointArray(
-            die.operating_point for die in die_population
-        )
-        assert len(points) == 3
-        assert points.temperature_k.shape == (3, 1)
-        assert points.capacitance_scale().shape == (3, 1)
-        assert points[1] == die_population[1].operating_point
 
 
 class TestBitExactness:
@@ -192,13 +125,23 @@ class TestBitExactness:
                 batch.sample_times[die], result.sample_times
             )
 
-    def test_convert_samples_matches_per_die(self, adc_array, solo_adcs):
+    def test_convert_samples_matches_per_die(
+        self, adc_array, solo_adcs, paper_config
+    ):
         ramp = np.linspace(-1.02, 1.02, 4096)
         batch = adc_array.convert_samples(ramp)
         for die, solo in enumerate(solo_adcs):
             assert np.array_equal(
                 batch.codes[die], solo.convert_samples(ramp).codes
             )
+        # The stage codes are a (dies, samples, n_stages) view of a
+        # stage-major buffer, and they combine to the output words.
+        correction = DigitalCorrection(paper_config.n_stages, paper_config.flash_bits)
+        assert batch.stage_codes.strides[1] == batch.stage_codes.itemsize
+        words = correction.combine(
+            np.ascontiguousarray(batch.stage_codes), batch.flash_codes
+        )
+        assert np.array_equal(words, batch.codes)
 
     def test_batch_size_invariance(self, paper_config, die_population):
         """A die's codes do not depend on which batch it sits in."""
@@ -237,42 +180,6 @@ class TestBitExactness:
             assert np.array_equal(
                 batch.codes[die], solo.convert(tone, 128).codes
             )
-
-    def test_record_threshold_both_sides_bit_exact(
-        self, paper_config, die_population
-    ):
-        """The per-die fallback and the blocked path agree bitwise.
-
-        ``per_die_record_threshold`` only picks the execution strategy:
-        a 512-sample record runs blocked under a high threshold and
-        per-die under a low one, and the codes must not notice.
-        """
-        import dataclasses
-
-        ramp = np.linspace(-1.02, 1.02, 512)
-        blocked = AdcArray(
-            dataclasses.replace(
-                paper_config, per_die_record_threshold=100_000
-            ),
-            110e6,
-            die_population,
-        ).convert_samples(ramp)
-        per_die = AdcArray(
-            dataclasses.replace(paper_config, per_die_record_threshold=64),
-            110e6,
-            die_population,
-        ).convert_samples(ramp)
-        assert np.array_equal(blocked.codes, per_die.codes)
-        assert np.array_equal(blocked.stage_codes, per_die.stage_codes)
-        # Both execution orders expose a stage-major buffer whose
-        # (dies, samples, n_stages) view combines to the output words.
-        correction = DigitalCorrection(paper_config.n_stages, paper_config.flash_bits)
-        for result in (blocked, per_die):
-            assert result.stage_codes.strides[1] == result.stage_codes.itemsize
-            words = correction.combine(
-                np.ascontiguousarray(result.stage_codes), result.flash_codes
-            )
-            assert np.array_equal(words, result.codes)
 
     def test_die_view(self, adc_array):
         tone = SineGenerator.coherent(10e6, 110e6, 128, amplitude=0.9)
@@ -320,27 +227,38 @@ class TestConvertSamplesValidation:
         )
 
 
-class TestStackedSampler:
-    def test_sample_stacked_matches_sample(self, technology):
-        sampler = MonteCarloSampler(technology=technology)
-        listed = sampler.sample(5, np.random.default_rng(3))
-        stacked = sampler.sample_stacked(5, np.random.default_rng(3))
-        assert len(stacked) == 5
-        assert list(stacked) == listed
+@pytest.mark.skipif(
+    native_chain.kernel() is None, reason=native_chain.status()
+)
+class TestCompiledChain:
+    """Every die-batched block, short or long, converts on the compiled chain."""
 
-    def test_sample_spawned_stacked_partition_invariant(self, technology):
-        sampler = MonteCarloSampler(technology=technology)
-        assert (
-            list(sampler.sample_spawned_stacked(6, 17))[:3]
-            == sampler.sample_spawned(3, 17)
-        )
+    @pytest.mark.parametrize(
+        ("n_dies", "n_samples", "capture"),
+        [(1, 512, "tone"), (2, 512, "tone"), (3, 8192, "calibration")],
+    )
+    def test_one_chain_call_per_die_per_stage(
+        self, paper_config, die_population, monkeypatch, n_dies, n_samples, capture
+    ):
+        calls = []
+        stage = native_chain.stage
 
-    def test_round_trip(self, technology):
-        sampler = MonteCarloSampler(technology=technology)
-        listed = sampler.sample(4, np.random.default_rng(9))
-        stacked = ProcessSampleArray.from_samples(listed)
-        assert stacked[2] == listed[2]
-        assert stacked.seeds.shape == (4,)
+        def counting_stage(*args):
+            calls.append(args[2].shape)
+            return stage(*args)
+
+        monkeypatch.setattr(native_chain, "stage", counting_stage)
+        array = AdcArray(paper_config, 110e6, die_population[:n_dies])
+        if capture == "tone":
+            tone = SineGenerator.coherent(10e6, 110e6, n_samples, amplitude=0.995)
+            array.convert(tone, n_samples)
+        else:
+            ramp = np.linspace(-1.02, 1.02, n_samples)
+            array.convert_samples(ramp, stream=CALIBRATION_NOISE_STREAM)
+        skip = DigitalCorrection(
+            paper_config.n_stages, paper_config.flash_bits
+        ).latency_cycles
+        assert calls == [(n_samples + skip,)] * (n_dies * paper_config.n_stages)
 
 
 class TestBatchedEvaluation:

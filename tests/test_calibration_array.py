@@ -1,9 +1,8 @@
 """Tests for the die-batched calibration subsystem.
 
-ISSUE acceptance: :class:`GainCalibrationArray` weights and calibrated
-codes match per-die :class:`GainCalibration` within 1e-9 per die under
-matched ``DieStreams`` seeds, and the calibrated yield screen is
-engine-independent.
+:class:`GainCalibrationArray` weights and calibrated codes match
+per-die :class:`GainCalibration` within 1e-9 per die under matched die
+seeds, and the calibrated yield screen is engine-independent.
 """
 
 import numpy as np

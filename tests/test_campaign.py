@@ -28,8 +28,8 @@ from repro.runtime.campaign import (
 )
 from repro.runtime.shards import merge_campaign_ledgers
 from repro.signal.generators import SineGenerator
-from repro.technology.corners import Corner, OperatingPointArray, pvt_grid
-from repro.technology.montecarlo import ProcessSampleArray
+from repro.technology.corners import Corner, pvt_grid
+from repro.technology.montecarlo import ProcessSample
 
 
 SMALL = dict(
@@ -71,49 +71,20 @@ class TestGridPlanning:
         with pytest.raises(ConfigurationError):
             pvt_grid(technology=technology, temperatures_c=())
 
-    def test_operating_point_array_from_grid(self, technology):
-        points = OperatingPointArray.from_grid(
-            technology=technology,
-            corners=(Corner.SS,),
-            temperatures_c=(27.0, 125.0),
-        )
-        assert len(points) == 2
-        assert points.corners == (Corner.SS, Corner.SS)
-        assert points.temperature_k.shape == (2, 1)
-
-    def test_sample_array_from_grid_is_point_major(self, technology):
-        points = pvt_grid(
-            technology=technology,
-            corners=(Corner.TT, Corner.SS),
-            temperatures_c=(27.0,),
-        )
-        stacked = ProcessSampleArray.from_grid(points, [7, 8])
-        assert len(stacked) == 4
-        assert [s.seed for s in stacked] == [7, 8, 7, 8]
-        assert [s.operating_point.corner for s in stacked] == [
-            Corner.TT,
-            Corner.TT,
-            Corner.SS,
-            Corner.SS,
-        ]
-        assert [s.index for s in stacked] == [0, 1, 2, 3]
-
     def test_cells_match_stacked_grid_population(
         self, small_spec, paper_config
     ):
-        """CampaignSpec and the stacked constructors share one order."""
+        """The cells are the (points x dies) population, point-major."""
         points = small_spec.points(paper_config.technology)
-        stacked = ProcessSampleArray.from_grid(
-            points, list(small_spec.resolved_die_seeds())
-        )
-        assert len(stacked) == small_spec.n_cells
-        for cell, sample in zip(small_spec.cells(), stacked):
-            assert cell.index == sample.index
-            assert cell.die_seed == sample.seed
-            assert (
-                cell.operating_point(paper_config.technology)
-                == sample.operating_point
-            )
+        seeds = small_spec.resolved_die_seeds()
+        cells = small_spec.cells()
+        assert len(cells) == len(points) * len(seeds)
+        for cell in cells:
+            point, die = divmod(cell.index, len(seeds))
+            sample = cell.process_sample(paper_config.technology)
+            assert sample.index == cell.index
+            assert sample.seed == cell.die_seed == seeds[die]
+            assert sample.operating_point == points[point]
 
     def test_spec_cells_cover_grid(self, small_spec):
         cells = small_spec.cells()
@@ -147,7 +118,11 @@ class TestCornerBatchedEquivalence:
             corners=(Corner.TT, Corner.SS),
             temperatures_c=(-40.0, 125.0),
         )
-        stacked = ProcessSampleArray.from_grid(points, [3, 11])
+        grid = [(point, seed) for point in points for seed in (3, 11)]
+        stacked = [
+            ProcessSample(operating_point=point, seed=seed, index=index)
+            for index, (point, seed) in enumerate(grid)
+        ]
         array = AdcArray(paper_config, 110e6, stacked)
         tone = SineGenerator.coherent(10e6, 110e6, 256, amplitude=0.995)
         batch = array.convert(tone, 256)
@@ -320,6 +295,17 @@ class TestLedgerResume:
         other = CampaignSpec(**{**SMALL, "n_samples": 1024})
         with pytest.raises(ConfigurationError):
             run_campaign(other, ledger_path=ledger, resume=True)
+        # A ledger written while the spec still carried a precision tier
+        # (its fingerprint holds the retired spec.precision) is refused
+        # too: the resume raises before it splices a single new cell.
+        header, *records = ledger.read_text().splitlines()
+        document = json.loads(header)
+        document["fingerprint"]["spec"]["precision"] = "exact"
+        old = "\n".join([json.dumps(document), *records[:3]]) + "\n"
+        ledger.write_text(old)
+        with pytest.raises(ConfigurationError):
+            run_campaign(small_spec, ledger_path=ledger, resume=True)
+        assert ledger.read_text() == old
 
     def test_ledger_tolerates_torn_tail(self, small_spec, tmp_path):
         ledger = tmp_path / "run.jsonl"

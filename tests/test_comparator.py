@@ -10,7 +10,6 @@ from repro.devices.comparator import (
     build_comparator_bank,
 )
 from repro.errors import ConfigurationError
-from repro.streams import CONVERT_NOISE_STREAM, DieStreams, noise_generator
 
 
 def make(threshold=0.0, seed=0, **kwargs):
@@ -119,24 +118,6 @@ class TestSparseDraws:
         dense = dense_compare(comp, v, dense_rng)
         assert np.array_equal(sparse, dense)
         assert sparse_rng.bit_generator.state == dense_rng.bit_generator.state
-
-    def test_die_streams_match_dense_reference_per_die(self):
-        seeds = [3, 8, 13]
-        dies = [make(seed=seed, **self.PARAMETERS) for seed in seeds]
-        stacked = DynamicComparator.stack(dies)
-        v = self.inputs(len(seeds))
-        streams = DieStreams.for_noise(seeds, CONVERT_NOISE_STREAM)
-        sparse = stacked.compare(v, streams)
-        for die, (comp, seed) in enumerate(zip(dies, seeds)):
-            reference = noise_generator(seed, CONVERT_NOISE_STREAM)
-            # The widened window makes the uniform branch run.
-            metastable = np.abs(v[die] - comp.effective_threshold) < 1e-4
-            assert metastable.any()
-            assert np.array_equal(sparse[die], dense_compare(comp, v[die], reference))
-            assert (
-                streams.generator(die).bit_generator.state
-                == reference.bit_generator.state
-            )
 
 
 class TestBank:

@@ -55,11 +55,6 @@ class TestAdcConfig:
         with pytest.raises(ConfigurationError):
             AdcConfig(scaling=ScalingPlan.paper(8))
 
-    def test_rejects_bad_record_threshold(self):
-        with pytest.raises(ConfigurationError):
-            AdcConfig(per_die_record_threshold=0)
-        assert AdcConfig(per_die_record_threshold=1).per_die_record_threshold == 1
-
     def test_stage_configs_follow_plan(self, paper_config):
         stages = paper_config.stage_configs()
         assert len(stages) == 10

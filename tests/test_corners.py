@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.technology.corners import (
     Corner,
     OperatingPoint,
-    OperatingPointArray,
     all_corners,
     nominal_operating_point,
     pvt_grid,
@@ -94,17 +93,3 @@ class TestOperatingPoint:
             supply_scale=0.9,
         )
         assert point.supply_scale == 0.9
-
-    def test_grid_array_matches_grid(self, technology):
-        array = OperatingPointArray.from_grid(
-            technology=technology,
-            corners=(Corner.SS, Corner.FF),
-            temperatures_c=(27.0, 125.0),
-        )
-        points = pvt_grid(
-            technology=technology,
-            corners=(Corner.SS, Corner.FF),
-            temperatures_c=(27.0, 125.0),
-        )
-        assert list(array.points) == points
-        assert array.corners == tuple(p.corner for p in points)

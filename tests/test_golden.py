@@ -1,4 +1,4 @@
-"""The golden matrix: committed digests of what the exact and fast tiers compute.
+"""The golden matrix: committed digests of what the converter computes.
 
 Every other bit-exactness test in the suite is relative (engine against
 engine, compiled against numpy, resume against a straight run), so a
@@ -8,13 +8,15 @@ digests of the output codes, the stage codes, the flash codes and the
 residue bytes each stage hands on (captured through
 ``PipelineStage.process``, in call order) with the digests committed in
 ``tests/golden/stage_chain.json``.  The residues catch a last-bit change
-that the codes absorb.
+that the codes absorb.  A vectorized cell converts its dies one at a
+time, so its residue list holds each die's stages in turn.
 
-The matrix is serial/vectorized x exact/fast x {paper default, one PVT
-corner} x {110, 160 MS/s}, plus a calibrated capture (whose weights go
-through BLAS) and a slew-heavy 200 MS/s conversion.  Every cell runs
-with the compiled stage chain (:mod:`repro.native.chain`) serving and
-with it forced off.
+The matrix is serial/vectorized x {paper default, one PVT corner} x
+{110, 160 MS/s}, plus a calibrated capture (whose weights go through
+BLAS) and a slew-heavy 200 MS/s conversion.  Every cell runs with the
+compiled stage chain (:mod:`repro.native.chain`) serving and with it
+forced off.  Cell names carry ``exact``: every conversion is the
+bit-exact one.
 
 Residue bits depend on numpy's transcendental dispatch (``np.exp`` on an
 AVX-512 host disagrees with libm's on about 5% of arguments) and on the
@@ -86,7 +88,7 @@ def _operating_point(config: AdcConfig, corner: str) -> OperatingPoint:
     )
 
 
-def _convert(engine: str, precision: str, corner: str, rate: str):
+def _convert(engine: str, corner: str, rate: str):
     """One matrix cell's conversion."""
     config = AdcConfig.paper_default()
     point = _operating_point(config, corner)
@@ -97,12 +99,8 @@ def _convert(engine: str, precision: str, corner: str, rate: str):
             ProcessSample(operating_point=point, seed=seed, index=index)
             for index, seed in enumerate(DIE_SEEDS)
         ]
-        array = AdcArray(config, frequency, samples, precision=precision)
-        return array.convert(tone, N_SAMPLES)
+        return AdcArray(config, frequency, samples).convert(tone, N_SAMPLES)
     adc = PipelineAdc(config, frequency, operating_point=point, seed=DIE_SEEDS[0])
-    if precision == "fast":
-        held = tone.value(np.arange(N_SAMPLES) / frequency)
-        return adc.convert_samples(held, fast=True)
     return adc.convert(tone, N_SAMPLES)
 
 
@@ -115,18 +113,14 @@ def _calibrated():
 
 #: Matrix cell name -> (function, arguments).
 CASES = {
-    f"{engine}-{precision}-{corner}-{rate}": (
-        _convert,
-        (engine, precision, corner, rate),
-    )
+    f"{engine}-exact-{corner}-{rate}": (_convert, (engine, corner, rate))
     for engine in ("serial", "vectorized")
-    for precision in ("exact", "fast")
     for corner in CORNERS
     for rate in RATES
 }
 CASES["serial-exact-calibrated-110"] = (_calibrated, ())
 #: Slew-heavy: the settling window at 200 MS/s makes the early stages slew.
-CASES["serial-exact-tt27-200"] = (_convert, ("serial", "exact", "tt27", "200"))
+CASES["serial-exact-tt27-200"] = (_convert, ("serial", "tt27", "200"))
 
 
 def digests(case: str) -> dict:
@@ -175,7 +169,8 @@ def golden() -> dict:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_golden_digests(golden, case, chain, monkeypatch):
     if chain == "numpy":
-        monkeypatch.setattr(native_chain, "_loaded", (None, "numpy: forced"))
+        forced = (None, "numpy: forced")
+        monkeypatch.setattr(native_chain._kernel, "loaded", forced)
     expected = golden[case]
     found = digests(case)
     for field in expected:

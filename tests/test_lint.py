@@ -244,18 +244,22 @@ def test_fpr002_flags_undecided_field(tmp_path):
 
 
 def test_fingerprint_registries_partition_cleanly(tmp_path):
-    project = make_project(
-        tmp_path,
-        {
-            "src/repro/core/config.py": config_fixture(
-                """
-                FINGERPRINT_FIELDS = ("a", "c")
-                FINGERPRINT_EXCLUDED = {"b": "pure heuristic"}
-                """
-            ),
-        },
-    )
-    assert rules(fingerprint_checker.check(project)) == []
+    registries = {
+        "one-exclusion": """
+            FINGERPRINT_FIELDS = ("a", "c")
+            FINGERPRINT_EXCLUDED = {"b": "pure heuristic"}
+            """,
+        # The live config's form: every field fingerprinted.
+        "empty-exclusions": """
+            FINGERPRINT_FIELDS = ("a", "b", "c")
+            FINGERPRINT_EXCLUDED: dict[str, str] = {}
+            """,
+    }
+    for name, registry in registries.items():
+        project = make_project(
+            tmp_path / name, {"src/repro/core/config.py": config_fixture(registry)}
+        )
+        assert rules(fingerprint_checker.check(project)) == [], name
 
 
 def test_fpr001_flags_missing_registries(tmp_path):
@@ -289,7 +293,7 @@ def test_fpr006_fpr007_fingerprint_method_discipline(tmp_path):
         class CampaignSpec:
             def fingerprint(self, config):
                 d = dataclasses.asdict(config)
-                d.pop("per_die_record_threshold", None)
+                d.pop("b", None)
                 return d
         """
     project = make_project(
@@ -354,9 +358,6 @@ MDAC_FIXTURE = """
 
         def _build_caps(self):
             self.c1 = 1.0
-
-        def stack(self, others):
-            self.rows = others
 
         def transfer(self, v):
             self.last_input = v
@@ -429,10 +430,9 @@ def test_checker_registry_covers_all_five_invariants():
 def test_repo_lints_clean():
     report = run_lint(REPO_ROOT)
     assert report.clean, report.render()
-    # The committed exceptions are exactly the two Mdac memo slots.
-    assert sorted((f.rule, f.scope) for f, _ in report.suppressed) == [
+    # The one committed exception is the Mdac memo slot.
+    assert [(f.rule, f.scope) for f, _ in report.suppressed] == [
         ("PUR002", "Mdac._constants"),
-        ("PUR002", "Mdac._fast_constants"),
     ]
 
 

@@ -11,11 +11,14 @@ from __future__ import annotations
 
 import os
 import stat
+import threading
+import time
 
 import numpy as np
 import pytest
 
 from repro import streams
+from repro.native import chain as native_chain
 from repro.native import library
 from repro.native import normal as native_normal
 
@@ -187,7 +190,7 @@ class TestLoader:
     @needs_kernel
     def test_cold_cache_builds_loads_and_checks(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        function, status = native_normal._load()
+        function, status = native_normal._kernel.load()
         assert status == "native" and function is not None
         directory = library.cache_dir()
         assert stat.S_IMODE(os.stat(directory).st_mode) == 0o700
@@ -196,6 +199,33 @@ class TestLoader:
             library.library_name()
         ]
 
+    def test_threads_starting_at_once_load_once(self, monkeypatch):
+        """Both loaders share one locked load: racing first calls build,
+        open and check the library once and see one outcome."""
+        opened = []
+
+        def slow_open(path):
+            opened.append(path)
+            time.sleep(0.05)
+            return object()
+
+        monkeypatch.setattr(library, "build", lambda: "library-path")
+        kernel = library.Kernel(slow_open, lambda functions: None)
+        found = []
+        threads = [
+            threading.Thread(target=lambda: found.append(kernel.functions()))
+            for _ in range(6)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert opened == ["library-path"]
+        assert len(found) == 6 and len({id(f) for f in found}) == 1
+        assert kernel.status() == "native"
+        for module in (native_normal, native_chain):
+            assert isinstance(module._kernel, library.Kernel)
+
     def test_no_compiler_means_numpy(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         monkeypatch.setattr(
@@ -203,7 +233,7 @@ class TestLoader:
             "get_config_var",
             lambda name: "no-such-compiler-repro",
         )
-        function, status = native_normal._load()
+        function, status = native_normal._kernel.load()
         assert function is None
         assert status.startswith("numpy: no C compiler")
         assert list(library.cache_dir().iterdir()) == []

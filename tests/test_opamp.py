@@ -190,54 +190,6 @@ class TestSettleFastPath:
         assert np.array_equal(batch, singles)
 
 
-class TestStackedSettle:
-    """A die-stacked settle equals the per-die settles, bit for bit."""
-
-    @staticmethod
-    def bits(values):
-        return np.asarray(values, dtype=np.float64).view(np.int64)
-
-    def test_sparse_stacked_matches_per_die_rows(self):
-        opamps = [
-            TwoStageMillerOpamp(
-                OpampParameters(
-                    dc_gain=3600.0,
-                    unity_gain_bandwidth=gbw,
-                    slew_rate=slew,
-                    output_swing=1.25,
-                )
-            )
-            for gbw, slew in ((1.4e9, 2.2e9), (1.1e9, 1.5e9), (1.7e9, 3.0e9))
-        ]
-        stacked = TwoStageMillerOpamp.stack(opamps)
-        rng = np.random.default_rng(9)
-        targets = np.stack(
-            [
-                # No slewing sample at all.
-                rng.uniform(-0.05, 0.05, 64),
-                # Every sample slews; the largest are still slewing when
-                # the window closes.
-                rng.choice([-1.0, 1.0], 64) * rng.uniform(1.5, 5.0, 64),
-                # A few slewing samples among exponential ones.
-                np.concatenate(
-                    [rng.uniform(-0.05, 0.05, 56), rng.uniform(1.5, 5.0, 8)]
-                ),
-            ]
-        )
-        constants = stacked.settle_constants(1e-9, 0.4)
-        batch = stacked.settle(targets, 0.0, 1e-9, 0.4, constants=constants)
-        # The stacked call takes the sparse flat-index path.
-        assert 0.0 < batch.slewing_fraction <= 0.5
-        assert batch.incomplete_fraction > 0.0
-        for die, opamp in enumerate(opamps):
-            row = opamp.settle(targets[die], 0.0, 1e-9, 0.4)
-            assert np.array_equal(self.bits(batch.output[die]), self.bits(row.output))
-        rows = [o.settle(t, 0.0, 1e-9, 0.4) for o, t in zip(opamps, targets)]
-        assert rows[0].slewing_fraction == 0.0
-        assert rows[1].slewing_fraction == 1.0
-        assert 0.0 < rows[1].incomplete_fraction < 1.0
-
-
 class TestCompression:
     def test_identity_at_zero_compression(self):
         amp = TwoStageMillerOpamp(

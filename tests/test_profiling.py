@@ -174,21 +174,18 @@ class TestProfileWorkload:
         assert report.workload == "dynamic-screen"
         assert report.n_items == 2
         assert tuple(p.engine for p in report.engines) == ENGINES
-        # Serial records run on the compiled chain when it is loaded;
-        # short stacked blocks always run on numpy.
+        # Both engines convert die by die, on the compiled chain when it
+        # is loaded.
         native = native_chain.status() == "native"
-        rows = {
-            "serial": ("chain", "native") if native else ("mdac", "settle"),
-            "vectorized": ("mdac", "settle"),
-        }
+        row = ("chain", "native") if native else ("mdac", "settle")
         for profile in report.engines:
             assert profile.wall_s > 0
             # The engine stages show up under both engines, and the
             # partition never exceeds the run it partitions.
-            assert profile.stat(*rows[profile.engine]) is not None
+            assert profile.stat(*row) is not None
             assert 0 < profile.attributed_fraction() <= 1.0 + 1e-9
         rendered = report.render()
-        assert "mdac" in rendered and "noise-draw" in rendered
+        assert row[0] in rendered and "noise-draw" in rendered
         assert "attributed to named stages" in rendered
         assert f"stage chain: {native_chain.status()}" in rendered.splitlines()
 
