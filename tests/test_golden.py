@@ -4,18 +4,21 @@ Every other bit-exactness test in the suite is relative (engine against
 engine, compiled against numpy, resume against a straight run), so a
 change that moves every path together passes them all.  This one is
 absolute.  For a small matrix of conversions it compares SHA-256
-digests of the output codes, the stage codes, the flash codes and the
-residue bytes each stage hands on (captured through
-``PipelineStage.process``, in call order) with the digests committed in
-``tests/golden/stage_chain.json``.  The residues catch a last-bit change
-that the codes absorb.  A vectorized cell converts its dies one at a
-time, so its residue list holds each die's stages in turn.
+digests of the output codes, the stage codes, the flash codes, the
+held record the front end acquires (captured through
+``PipelineAdc._acquire``) and the residue bytes each stage hands on
+(captured through ``PipelineStage.process``), in call order, with the
+digests committed in ``tests/golden/stage_chain.json``.  The held and
+residue bytes catch a last-bit change that the codes absorb.  A
+vectorized cell converts its dies one at a time, so its held list holds
+one record per die and its residue list each die's stages in turn.
 
 The matrix is serial/vectorized x {paper default, one PVT corner} x
 {110, 160 MS/s}, plus a calibrated capture (whose weights go through
 BLAS) and a slew-heavy 200 MS/s conversion.  Every cell runs with the
 compiled stage chain (:mod:`repro.native.chain`) serving and with it
-forced off.  Cell names carry ``exact``: every conversion is the
+forced off; the compiled chain's library holds the front end's passes
+too, so that also switches the front end.  Cell names carry ``exact``: every conversion is the
 bit-exact one.
 
 Residue bits depend on numpy's transcendental dispatch (``np.exp`` on an
@@ -124,22 +127,27 @@ CASES["serial-exact-tt27-200"] = (_convert, ("serial", "tt27", "200"))
 
 
 def digests(case: str) -> dict:
-    """Digests of one cell's outputs and every stage's residues."""
+    """Digests of one cell's outputs, held records and stage residues."""
     function, arguments = CASES[case]
-    native_chain.kernel()  # its load-time self-check calls process too
-    original = PipelineStage.process
-    residues = []
+    native_chain.kernel()  # its load-time self-check converts too
+    original, original_acquire = PipelineStage.process, PipelineAdc._acquire
+    residues, held = [], []
 
     def process(self, *args, **kwargs):
         output = original(self, *args, **kwargs)
         residues.append(_sha(output.residues))
         return output
 
-    PipelineStage.process = process
+    def acquire(self, *args, **kwargs):
+        output = original_acquire(self, *args, **kwargs)
+        held.append(_sha(output))
+        return output
+
+    PipelineStage.process, PipelineAdc._acquire = process, acquire
     try:
         result = function(*arguments)
     finally:
-        PipelineStage.process = original
+        PipelineStage.process, PipelineAdc._acquire = original, original_acquire
     found = {}
     if isinstance(result, tuple):
         result, weights = result
@@ -147,6 +155,7 @@ def digests(case: str) -> dict:
     for field in ("codes", "stage_codes", "flash_codes"):
         found[field] = _sha(getattr(result, field))
     found["residues"] = residues
+    found["held"] = held
     return found
 
 
