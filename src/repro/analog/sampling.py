@@ -215,6 +215,15 @@ class SamplingNetwork:
         held = held + self.tracking.pedestal(held, self.bottom_plate_suppression)
         droop = self.droop_gain_error(hold_time)
         held = held * (1.0 - droop * (1.0 + self.droop_nonlinearity * held**2))
+        return self.add_noise(held, operating_point, rng)
+
+    def add_noise(
+        self,
+        held: np.ndarray,
+        operating_point: OperatingPoint,
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """``held`` plus the kT/C noise (a new array), or ``held`` when it is off."""
         if self.include_noise:
             with record("noise-draw", "sample-ktc"):
                 held = held + normal(

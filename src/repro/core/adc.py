@@ -14,6 +14,7 @@ like the physical part on the bench.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -22,7 +23,7 @@ import numpy as np
 from repro.analog.bias import BiasReport
 from repro.analog.clocking import PhaseTiming
 from repro.analog.sampling import SamplingNetwork, TrackingModel
-from repro.core.config import AdcConfig, SwitchStyle
+from repro.core.config import AdcConfig, StageConfig, SwitchStyle
 from repro.core.correction import DigitalCorrection
 from repro.core.flash import FlashBackend
 from repro.core.mdac import Mdac
@@ -30,23 +31,27 @@ from repro.core.stage import PipelineStage
 from repro.core.subadc import SubAdc
 from repro.devices.opamp_design import OpampDesigner
 from repro.devices.switch import (
+    _JUNCTION_GRADING,
+    _JUNCTION_POTENTIAL,
     BootstrappedSwitch,
     BulkSwitchedTransmissionGate,
     SwitchModel,
     TransmissionGate,
+    _junction_capacitance,
 )
 from repro.errors import ConfigurationError
+from repro.native import chain as native_chain
 from repro.profiling import record
 from repro.streams import (
     CONVERT_NOISE_STREAM,
     SAMPLES_NOISE_STREAM,
     mismatch_generator,
     noise_generator,
-    normal,
     seeded_generator,
 )
 from repro.technology.capacitor import CapacitorMismatchModel
 from repro.technology.corners import OperatingPoint
+from repro.technology.mosfet import _SUBTHRESHOLD_SMOOTHING
 
 
 @runtime_checkable
@@ -95,6 +100,63 @@ class ConversionResult:
         return (self.codes.astype(float) + 0.5) * lsb - vref
 
 
+def _native_frontend(
+    network: SamplingNetwork, hold_time: float
+) -> tuple[np.ndarray, int, float] | None:
+    """The compiled front end's description of a die's sampling network.
+
+    (parameters, flags, grading exponent) for
+    :func:`repro.native.chain.acquire`.  The parameters follow
+    :data:`repro.native.chain.FRONTEND_FIELDS` and hold the very scalars
+    :meth:`SamplingNetwork.acquire` computes with.  None where numpy
+    serves every acquisition: a switch that is not a transmission gate,
+    or a suppression numpy rejects.
+    """
+    tracking = network.tracking
+    switch = tracking.switch
+    if type(switch) not in (TransmissionGate, BulkSwitchedTransmissionGate):
+        return None
+    if not 0 <= network.bottom_plate_suppression <= 1:
+        return None
+    point = switch.operating_point
+    tech = point.technology
+    vdd = point.supply_voltage
+    nmos, pmos = switch._nmos(), switch._pmos()
+    pmos_junction = switch.zero_bias_junction(switch.pmos_width)
+    values = {
+        "common_mode": tracking.common_mode,
+        "low_rail": -1e-9,
+        "high_rail": vdd + 1e-9,
+        "supply": vdd,
+        "phi": tech.surface_potential,
+        "sqrt_phi": math.sqrt(tech.surface_potential),
+        "gamma": tech.body_gamma,
+        "nmos_vth0": point.nmos_vth(),
+        "pmos_vth0": point.pmos_vth(),
+        "pmos_vth_zero": pmos.threshold(0.0),
+        "smoothing": _SUBTHRESHOLD_SMOOTHING,
+        "nmos_beta": nmos.beta,
+        "pmos_beta": pmos.beta,
+        "theta": tech.mobility_theta,
+        "junction_potential": _JUNCTION_POTENTIAL,
+        "nmos_junction": switch.zero_bias_junction(switch.nmos_width),
+        "pmos_junction": pmos_junction,
+        "pmos_junction_zero": float(
+            _junction_capacitance(pmos_junction, np.zeros(1))[0]
+        ),
+        "hold": tracking.hold_capacitance,
+        "side": 1.0 + tracking.side_mismatch,
+        "suppression": network.bottom_plate_suppression,
+        "nmos_channel": switch.channel_capacitance(switch.nmos_width),
+        "pmos_channel": switch.channel_capacitance(switch.pmos_width),
+        "droop": network.droop_gain_error(hold_time),
+        "droop_nonlinearity": network.droop_nonlinearity,
+    }
+    flags = native_chain.BULK_SWITCHED * switch._bulk_switched
+    parameters = np.array([values[name] for name in native_chain.FRONTEND_FIELDS])
+    return parameters, flags, _JUNCTION_GRADING
+
+
 class PipelineAdc:
     """The reproduced converter.
 
@@ -127,10 +189,15 @@ class PipelineAdc:
         self.timing: PhaseTiming = config.clock.timing(conversion_rate)
 
         with record("build", "die"):
+            stage_configs = config.stage_configs()
+            #: Total DAC capacitance the reference buffer drives [F].
+            self.dac_capacitance = 2.0 * sum(
+                sc.unit_capacitance for sc in stage_configs
+            )
             mismatch_rng = mismatch_generator(seed)
             self._build_bias(mismatch_rng)
-            self._build_stages(mismatch_rng)
-            self._build_frontend()
+            self._build_stages(stage_configs, mismatch_rng)
+            self._build_frontend(stage_configs[0])
             self.flash = FlashBackend(
                 vref=config.vref,
                 bits=config.flash_bits,
@@ -155,10 +222,13 @@ class PipelineAdc:
             self.conversion_rate, self.operating_point, rng
         )
 
-    def _build_stages(self, mismatch_rng: np.random.Generator) -> None:
+    def _build_stages(
+        self,
+        stage_configs: tuple[StageConfig, ...],
+        mismatch_rng: np.random.Generator,
+    ) -> None:
         config = self.config
         cap_scale = self.operating_point.capacitance_scale()
-        stage_configs = config.stage_configs()
         currents = self.bias_report.stage_currents
 
         mismatch_model = CapacitorMismatchModel(technology=config.technology)
@@ -214,9 +284,8 @@ class PipelineAdc:
                 PipelineStage(index=stage_config.index, subadc=subadc, mdac=mdac)
             )
 
-    def _build_frontend(self) -> None:
+    def _build_frontend(self, stage1: StageConfig) -> None:
         config = self.config
-        stage1 = config.stage_configs()[0]
         common_mode = config.common_mode.voltage(self.operating_point)
         self.input_switch: SwitchModel = self._make_switch()
         tracking = TrackingModel(
@@ -232,6 +301,13 @@ class PipelineAdc:
             bottom_plate_suppression=config.bottom_plate_suppression,
             off_conductance=config.switch_off_conductance,
             include_noise=config.include_thermal_noise,
+        )
+        #: The compiled front end's (parameters, flags, grading), or None
+        #: where numpy computes every acquisition.
+        self._native_frontend = (
+            _native_frontend(self.frontend, self.timing.amplification_time)
+            if config.include_tracking
+            else None
         )
 
     def _make_switch(self) -> SwitchModel:
@@ -273,22 +349,29 @@ class PipelineAdc:
         derivatives: np.ndarray,
         rng: np.random.Generator,
     ) -> np.ndarray:
-        """Front-end acquisition: tracking + pedestal + droop + kT/C."""
-        if self.config.include_tracking:
-            return self.frontend.acquire(
-                values,
-                derivatives,
-                hold_time=self.timing.amplification_time,
-                operating_point=self.operating_point,
-                rng=rng,
+        """Front-end acquisition: tracking + pedestal + droop + kT/C.
+
+        A 1-D record through a transmission-gate switch is tracked by
+        the compiled front end (:func:`repro.native.chain.acquire`) when
+        it is loaded; every other record, and every record when it is
+        not, by :meth:`SamplingNetwork.acquire`.  The two give the same
+        held bytes and leave the generator in the same state.
+        """
+        if not self.config.include_tracking:
+            held = np.asarray(values, dtype=float)
+        else:
+            held = self._native_frontend and native_chain.acquire(
+                *self._native_frontend, values, derivatives
             )
-        held = np.asarray(values, dtype=float)
-        if self.config.include_thermal_noise:
-            with record("noise-draw", "sample-ktc"):
-                held = held + normal(
-                    rng, 0.0, self.frontend.noise_rms(self.operating_point), held.shape
+            if held is None:
+                return self.frontend.acquire(
+                    values,
+                    derivatives,
+                    hold_time=self.timing.amplification_time,
+                    operating_point=self.operating_point,
+                    rng=rng,
                 )
-        return held
+        return self.frontend.add_noise(held, self.operating_point, rng)
 
     def _stage_references(
         self, count: int, rng: np.random.Generator
@@ -304,13 +387,10 @@ class PipelineAdc:
         noise draw instead of one per stage.
         """
         config = self.config
-        dac_capacitance = 2.0 * sum(
-            sc.unit_capacitance for sc in config.stage_configs()
-        )
         if config.include_reference_noise:
             buffer_record = config.reference.sample_reference(
                 count + config.n_stages - 1,
-                dac_capacitance,
+                self.dac_capacitance,
                 self.conversion_rate,
                 rng,
             )
@@ -320,7 +400,7 @@ class PipelineAdc:
         effective = np.full(
             count,
             config.reference.effective_reference(
-                dac_capacitance, self.conversion_rate
+                self.dac_capacitance, self.conversion_rate
             ),
         )
         return [effective] * config.n_stages

@@ -155,21 +155,20 @@ class _TransmissionGateBase(SwitchModel):
         )
         return g_n + g_p
 
+    def zero_bias_junction(self, width: float) -> float:
+        """Zero-bias junction capacitance of a device of this width [F]."""
+        tech = self.operating_point.technology
+        return _PARASITIC_FRACTION * tech.oxide_capacitance * width * self.length
+
+    def channel_capacitance(self, width: float) -> float:
+        """Gate-channel capacitance Cox * W * L of a device of this width [F]."""
+        tech = self.operating_point.technology
+        return tech.oxide_capacitance * width * self.length
+
     def parasitic_capacitance(self, node_voltage: np.ndarray) -> np.ndarray:
         v = np.asarray(node_voltage, dtype=float)
-        tech = self.operating_point.technology
-        c0_n = (
-            _PARASITIC_FRACTION
-            * tech.oxide_capacitance
-            * self.nmos_width
-            * self.length
-        )
-        c0_p = (
-            _PARASITIC_FRACTION
-            * tech.oxide_capacitance
-            * self.pmos_width
-            * self.length
-        )
+        c0_n = self.zero_bias_junction(self.nmos_width)
+        c0_p = self.zero_bias_junction(self.pmos_width)
         vdd = self.operating_point.supply_voltage
         # NMOS junction sees V to its grounded bulk; PMOS junction sees
         # (VDD - V) to the well — unless the well is bulk-switched, which
@@ -181,22 +180,15 @@ class _TransmissionGateBase(SwitchModel):
 
     def charge_injection(self, node_voltage: np.ndarray) -> np.ndarray:
         v = np.asarray(node_voltage, dtype=float)
-        tech = self.operating_point.technology
         vdd = self.operating_point.supply_voltage
         nmos = self._nmos()
         pmos = self._pmos()
-        q_n = (
-            tech.oxide_capacitance
-            * self.nmos_width
-            * self.length
-            * np.maximum(vdd - v - nmos.threshold(v), 0.0)
+        q_n = self.channel_capacitance(self.nmos_width) * np.maximum(
+            vdd - v - nmos.threshold(v), 0.0
         )
         pmos_vsb = np.zeros_like(v) if self._bulk_switched else vdd - v
-        q_p = (
-            tech.oxide_capacitance
-            * self.pmos_width
-            * self.length
-            * np.maximum(v - pmos.threshold(pmos_vsb), 0.0)
+        q_p = self.channel_capacitance(self.pmos_width) * np.maximum(
+            v - pmos.threshold(pmos_vsb), 0.0
         )
         # NMOS injects electrons (pulls the node down), PMOS injects holes
         # (pushes it up); with complementary devices they partially cancel.

@@ -1,4 +1,4 @@
-"""The compiled exact stage chain: load, self-check, and the calls.
+"""The compiled exact stage chain and front end: load, self-check, calls.
 
 :file:`stage_chain.c` is a second implementation of the exact tier's
 per-stage work on one die's 1-D record: the comparator banks of
@@ -13,16 +13,27 @@ over the compact exp arguments of the slewing samples, and a second,
 short C call finishes those.  So the codes, the residue bytes and the
 generator state are the ones numpy computes, operation for operation.
 
-numpy stays the reference and the fallback.  The chain serves only after
-this module has shown, once per process, that one short conversion gives
-the same codes, residue bytes and generator state through both paths.
-The model classes call :func:`kernel` and take numpy's path when it is
-None: no C compiler, a failed build or self-check, another bit
-generator, or a record that is not 1-D.
+The same library holds the stage-1 front end of
+:meth:`~repro.analog.sampling.SamplingNetwork.acquire` for a
+transmission-gate input switch: tracking, charge-injection pedestal and
+droop, up to the kT/C noise.  One C pass checks the rails and writes the
+arguments of its two transcendentals; numpy's own ``np.logaddexp`` (the
+subthreshold softplus) and ``np.power`` (the junction grading) run in
+place over them; a second pass finishes every sample (:func:`acquire`).
+
+numpy stays the reference and the fallback.  The library serves only
+after this module has shown, once per process, that a short ramp
+through every stage and a short jittered tone through
+:meth:`~repro.core.adc.PipelineAdc.convert` give the same held record,
+codes, residue bytes and generator state through both paths.  The model
+classes call :func:`kernel` and take numpy's path when it is None: no C
+compiler, a failed build or self-check, another bit generator, or a
+record that is not 1-D.
 
 Scratch arrays (the opamp noise, the near-band and slewing lists, the
-exp arguments) live in a per-thread workspace that only grows.  No
-public method returns a view of it.
+exp arguments, the front end's softplus and power arguments) live in a
+per-thread workspace that only grows.  No public method returns a view
+of it.
 """
 
 from __future__ import annotations
@@ -54,9 +65,42 @@ MDAC_FIELDS = (
 )
 #: Impairment switches of the MDAC (the flags in stage_chain.c).
 SAMPLING_NOISE, OPAMP_NOISE, SETTLING = 1, 2, 4
+#: Layout of the front-end parameter vector (the enum in stage_chain.c).
+FRONTEND_FIELDS = (
+    "common_mode",
+    "low_rail",
+    "high_rail",
+    "supply",
+    "phi",
+    "sqrt_phi",
+    "gamma",
+    "nmos_vth0",
+    "pmos_vth0",
+    "pmos_vth_zero",
+    "smoothing",
+    "nmos_beta",
+    "pmos_beta",
+    "theta",
+    "junction_potential",
+    "nmos_junction",
+    "pmos_junction",
+    "pmos_junction_zero",
+    "hold",
+    "side",
+    "suppression",
+    "nmos_channel",
+    "pmos_channel",
+    "droop",
+    "droop_nonlinearity",
+)
+#: Front-end switch: the PMOS bulk is tied to its source (the flag in
+#: stage_chain.c).
+BULK_SWITCHED = 1
 #: Seed and record length of the load-time comparison with numpy.
 SELF_CHECK_SEED = 20040218
 SELF_CHECK_SAMPLES = 700
+#: Output words of the load-time tone through the front end.
+SELF_CHECK_TONE_SAMPLES = 256
 
 _POINTER = ctypes.c_void_p
 _INT = ctypes.c_int64
@@ -68,6 +112,8 @@ class _Functions:
     finish: object
     bank: object
     combine: object
+    track: object
+    hold: object
 
 
 def _open(path) -> _Functions:
@@ -95,6 +141,18 @@ def _open(path) -> _Functions:
             (_POINTER, _INT, _INT, _POINTER, _INT, _POINTER, _INT, _INT, _INT, _POINTER),
             _INT,
         ),
+        track=library.function(
+            path,
+            "repro_frontend_track",
+            (_POINTER, _INT, _POINTER, _INT, _POINTER, _POINTER, _POINTER),
+            _INT,
+        ),
+        hold=library.function(
+            path,
+            "repro_frontend_hold",
+            (_POINTER, _POINTER, _INT, _POINTER, _INT) + (_POINTER,) * 4,
+            _INT,
+        ),
     )
 
 
@@ -102,6 +160,7 @@ class _Workspace(threading.local):
     """Per-thread scratch, grown to the longest record seen."""
 
     size = 0
+    frontend_size = 0
 
     def arrays(self, n: int):
         if n > self.size:
@@ -115,6 +174,13 @@ class _Workspace(threading.local):
                 for a in (self.noise, self.index, self.target, self.args)
             )
         return self
+
+    def frontend(self, n: int) -> np.ndarray:
+        """12 n doubles: softplus arguments, overdrives, power bases."""
+        if n > self.frontend_size:
+            self.frontend_size = max(n, 2 * self.frontend_size)
+            self.frontend_buffer = np.empty(12 * self.frontend_size)
+        return self.frontend_buffer
 
 
 _workspace = _Workspace()
@@ -157,6 +223,36 @@ def _self_check_run(ramp: np.ndarray) -> list[bytes]:
     return found
 
 
+def _self_check_tone(style) -> list[bytes]:
+    """A jittered tone through ``PipelineAdc.convert`` with this input
+    switch: the held record, the output words and the final state of the
+    conversion's generator."""
+    from repro.core.adc import PipelineAdc
+    from repro.core.config import AdcConfig
+    from repro.signal.generators import SineGenerator
+
+    config = AdcConfig.paper_default().with_switch_style(style)
+    adc = PipelineAdc(config, 110e6, seed=SELF_CHECK_SEED)
+    original = adc._acquire
+    acquired = []
+
+    def acquire(values, derivatives, rng):
+        held = original(values, derivatives, rng)
+        acquired.append((held, rng))
+        return held
+
+    adc._acquire = acquire
+    n = SELF_CHECK_TONE_SAMPLES
+    tone = SineGenerator.coherent(40e6, 110e6, n, amplitude=0.995)
+    codes = adc.convert(tone, n).codes
+    ((held, generator),) = acquired
+    return [
+        held.tobytes(),
+        codes.tobytes(),
+        repr(generator.bit_generator.state).encode(),
+    ]
+
+
 class _Override(threading.local):
     """What :func:`kernel` returns to this thread during the self-check."""
 
@@ -168,19 +264,27 @@ _override = _Override()
 
 
 def _self_check(functions: _Functions) -> None:
-    """Raise unless the chain reproduces the numpy path bit for bit.
+    """Raise unless the library reproduces the numpy path bit for bit.
 
     An in-range ramp takes the sparse slewing branch, an overdriven one
-    numpy's dense branch.
+    numpy's dense branch; a tone through each transmission-gate switch
+    takes the front end.
     """
+    from repro.core.config import SwitchStyle
+
     ramp = np.linspace(-1.1, 1.1, SELF_CHECK_SAMPLES)
+    checks = [(_self_check_run, record_) for record_ in (ramp, 6.0 * ramp)]
+    checks += [
+        (_self_check_tone, style)
+        for style in (SwitchStyle.BULK_SWITCHED, SwitchStyle.TRANSMISSION_GATE)
+    ]
     _override.active = True
     try:
-        for record_ in (ramp, 6.0 * ramp):
+        for run, argument in checks:
             runs = []
             for candidate in (functions, None):
                 _override.functions = candidate
-                runs.append(_self_check_run(record_))
+                runs.append(run(argument))
             if runs[0] != runs[1]:
                 raise Unavailable("self-check against numpy failed")
     finally:
@@ -207,6 +311,17 @@ def status() -> str:
     return _kernel.status()
 
 
+def _is_record(inputs) -> bool:
+    """Whether ``inputs`` is a non-empty, 1-D, C-contiguous float64 array."""
+    return (
+        type(inputs) is np.ndarray
+        and inputs.ndim == 1
+        and inputs.dtype == np.float64
+        and inputs.size > 0
+        and inputs.flags.c_contiguous
+    )
+
+
 def serves(generator, inputs) -> _Functions | None:
     """The chain functions if they can serve this draw, else None.
 
@@ -214,11 +329,7 @@ def serves(generator, inputs) -> _Functions | None:
     float64 record.
     """
     if (
-        type(inputs) is not np.ndarray
-        or inputs.ndim != 1
-        or inputs.dtype != np.float64
-        or not inputs.size
-        or not inputs.flags.c_contiguous
+        not _is_record(inputs)
         or type(getattr(generator, "bit_generator", None)) is not np.random.PCG64
     ):
         return None
@@ -339,3 +450,59 @@ def combine(
         library.address(out),
     )
     return out, status_
+
+
+def acquire(
+    parameters: np.ndarray,
+    flags: int,
+    grading: float,
+    values: np.ndarray,
+    derivatives: np.ndarray,
+) -> np.ndarray | None:
+    """The front end's held record before its kT/C noise, as a new array.
+
+    ``parameters`` follows :data:`FRONTEND_FIELDS`, ``flags`` holds
+    :data:`BULK_SWITCHED` or not, and ``grading`` is the junction
+    grading exponent.  None when the library is not loaded, when
+    ``values`` and ``derivatives`` are not two records of one length,
+    or when a pass stops at a value numpy rejects (a node outside the
+    rails, a switch cut off, a forward-biased junction): numpy then
+    recomputes the record and raises its own error.  No pass draws.
+    """
+    if not (
+        _is_record(values)
+        and _is_record(derivatives)
+        and values.size == derivatives.size
+    ):
+        return None
+    functions = kernel()
+    if functions is None:
+        return None
+    n = values.size
+    buffer = _workspace.frontend(n)
+    args, overdrives = buffer[: 4 * n], buffer[4 * n : 8 * n]
+    bases = buffer[8 * n : (10 if flags & BULK_SWITCHED else 12) * n]
+    addresses = [library.address(a) for a in (args, overdrives, bases)]
+    values_address = library.address(values)
+    parameters_address = library.address(parameters)
+    with record("frontend", "native"):
+        stopped = functions.track(
+            values_address, n, parameters_address, flags, *addresses
+        )
+    if stopped:
+        return None
+    with record("frontend", "logaddexp-power"):
+        np.logaddexp(0.0, args, out=args)
+        np.power(bases, grading, out=bases)
+    held = np.empty(n)
+    with record("frontend", "native"):
+        stopped = functions.hold(
+            values_address,
+            library.address(derivatives),
+            n,
+            parameters_address,
+            flags,
+            *addresses,
+            library.address(held),
+        )
+    return None if stopped else held

@@ -42,8 +42,17 @@ SOURCES = (SOURCE, Path(__file__).with_name("pcg64_normal.c"))
 #: Flags the build depends on.  No fused multiply-add, so every
 #: expression rounds as numpy's does; -O3 (not -O2) vectorizes the
 #: residue loops, and without trapping math the vectorizer may
-#: if-convert their selects.  None of them changes a value.
-CFLAGS = ("-O3", "-ffp-contract=off", "-fno-trapping-math", "-fPIC", "-shared")
+#: if-convert their selects.  Without errno, sqrt is the bare IEEE
+#: instruction and the front end's loops vectorize.  None of them
+#: changes a value.
+CFLAGS = (
+    "-O3",
+    "-ffp-contract=off",
+    "-fno-trapping-math",
+    "-fno-math-errno",
+    "-fPIC",
+    "-shared",
+)
 #: The x86-64 level the build targets when the CPU has it: AVX2 and FMA
 #: (FMA stays unused, see CFLAGS).  Below it the int64 compares of the
 #: residue loops do not vectorize.

@@ -375,3 +375,216 @@ int64_t repro_combine(const int64_t *restrict codes, int64_t stride,
         return 1;
     return (flash_low < 0 || flash_high >= flash_levels) ? 2 : 0;
 }
+
+/*
+ * The stage-1 front end: SamplingNetwork.acquire up to its kT/C noise,
+ * for a TransmissionGate or BulkSwitchedTransmissionGate input switch
+ * (TrackingModel.track, .pedestal, the droop).
+ *
+ * Its two transcendentals are numpy's, as the settling exp is: the
+ * softplus np.logaddexp(0, overdrive / s) of Mosfet.triode_conductance
+ * and the junction grading power (1 + v / phi)**m of the parasitic
+ * capacitance.  repro_frontend_track writes their arguments, the caller
+ * runs np.logaddexp and np.power over them in place, and
+ * repro_frontend_hold finishes every sample.  The sqrt of the body
+ * effect is IEEE-exact here as in numpy.
+ */
+
+/* Front-end parameters, in the order of repro.native.chain.FRONTEND_FIELDS. */
+enum {
+    FE_COMMON_MODE,
+    FE_LOW_RAIL,       /* -1e-9: the rail check's tolerance */
+    FE_HIGH_RAIL,      /* VDD + 1e-9 */
+    FE_SUPPLY,         /* VDD */
+    FE_PHI,            /* 2 phiF, the surface potential */
+    FE_SQRT_PHI,
+    FE_GAMMA,          /* body-effect coefficient */
+    FE_NMOS_VTH0,
+    FE_PMOS_VTH0,
+    FE_PMOS_VTH_ZERO,  /* the PMOS threshold at Vsb = 0 */
+    FE_SMOOTHING,      /* subthreshold smoothing s */
+    FE_NMOS_BETA,
+    FE_PMOS_BETA,
+    FE_THETA,          /* mobility degradation */
+    FE_JUNCTION_POTENTIAL,
+    FE_NMOS_JUNCTION,  /* zero-bias junction capacitances */
+    FE_PMOS_JUNCTION,
+    FE_PMOS_JUNCTION_ZERO, /* the PMOS junction capacitance at zero bias */
+    FE_HOLD,           /* C_H */
+    FE_SIDE,           /* 1 + side mismatch */
+    FE_SUPPRESSION,    /* bottom-plate suppression */
+    FE_NMOS_CHANNEL,   /* Cox * W * L */
+    FE_PMOS_CHANNEL,
+    FE_DROOP,          /* droop gain error */
+    FE_DROOP_NONLINEARITY,
+    FE_FIELDS
+};
+
+/* Front-end switches: the PMOS bulk is tied to its source. */
+enum { BULK_SWITCHED = 1 };
+
+/* Why a front-end pass stopped; numpy then recomputes and raises. */
+enum { FE_OUTSIDE_RAILS = 1, FE_CUT_OFF = 2, FE_FORWARD_BIASED = 3 };
+
+/* Mosfet.threshold above its validity check: vth0 + gamma * (sqrt(2phiF
+ * + Vsb) - sqrt(2phiF)). */
+static inline double threshold(double vth0, double vsb, double phi,
+                               double sqrt_phi, double gamma)
+{
+    return vth0 + gamma * (sqrt(phi + vsb) - sqrt_phi);
+}
+
+static inline __attribute__((always_inline)) int64_t
+track_pass(const double *restrict values, int64_t n, const double *restrict p,
+           const int bulk, double *restrict args, double *restrict overdrives,
+           double *restrict bases)
+{
+    const double cm = p[FE_COMMON_MODE], low = p[FE_LOW_RAIL];
+    const double high = p[FE_HIGH_RAIL], vdd = p[FE_SUPPLY];
+    const double phi = p[FE_PHI], sqrt_phi = p[FE_SQRT_PHI];
+    const double gamma = p[FE_GAMMA], vth0_n = p[FE_NMOS_VTH0];
+    const double vth0_p = p[FE_PMOS_VTH0], vth_p_zero = p[FE_PMOS_VTH_ZERO];
+    const double s = p[FE_SMOOTHING], junction = p[FE_JUNCTION_POTENTIAL];
+    int64_t outside = 0;
+    for (int64_t side = 0; side < 2; side++) {
+        /* Block 2 * side holds the node's NMOS, block 2 * side + 1 its PMOS. */
+        double *restrict a_n = args + 2 * side * n, *restrict a_p = a_n + n;
+        double *restrict o_n = overdrives + 2 * side * n, *restrict o_p = o_n + n;
+        double *restrict b_n = bases + (bulk ? side : 2 * side) * n;
+        double *restrict b_p = b_n + n;
+        for (int64_t i = 0; i < n; i++) {
+            double half = values[i] / 2.0;
+            double node = side ? cm - half : cm + half;
+            outside |= (node < low) | (node > high);
+            /* _TransmissionGateBase.conductance on np.clip(node, 0, VDD) */
+            double v = np_clip(node, 0.0, vdd);
+            double od_n = (vdd - v) - threshold(vth0_n, v, phi, sqrt_phi, gamma);
+            double od_p = v - (bulk ? vth_p_zero
+                               : threshold(vth0_p, vdd - v, phi, sqrt_phi, gamma));
+            o_n[i] = od_n;
+            o_p[i] = od_p;
+            a_n[i] = od_n / s;
+            a_p[i] = od_p / s;
+            /* _junction_capacitance's 1 + max(v, 0) / phi on the raw node */
+            b_n[i] = 1.0 + np_maximum_zero(node) / junction;
+            if (!bulk)
+                b_p[i] = 1.0 + np_maximum_zero(vdd - node) / junction;
+        }
+    }
+    return outside ? FE_OUTSIDE_RAILS : 0;
+}
+
+/*
+ * Pass 1 over n differential values: returns FE_OUTSIDE_RAILS when a
+ * single-ended node leaves the rails, else 0.  Writes the four softplus
+ * arguments overdrive / s (positive node NMOS, PMOS, then the negative
+ * node's) to args[4n], their overdrives to overdrives[4n], and the
+ * junction-grading bases to bases: NMOS, PMOS per node (4n), or the
+ * NMOS ones only (2n) when the PMOS bulk is switched.
+ */
+int64_t repro_frontend_track(const double *restrict values, int64_t n,
+                             const double *restrict p, int64_t flags,
+                             double *restrict args, double *restrict overdrives,
+                             double *restrict bases)
+{
+    if (flags & BULK_SWITCHED)
+        return track_pass(values, n, p, 1, args, overdrives, bases);
+    return track_pass(values, n, p, 0, args, overdrives, bases);
+}
+
+/* Mosfet.triode_conductance from softplus = logaddexp(0, overdrive / s). */
+static inline double triode(double beta, double s, double softplus,
+                            double overdrive, double theta)
+{
+    double g = beta * (s * softplus);
+    return g * (1.0 / (1.0 + theta * np_maximum_zero(overdrive)));
+}
+
+/* TrackingModel.pedestal's per-node charge injection (0.5 * (q_p - q_n)),
+ * counting a source-bulk voltage below -2phiF in *forward. */
+static inline double injection(double x, const double *restrict p, const int bulk,
+                               int64_t *forward)
+{
+    const double vdd = p[FE_SUPPLY], phi = p[FE_PHI], sqrt_phi = p[FE_SQRT_PHI];
+    const double gamma = p[FE_GAMMA];
+    *forward |= x < -phi;
+    double vth_n = threshold(p[FE_NMOS_VTH0], x, phi, sqrt_phi, gamma);
+    double q_n = p[FE_NMOS_CHANNEL] * np_maximum_zero((vdd - x) - vth_n);
+    double vth_p = p[FE_PMOS_VTH_ZERO];
+    if (!bulk) {
+        double vsb = vdd - x;
+        *forward |= vsb < -phi;
+        vth_p = threshold(p[FE_PMOS_VTH0], vsb, phi, sqrt_phi, gamma);
+    }
+    double q_p = p[FE_PMOS_CHANNEL] * np_maximum_zero(x - vth_p);
+    return 0.5 * (q_p - q_n);
+}
+
+static inline __attribute__((always_inline)) int64_t
+hold_pass(const double *restrict values, const double *restrict derivatives,
+          int64_t n, const double *restrict p, const int bulk,
+          const double *restrict softplus, const double *restrict overdrives,
+          const double *restrict powers, double *restrict held)
+{
+    const double cm = p[FE_COMMON_MODE], s = p[FE_SMOOTHING];
+    const double beta_n = p[FE_NMOS_BETA], beta_p = p[FE_PMOS_BETA];
+    const double theta = p[FE_THETA], hold = p[FE_HOLD], side = p[FE_SIDE];
+    const double c0_n = p[FE_NMOS_JUNCTION], c0_p = p[FE_PMOS_JUNCTION];
+    const double c_p_zero = p[FE_PMOS_JUNCTION_ZERO];
+    const double suppression = p[FE_SUPPRESSION], droop = p[FE_DROOP];
+    const double nonlinearity = p[FE_DROOP_NONLINEARITY];
+    int64_t cut_off = 0, forward = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double tau[2];
+        for (int k = 0; k < 2; k++) {
+            const int64_t j = 2 * k * n + i;
+            /* SwitchModel.time_constant: R_on(v) * (C_H + C_par(v)) */
+            double g = triode(beta_n, s, softplus[j], overdrives[j], theta)
+                       + triode(beta_p, s, softplus[j + n], overdrives[j + n], theta);
+            /* on_resistance: where(g > 0, 1 / maximum(g, 1e-30), inf) */
+            double r = g > 0.0 ? 1.0 / (g < 1e-30 ? 1e-30 : g) : INFINITY;
+            double c_n, c_p;
+            if (bulk) {
+                c_n = c0_n / powers[k * n + i];
+                c_p = c_p_zero;
+            } else {
+                c_n = c0_n / powers[2 * k * n + i];
+                c_p = c0_p / powers[2 * k * n + n + i];
+            }
+            tau[k] = r * (hold + (c_n + c_p));
+        }
+        double tau_n = tau[1] * side;
+        cut_off |= !isfinite(tau[0]) | !isfinite(tau_n);
+        double v = values[i] - 0.5 * (tau[0] + tau_n) * derivatives[i];
+        double half = v / 2.0;
+        double q = injection(cm + half, p, bulk, &forward)
+                   - injection(cm - half, p, bulk, &forward);
+        v = v + suppression * q / hold;
+        held[i] = v * (1.0 - droop * (1.0 + nonlinearity * (v * v)));
+    }
+    if (cut_off)
+        return FE_CUT_OFF;
+    return forward ? FE_FORWARD_BIASED : 0;
+}
+
+/*
+ * Pass 2, after np.logaddexp(0, args) and np.power(bases, m) ran in
+ * place: the tracked value v - 0.5 * (tau_p + tau_n) * dv/dt, plus the
+ * charge-injection pedestal, times the droop, into held[n].  Returns
+ * FE_CUT_OFF when a time constant is not finite, else FE_FORWARD_BIASED
+ * when a pedestal node forward-biases a junction, else 0; held is then
+ * incomplete.
+ */
+int64_t repro_frontend_hold(const double *restrict values,
+                            const double *restrict derivatives, int64_t n,
+                            const double *restrict p, int64_t flags,
+                            const double *restrict softplus,
+                            const double *restrict overdrives,
+                            const double *restrict powers, double *restrict held)
+{
+    if (flags & BULK_SWITCHED)
+        return hold_pass(values, derivatives, n, p, 1, softplus, overdrives,
+                         powers, held);
+    return hold_pass(values, derivatives, n, p, 0, softplus, overdrives, powers,
+                     held);
+}

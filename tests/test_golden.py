@@ -16,10 +16,9 @@ one record per die and its residue list each die's stages in turn.
 The matrix is serial/vectorized x {paper default, one PVT corner} x
 {110, 160 MS/s}, plus a calibrated capture (whose weights go through
 BLAS) and a slew-heavy 200 MS/s conversion.  Every cell runs with the
-compiled stage chain (:mod:`repro.native.chain`) serving and with it
-forced off; the compiled chain's library holds the front end's passes
-too, so that also switches the front end.  Cell names carry ``exact``: every conversion is the
-bit-exact one.
+compiled stage chain and front end (:mod:`repro.native.chain`) serving
+and with them forced off.  Cell names carry ``exact``: every conversion
+is the bit-exact one.
 
 Residue bits depend on numpy's transcendental dispatch (``np.exp`` on an
 AVX-512 host disagrees with libm's on about 5% of arguments) and on the

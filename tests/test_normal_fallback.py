@@ -1,13 +1,15 @@
 """End to end, the compiled kernels and numpy's own path agree bit for bit.
 
 Each case runs twice on the same host: once with the compiled normal
-fill and the compiled stage chain serving, once with both loaders forced
-to report them unavailable, so numpy computes everything.  Output codes,
-stage codes, flash codes, the residue bytes every stage hands on
-(captured through ``PipelineStage.process``) and the generator state
-after every stage and after the flash must be identical.  The residues
-catch a last-bit difference the codes could absorb; the states catch a
-draw too many or too few.
+fill and the compiled stage chain and front end serving, once with both
+loaders forced to report them unavailable, so numpy computes everything.
+Output codes, stage codes, flash codes, the held record the front end
+acquires (captured through ``PipelineAdc._acquire``), the residue bytes
+every stage hands on (captured through ``PipelineStage.process``) and
+the generator state after the acquisition, every stage and the flash
+must be identical.  The held and residue bytes catch a last-bit
+difference the codes could absorb; the states catch a draw too many or
+too few.
 """
 
 from __future__ import annotations
@@ -22,12 +24,14 @@ import pytest
 from repro.core.adc import PipelineAdc
 from repro.core.adc_array import AdcArray
 from repro.core.calibration import GainCalibration
+from repro.core.config import SwitchStyle
 from repro.core.flash import FlashBackend
 from repro.core.mdac import Mdac
 from repro.core.stage import PipelineStage
 from repro.core.subadc import SubAdc
 from repro.devices.comparator import ComparatorParameters
 from repro.devices.opamp import OpampParameters, TwoStageMillerOpamp
+from repro.errors import ModelDomainError
 from repro.native import chain as native_chain
 from repro.native import normal as native_normal
 from repro.runtime.montecarlo import default_sampler
@@ -67,14 +71,21 @@ def _states(rng):
 def _run_both(monkeypatch, run) -> tuple:
     """``run()`` with the compiled kernels, then with numpy forced.
 
-    Returns, per side, the result and, in call order, the (codes,
-    residues, generator state) after every stage and the (codes, None,
-    generator state) after every flash decision.
+    Returns, per side, the result and, in call order, the (held record,
+    generator state) after every acquisition, the (codes, residues,
+    generator state) after every stage and the (codes, generator state)
+    after every flash decision.
     """
+    acquire = PipelineAdc._acquire
     process, decide = PipelineStage.process, FlashBackend.decide
     sides = []
     for forced in (False, True):
         captured = []
+
+        def spy_acquire(self, values, derivatives, rng):
+            held = acquire(self, values, derivatives, rng)
+            captured.append((held.copy(), _states(rng)))
+            return held
 
         def spy_process(self, inputs, references, operating_point, rng, *args, **kwargs):
             output = process(self, inputs, references, operating_point, rng, *args, **kwargs)
@@ -85,10 +96,11 @@ def _run_both(monkeypatch, run) -> tuple:
 
         def spy_decide(self, inputs, rng):
             codes = decide(self, inputs, rng)
-            captured.append((codes.copy(), None, _states(rng)))
+            captured.append((codes.copy(), _states(rng)))
             return codes
 
         with monkeypatch.context() as patch:
+            patch.setattr(PipelineAdc, "_acquire", spy_acquire)
             patch.setattr(PipelineStage, "process", spy_process)
             patch.setattr(FlashBackend, "decide", spy_decide)
             if forced:
@@ -107,12 +119,11 @@ def _assert_identical(native, numpy_side) -> None:
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
     assert len(stages_a) == len(stages_b) > 0
     for index, (side_a, side_b) in enumerate(zip(stages_a, stages_b)):
-        (codes_a, res_a, state_a), (codes_b, res_b, state_b) = side_a, side_b
-        assert codes_a.dtype == codes_b.dtype, index
-        assert codes_a.tobytes() == codes_b.tobytes(), index
-        if res_a is not None:
-            assert res_a.dtype == res_b.dtype, index
-            assert res_a.tobytes() == res_b.tobytes(), index
+        *arrays_a, state_a = side_a
+        *arrays_b, state_b = side_b
+        assert len(arrays_a) == len(arrays_b), index
+        for a, b in zip(arrays_a, arrays_b):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), index
         assert state_a == state_b, index
 
 
@@ -235,19 +246,128 @@ def test_dense_settle_branch(monkeypatch):
     assert state_a == state_b
 
 
+def _front_end_calls(monkeypatch) -> list[bool]:
+    """Whether each call of the compiled front end returned a record."""
+    calls = []
+    acquire = native_chain.acquire
+
+    def spy(*args):
+        held = acquire(*args)
+        calls.append(held is not None)
+        return held
+
+    monkeypatch.setattr(native_chain, "acquire", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "style, rate, change",
+    [
+        (SwitchStyle.TRANSMISSION_GATE, 110e6, {}),
+        # The slowest rate holds longest, so its droop is the largest.
+        (SwitchStyle.TRANSMISSION_GATE, 20e6, {}),
+        (SwitchStyle.BULK_SWITCHED, 20e6, {}),
+        (SwitchStyle.TRANSMISSION_GATE, 110e6, {"include_thermal_noise": False}),
+        (SwitchStyle.TRANSMISSION_GATE, 110e6, {"include_mismatch": False}),
+    ],
+    ids=[
+        "transmission-gate",
+        "transmission-gate-20",
+        "bulk-switched-20",
+        "no-thermal-noise",
+        "no-mismatch",
+    ],
+)
+def test_front_end(monkeypatch, paper_config, style, rate, change):
+    """The compiled front end serves the native side, numpy the other."""
+    config = replace(paper_config.with_switch_style(style), **change)
+    tone = SineGenerator.coherent(0.36 * rate, rate, N_SAMPLES, amplitude=0.995)
+    calls = _front_end_calls(monkeypatch)
+    _assert_identical(*_run_both(monkeypatch, _serial(config, tone, rate)))
+    assert calls == [True, False]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"switch_style": SwitchStyle.BOOTSTRAPPED}, {"include_tracking": False}],
+    ids=["bootstrapped", "no-tracking"],
+)
+def test_front_end_not_served(monkeypatch, paper_config, tone, change):
+    calls = _front_end_calls(monkeypatch)
+    _assert_identical(
+        *_run_both(monkeypatch, _serial(replace(paper_config, **change), tone))
+    )
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "style", [SwitchStyle.BULK_SWITCHED, SwitchStyle.TRANSMISSION_GATE]
+)
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("outside-rails", "outside the rails"),
+        ("cut-off", "input switch cut off"),
+        ("forward-biased", "Vsb < -2phiF"),
+    ],
+)
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_front_end_domain_errors(monkeypatch, paper_config, style, case, message):
+    """A record the model rejects raises numpy's error and draws nothing.
+
+    The compiled passes stop, and numpy recomputes the record and raises:
+    for a node beyond the rails, for a switch whose time constant is not
+    finite (here a NaN sample), and for a pedestal node that
+    forward-biases a junction (a tracked value far outside the swing).
+    """
+    adc = PipelineAdc(paper_config.with_switch_style(style), 110e6, seed=5)
+    values, derivatives = np.zeros(600), np.zeros(600)
+    if case == "outside-rails":
+        values[300] = 3.0
+    elif case == "cut-off":
+        values[300] = np.nan
+    else:
+        derivatives[300] = -1e14
+    errors = []
+    for forced in (False, True):
+        with monkeypatch.context() as patch:
+            if forced:
+                patch.setattr(native_chain._kernel, "loaded", (None, "numpy: forced"))
+            else:
+                assert native_chain.kernel() is not None
+                served = native_chain.acquire(
+                    *adc._native_frontend, values, derivatives
+                )
+                assert served is None
+            rng = seeded_generator(7)
+            before = rng.bit_generator.state
+            with pytest.raises(ModelDomainError) as error:
+                adc._acquire(values, derivatives, rng)
+            assert rng.bit_generator.state == before
+            errors.append(str(error.value))
+    assert errors[0] == errors[1]
+    assert message in errors[0]
+
+
 def test_threads_share_nothing(paper_config):
     """Conversions on more threads than cores match the serial codes.
 
     Each thread has its own scratch workspace and its own die's
-    generator; a workspace shared by mistake would mix records.
+    generator; a workspace shared by mistake would mix records.  Even
+    threads convert ramps (the stage chain), odd ones tones (the front
+    end too), each of its own length.
     """
-    ramps = [np.linspace(-1.0, 1.0, 3000 + 500 * k) for k in range(6)]
+    lengths = [3000 + 500 * k for k in range(6)]
 
     def convert(k):
-        return PipelineAdc(paper_config, 110e6, seed=k).convert_samples(ramps[k])
+        adc = PipelineAdc(paper_config, 110e6, seed=k)
+        if k % 2:
+            tone = SineGenerator.coherent(30e6, 110e6, lengths[k], amplitude=0.995)
+            return adc.convert(tone, lengths[k])
+        return adc.convert_samples(np.linspace(-1.0, 1.0, lengths[k]))
 
-    expected = [convert(k).codes.tobytes() for k in range(len(ramps))]
-    found = [[] for _ in ramps]
+    expected = [convert(k).codes.tobytes() for k in range(len(lengths))]
+    found = [[] for _ in lengths]
 
     def worker(k):
         for _ in range(8):
@@ -256,7 +376,9 @@ def test_threads_share_nothing(paper_config):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(k,)) for k in range(len(ramps))]
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(len(lengths))
+        ]
         for thread in threads:
             thread.start()
         for thread in threads:

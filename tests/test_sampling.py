@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from repro.analog.sampling import SamplingNetwork, TrackingModel
+from repro.core.adc import PipelineAdc
+from repro.core.config import SwitchStyle
 from repro.devices.switch import BulkSwitchedTransmissionGate
 from repro.errors import ConfigurationError
-from repro.technology.corners import OperatingPoint
+from repro.native import chain as native_chain
+from repro.signal.generators import SineGenerator
+from repro.streams import seeded_generator
+from repro.technology.corners import Corner, OperatingPoint
 
 
 @pytest.fixture(scope="module")
@@ -149,3 +154,50 @@ class TestSamplingNetwork:
             SamplingNetwork(tracking=tracking, off_conductance=-1.0)
         with pytest.raises(ConfigurationError):
             SamplingNetwork(tracking=tracking, droop_signal_fraction=1.5)
+
+
+@pytest.mark.skipif(native_chain.kernel() is None, reason=native_chain.status())
+class TestCompiledFrontEnd:
+    """The compiled front end holds the bytes SamplingNetwork.acquire does.
+
+    Over every corner, three temperatures, both transmission-gate
+    switches, a slow and a fast rate and three tone frequencies: the
+    held record and the generator state after ``PipelineAdc._acquire``
+    are the ones numpy's :meth:`SamplingNetwork.acquire` gives.
+    """
+
+    @pytest.mark.parametrize("corner", list(Corner))
+    @pytest.mark.parametrize(
+        "style", [SwitchStyle.BULK_SWITCHED, SwitchStyle.TRANSMISSION_GATE]
+    )
+    def test_matches_numpy(self, paper_config, corner, style):
+        config = paper_config.with_switch_style(style)
+        for temperature in (-40.0, 27.0, 125.0):
+            point = OperatingPoint(
+                technology=config.technology,
+                corner=corner,
+                temperature_c=temperature,
+            )
+            for rate in (20e6, 160e6):
+                adc = PipelineAdc(config, rate, operating_point=point, seed=4)
+                for fraction in (0.02, 0.21, 0.47):
+                    self._compare(adc, fraction * rate, 512)
+
+    @staticmethod
+    def _compare(adc, frequency, n):
+        tone = SineGenerator.coherent(frequency, adc.conversion_rate, n, 0.995)
+        times = adc._sample_instants(n, seeded_generator(1))
+        values, derivatives = tone.value(times), tone.derivative(times)
+        native_rng, numpy_rng = seeded_generator(2), seeded_generator(2)
+        native = adc._acquire(values, derivatives, native_rng)
+        reference = adc.frontend.acquire(
+            values,
+            derivatives,
+            hold_time=adc.timing.amplification_time,
+            operating_point=adc.operating_point,
+            rng=numpy_rng,
+        )
+        served = native_chain.acquire(*adc._native_frontend, values, derivatives)
+        assert served is not None
+        assert native.tobytes() == reference.tobytes()
+        assert native_rng.bit_generator.state == numpy_rng.bit_generator.state
