@@ -6,7 +6,9 @@
   standard-normal fill behind the conversion-noise draws of
   :mod:`repro.streams`.
 * :mod:`repro.native.chain` — the compiled, self-checked exact stage
-  chain behind one die's 1-D records in :mod:`repro.core`.
+  chain behind one die's 1-D records in :mod:`repro.core`, and the
+  stage-1 sampling front end behind ``PipelineAdc.convert`` for a
+  transmission-gate input switch.
 * :mod:`repro.native.blas` — the BLAS thread count of numpy's bundled
   OpenBLAS, pinned to one thread while a process pool runs.
 
@@ -18,8 +20,10 @@ missing.
 def preload() -> None:
     """Build, load and check the compiled kernels now.
 
-    A process calls this before it forks workers, so every child
-    inherits the checked kernels instead of repeating the work.
+    That is the normal fill, and the chain library, whose one
+    self-check covers both the stage chain and the front end.  A
+    process calls this before it forks workers, so every child inherits
+    the checked kernels instead of repeating the work.
     """
     from repro.native import chain, normal
 

@@ -2,7 +2,8 @@
 
 :file:`stage_chain.c` includes :file:`pcg64_normal.c`, so one shared
 library holds both the standard-normal fill (:mod:`repro.native.normal`)
-and the exact stage chain (:mod:`repro.native.chain`).  Each of those
+and the exact stage chain with the stage-1 front end
+(:mod:`repro.native.chain`).  Each of those
 modules opens its functions from it through a :class:`Kernel`, which
 checks them against numpy before they serve anything.
 

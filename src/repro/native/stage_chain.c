@@ -416,8 +416,7 @@ enum {
     FE_NMOS_CHANNEL,   /* Cox * W * L */
     FE_PMOS_CHANNEL,
     FE_DROOP,          /* droop gain error */
-    FE_DROOP_NONLINEARITY,
-    FE_FIELDS
+    FE_DROOP_NONLINEARITY
 };
 
 /* Front-end switches: the PMOS bulk is tied to its source. */
