@@ -100,7 +100,7 @@ class ConversionResult:
         return (self.codes.astype(float) + 0.5) * lsb - vref
 
 
-def _native_frontend(
+def _frontend_parameters(
     network: SamplingNetwork, hold_time: float
 ) -> tuple[np.ndarray, int, float] | None:
     """The compiled front end's description of a die's sampling network.
@@ -305,7 +305,7 @@ class PipelineAdc:
         #: The compiled front end's (parameters, flags, grading), or None
         #: where numpy computes every acquisition.
         self._native_frontend = (
-            _native_frontend(self.frontend, self.timing.amplification_time)
+            _frontend_parameters(self.frontend, self.timing.amplification_time)
             if config.include_tracking
             else None
         )
