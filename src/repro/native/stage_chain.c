@@ -422,9 +422,6 @@ enum {
 /* Front-end switches: the PMOS bulk is tied to its source. */
 enum { BULK_SWITCHED = 1 };
 
-/* Why a front-end pass stopped; numpy then recomputes and raises. */
-enum { FE_OUTSIDE_RAILS = 1, FE_CUT_OFF = 2, FE_FORWARD_BIASED = 3 };
-
 /* Mosfet.threshold above its validity check: vth0 + gamma * (sqrt(2phiF
  * + Vsb) - sqrt(2phiF)). */
 static inline double threshold(double vth0, double vsb, double phi,
@@ -470,16 +467,17 @@ track_pass(const double *restrict values, int64_t n, const double *restrict p,
                 b_p[i] = 1.0 + np_maximum_zero(vdd - node) / junction;
         }
     }
-    return outside ? FE_OUTSIDE_RAILS : 0;
+    return outside;
 }
 
 /*
- * Pass 1 over n differential values: returns FE_OUTSIDE_RAILS when a
- * single-ended node leaves the rails, else 0.  Writes the four softplus
- * arguments overdrive / s (positive node NMOS, PMOS, then the negative
- * node's) to args[4n], their overdrives to overdrives[4n], and the
- * junction-grading bases to bases: NMOS, PMOS per node (4n), or the
- * NMOS ones only (2n) when the PMOS bulk is switched.
+ * Pass 1 over n differential values: returns 1 when a single-ended node
+ * leaves the rails (numpy then recomputes and raises), else 0.  Writes
+ * the four softplus arguments overdrive / s (positive node NMOS, PMOS,
+ * then the negative node's) to args[4n], their overdrives to
+ * overdrives[4n], and the junction-grading bases to bases: NMOS, PMOS
+ * per node (4n), or the NMOS ones only (2n) when the PMOS bulk is
+ * switched.
  */
 int64_t repro_frontend_track(const double *restrict values, int64_t n,
                              const double *restrict p, int64_t flags,
@@ -561,18 +559,16 @@ hold_pass(const double *restrict values, const double *restrict derivatives,
         v = v + suppression * q / hold;
         held[i] = v * (1.0 - droop * (1.0 + nonlinearity * (v * v)));
     }
-    if (cut_off)
-        return FE_CUT_OFF;
-    return forward ? FE_FORWARD_BIASED : 0;
+    return cut_off | forward;
 }
 
 /*
  * Pass 2, after np.logaddexp(0, args) and np.power(bases, m) ran in
  * place: the tracked value v - 0.5 * (tau_p + tau_n) * dv/dt, plus the
- * charge-injection pedestal, times the droop, into held[n].  Returns
- * FE_CUT_OFF when a time constant is not finite, else FE_FORWARD_BIASED
- * when a pedestal node forward-biases a junction, else 0; held is then
- * incomplete.
+ * charge-injection pedestal, times the droop, into held[n].  Returns 1
+ * when a time constant is not finite or a pedestal node forward-biases
+ * a junction (held is then incomplete, and numpy recomputes and
+ * raises), else 0.
  */
 int64_t repro_frontend_hold(const double *restrict values,
                             const double *restrict derivatives, int64_t n,
