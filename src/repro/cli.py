@@ -121,10 +121,9 @@ def build_mc_parser() -> argparse.ArgumentParser:
         default="pool",
         help=(
             "execution engine: 'pool' measures one die per task, "
-            "'vectorized' measures die chunks: each die converts alone, "
-            "the chunk's analysis (FFT, linearity, calibration fit) runs "
-            "batched; per-die codes are bit-exact across engines "
-            "(default pool)"
+            "'vectorized' a chunk of dies per task; both run the same "
+            "per-die measurement, so per-die records are identical "
+            "across engines (default pool)"
         ),
     )
     parser.add_argument(
@@ -133,8 +132,8 @@ def build_mc_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "dies per vectorized batch (vectorized engine only; "
-            "default: split across workers, cache-bounded)"
+            "dies per vectorized task (vectorized engine only; "
+            "default: split across workers, at most 8)"
         ),
     )
     parser.add_argument(
@@ -143,9 +142,7 @@ def build_mc_parser() -> argparse.ArgumentParser:
         help=(
             "foreground gain-calibrate every die before screening "
             "(extension beyond the paper): the screens then measure the "
-            "calibrated reconstruction; per-die identical across engines "
-            "(the vectorized engine fits whole chunks in one stacked "
-            "solve)"
+            "calibrated reconstruction"
         ),
     )
     parser.add_argument(
@@ -164,13 +161,6 @@ def build_mc_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes; identical metrics for any value (default 1)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="dies per dispatch chunk (default: auto)",
     )
     parser.add_argument(
         "--seed",
@@ -392,11 +382,10 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         choices=("pool", "vectorized"),
         default="vectorized",
         help=(
-            "execution engine: 'pool' measures one cell per task "
-            "through the serial DynamicTestbench, 'vectorized' "
-            "measures cell chunks: each cell converts alone, then one "
-            "batched FFT analyzes the chunk; per-cell metrics are "
-            "bit-exact across engines (default vectorized)"
+            "execution engine: 'pool' measures one cell per task, "
+            "'vectorized' a chunk of cells per task; both run the same "
+            "per-cell measurement, so per-cell metrics are identical "
+            "across engines (default vectorized)"
         ),
     )
     parser.add_argument(
@@ -405,8 +394,9 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "cells per vectorized batch (vectorized engine only; "
-            "default: split across workers, cache-bounded)"
+            "cells per vectorized task, and per ledger append "
+            "(vectorized engine only; default: split across workers, "
+            "at most 8)"
         ),
     )
     parser.add_argument(
@@ -415,13 +405,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes; identical metrics for any value (default 1)",
-    )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="tasks per dispatch chunk (default: auto)",
     )
     parser.add_argument(
         "--ledger",
@@ -557,8 +540,9 @@ def build_profile_parser() -> argparse.ArgumentParser:
         description=(
             "Run a named workload with per-stage wall-time "
             "instrumentation enabled and render the cost breakdown "
-            "(counts, total/mean time, %-of-run per stage), serial vs "
-            "vectorized engine side by side.  Profiling never touches "
+            "(counts, total/mean time, %-of-run per stage), serial (one "
+            "item per task) vs vectorized (auto chunk) side by side.  "
+            "Profiling never touches "
             "a random stream, so the measured runs are bit-exact with "
             "unprofiled ones.  See docs/performance.md for how to read "
             "the output."
@@ -721,7 +705,6 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         resume=args.resume,
         cell_chunk=args.cell_chunk,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         progress=_stderr_progress if args.progress else None,
         cell_range=cell_range,
         cell_store=args.cell_store,
@@ -1070,7 +1053,6 @@ def run_mc(argv: Sequence[str] | None = None) -> int:
         calibration_samples_per_code=args.cal_samples,
         die_chunk=args.die_chunk,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         progress=_stderr_progress if args.progress else None,
     )
     print(report.render())

@@ -4,9 +4,13 @@ Population statistics — Monte Carlo yield, corner spreads, mismatch
 SNDR/DNL distributions — are the paper's headline results.
 :class:`AdcArray` holds one :class:`~repro.core.adc.PipelineAdc` per die
 and converts a stimulus (or held voltages) on every die, returning
-``(dies, samples)`` arrays for the batched analysis downstream: one FFT
-pass over all rows, the die axis of the linearity histograms, one
-stacked calibration solve.
+``(dies, samples)`` arrays for the library's population helpers
+(:class:`~repro.core.calibration.GainCalibrationArray`,
+:meth:`~repro.signal.spectrum.SpectrumAnalyzer.analyze_batch`,
+:func:`~repro.signal.linearity.ramp_linearity` on a block), each a loop
+over its one-die counterpart.  The yield and campaign runtime measures
+die by die on :class:`~repro.core.adc.PipelineAdc` and does not use
+this class.
 
 Conversion itself runs one die at a time.  Each die's record goes
 through :meth:`PipelineAdc.convert` / :meth:`PipelineAdc.convert_samples`,

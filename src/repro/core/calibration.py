@@ -23,16 +23,11 @@ for one die:
    them; clipped samples are excluded.
 3. Reconstruct subsequent conversions with the fitted weights.
 
-:class:`GainCalibrationArray` is the die-batched form: one
-:meth:`~repro.core.adc_array.AdcArray.convert_samples` call captures the
-calibration ramp on all D dies, the per-die weight fits run as
-stacked least-squares solves over one shared design assembly, and the
-calibrated reconstruction applies inside the vectorized conversion path
-(``(dies, samples)`` blocks in, calibrated code blocks out).  Die *d* of
-the array calibration is numerically equivalent to
-``GainCalibration(dies[d])`` under matched die seeds — both paths
-capture through the identical per-die calibration stream and solve the
-identical design matrix.
+:class:`GainCalibrationArray` calibrates a die population
+(:class:`~repro.core.adc_array.AdcArray`): it holds one
+:class:`GainCalibration` per die and loops over them, so die *d* of the
+array calibration is ``GainCalibration(dies[d])`` by construction, and
+its ``(dies, samples)`` reconstruction stacks the per-die rows.
 
 On the behavioral model this recovers most of the mismatch-induced INL
 (verified in tests/test_calibration.py).  It is marked clearly as an
@@ -53,13 +48,6 @@ from repro.errors import CalibrationError, ConfigurationError
 from repro.streams import CALIBRATION_NOISE_STREAM
 
 
-def _validate_capture(samples_per_code: int, overdrive: float) -> None:
-    if samples_per_code < 4:
-        raise ConfigurationError("need >= 4 samples per code")
-    if not 0 < overdrive < 0.2:
-        raise ConfigurationError("overdrive must be in (0, 0.2)")
-
-
 def nominal_weights(config: AdcConfig) -> np.ndarray:
     """The uncalibrated weight vector: stage weights, flash, offset."""
     stage = 2.0 ** np.arange(
@@ -74,7 +62,7 @@ def nominal_weights(config: AdcConfig) -> np.ndarray:
 def _calibration_ramp(
     config: AdcConfig, samples_per_code: int, overdrive: float
 ) -> np.ndarray:
-    """The over-ranged calibration stimulus, shared by both engines."""
+    """The over-ranged calibration stimulus."""
     total = config.n_codes * samples_per_code
     span = config.vref * (1.0 + overdrive)
     return np.linspace(-span, span, total)
@@ -117,7 +105,7 @@ def _design_matrix(stage_codes, flash_codes) -> np.ndarray:
     column block.  The ones column follows the input shape, so the same
     assembly serves a scalar conversion (``stage_codes`` of shape
     ``(n_stages,)``), a 1-D record (``(samples, n_stages)``) and a
-    die-batched block (``(dies, samples, n_stages)``).
+    block of records (``(dies, samples, n_stages)``).
     """
     stage = np.asarray(stage_codes)
     flash = np.asarray(flash_codes)
@@ -134,18 +122,6 @@ def _design_matrix(stage_codes, flash_codes) -> np.ndarray:
     return design
 
 
-def _fit_weights(design: np.ndarray, target: np.ndarray, die: int | None):
-    """One die's least-squares solve with its rank check."""
-    solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-    if rank < design.shape[1]:
-        where = "" if die is None else f" on die {die}"
-        raise CalibrationError(
-            f"calibration capture is rank-deficient{where} — the ramp "
-            "did not exercise every stage decision"
-        )
-    return solution
-
-
 def _apply_weights(
     design: np.ndarray,
     weights: np.ndarray,
@@ -154,9 +130,7 @@ def _apply_weights(
 ) -> np.ndarray:
     """Calibrated words from a design matrix, rails kept pinned.
 
-    ``weights`` is one fitted vector, or a ``(dies, n_weights)`` stack
-    contracted die-for-die against a ``(dies, samples, n_weights)``
-    design.  ``design @ nominal`` is exactly the uncalibrated RSD
+    ``design @ nominal`` is exactly the uncalibrated RSD
     combine before its clip (the nominal weight vector *is* that
     algebra), so samples the uncalibrated correction pins to a rail are
     kept at the rail instead of being re-weighted: the fitted offset
@@ -164,11 +138,7 @@ def _apply_weights(
     code (e.g. an over-ranged linearity ramp piling hundreds of clipped
     samples onto code 1), wrecking code-density histograms.
     """
-    if weights.ndim == 2:
-        raw = (design @ weights[:, :, None])[..., 0]
-    else:
-        raw = design @ weights
-    calibrated = np.clip(np.round(raw), 0, n_codes - 1).astype(int)
+    calibrated = np.clip(np.round(design @ weights), 0, n_codes - 1).astype(int)
     uncalibrated = design @ nominal
     railed = (uncalibrated <= 0.0) | (uncalibrated >= n_codes - 1)
     pinned = np.clip(uncalibrated, 0, n_codes - 1).astype(int)
@@ -192,7 +162,10 @@ class GainCalibration:
     overdrive: float = 0.02
 
     def __post_init__(self) -> None:
-        _validate_capture(self.samples_per_code, self.overdrive)
+        if self.samples_per_code < 4:
+            raise ConfigurationError("need >= 4 samples per code")
+        if not 0 < self.overdrive < 0.2:
+            raise ConfigurationError("overdrive must be in (0, 0.2)")
         self._weights: np.ndarray | None = None
 
     # --- measurement ------------------------------------------------------
@@ -226,8 +199,14 @@ class GainCalibration:
         design = _design_matrix(
             result.stage_codes[keep], result.flash_codes[keep]
         )
-        self._weights = _fit_weights(design, target[keep], die=None)
-        return self._weights
+        weights, _, rank, _ = np.linalg.lstsq(design, target[keep], rcond=None)
+        if rank < design.shape[1]:
+            raise CalibrationError(
+                "calibration capture is rank-deficient — the ramp did not "
+                "exercise every stage decision"
+            )
+        self._weights = weights
+        return weights
 
     @property
     def weights(self) -> np.ndarray:
@@ -249,10 +228,10 @@ class GainCalibration:
         Same algebra as :meth:`DigitalCorrection.combine` but with the
         fitted, generally non-integer weights; rounded to integer codes.
         Accepts a scalar conversion (``stage_codes`` of shape
-        ``(n_stages,)``), a 1-D record, or a die-batched
-        ``(dies, samples)`` block — the output matches the
-        ``flash_codes`` shape.  Samples the uncalibrated correction
-        pins to a rail stay pinned (out-of-range detection).
+        ``(n_stages,)``), a 1-D record, or a ``(records, samples)``
+        block — the output matches the ``flash_codes`` shape.  Samples
+        the uncalibrated correction pins to a rail stay pinned
+        (out-of-range detection).
         """
         design = _design_matrix(stage_codes, flash_codes)
         return _apply_weights(
@@ -283,18 +262,11 @@ class GainCalibration:
 
 @dataclass
 class GainCalibrationArray:
-    """Die-batched foreground calibration of a whole population.
+    """Foreground calibration of a die population, one die at a time.
 
-    One :meth:`~repro.core.adc_array.AdcArray.convert_samples` pass
-    captures the calibration ramp for every die (each die drawing its
-    capture noise from its own reserved calibration stream), one shared
-    design assembly feeds stacked per-die least-squares solves (each
-    with its own rank check), and the fitted weights apply to batched
-    ``(dies, samples)`` conversions.
-
-    Die *d* is numerically equivalent to
-    ``GainCalibration(array.dies[d])`` under matched die seeds: the
-    capture rows, the design matrices and the solves are identical.
+    Holds one :class:`GainCalibration` per die of ``array``; every
+    method loops over them, so die *d* is
+    ``GainCalibration(array.dies[d])`` by construction.
 
     Args:
         array: the die population to calibrate.
@@ -307,8 +279,10 @@ class GainCalibrationArray:
     overdrive: float = 0.02
 
     def __post_init__(self) -> None:
-        _validate_capture(self.samples_per_code, self.overdrive)
-        self._weights: np.ndarray | None = None
+        self._calibrations = [
+            GainCalibration(die, self.samples_per_code, self.overdrive)
+            for die in self.array.dies
+        ]
 
     @property
     def n_dies(self) -> int:
@@ -326,36 +300,26 @@ class GainCalibrationArray:
         Returns:
             The fitted weights, shape ``(dies, n_stages + 2)``; row *d*
             is ``[w_1..w_n, w_flash, offset]`` for die *d*.
+
+        Raises:
+            CalibrationError: naming the first die whose capture is
+                rank-deficient.
         """
-        config = self.array.config
-        ramp = _calibration_ramp(config, self.samples_per_code, self.overdrive)
-        result = self.array.convert_samples(
-            ramp, stream=CALIBRATION_NOISE_STREAM
-        )
-        target = _calibration_target(config, ramp)
-        keep = _keep_range(config, target)
-        # Shared assembly: one (dies, kept, n_weights) design stack …
-        design = _design_matrix(
-            result.stage_codes[:, keep], result.flash_codes[:, keep]
-        )
-        kept_target = target[keep]
-        # … then stacked per-die solves, each rank-checked on its own.
-        weights = np.empty((self.n_dies, design.shape[-1]))
-        for die in range(self.n_dies):
-            weights[die] = _fit_weights(design[die], kept_target, die=die)
-        self._weights = weights
-        return weights
+        for die, calibration in enumerate(self._calibrations):
+            try:
+                calibration.calibrate()
+            except CalibrationError as error:
+                raise CalibrationError(f"die {die}: {error}") from None
+        return self.weights
 
     @property
     def weights(self) -> np.ndarray:
         """Fitted per-die weights, shape (dies, n_stages + 2)."""
-        if self._weights is None:
-            raise CalibrationError("call calibrate() first")
-        return self._weights
+        return np.stack([calibration.weights for calibration in self._calibrations])
 
     def die_weights(self, die: int) -> np.ndarray:
         """One die's fitted weight vector."""
-        return self.weights[die]
+        return self._calibrations[die].weights
 
     def weight_errors(self) -> np.ndarray:
         """Fitted minus nominal weights, shape (dies, n_stages + 2)."""
@@ -373,36 +337,33 @@ class GainCalibrationArray:
             flash_codes: (dies, samples) aligned flash codes.
 
         Returns:
-            Calibrated output words, shape (dies, samples) — row *d*
-            identical to the per-die reconstruction with die *d*'s
-            weights.  Rail-pinned samples stay pinned, as in
-            :meth:`GainCalibration.reconstruct`.
+            Calibrated output words, shape (dies, samples); row *d* is
+            :meth:`reconstruct_die` of die *d*'s rows.
         """
-        design = _design_matrix(stage_codes, flash_codes)
-        if design.ndim != 3 or design.shape[0] != self.n_dies:
+        stage = np.asarray(stage_codes)
+        flash = np.asarray(flash_codes)
+        if (
+            stage.ndim != 3
+            or stage.shape[0] != self.n_dies
+            or flash.shape != stage.shape[:-1]
+        ):
             raise ConfigurationError(
                 f"batched reconstruct needs a ({self.n_dies}, samples, "
-                f"n_stages) block, got stage_codes shape "
-                f"{np.asarray(stage_codes).shape}"
+                f"n_stages) block and matching flash codes, got shapes "
+                f"{stage.shape} and {flash.shape}"
             )
-        return _apply_weights(
-            design,
-            self.weights,
-            self.nominal_weights(),
-            self.array.config.n_codes,
+        return np.stack(
+            [
+                self.reconstruct_die(die, stage[die], flash[die])
+                for die in range(self.n_dies)
+            ]
         )
 
     def reconstruct_die(
         self, die: int, stage_codes: np.ndarray, flash_codes: np.ndarray
     ) -> np.ndarray:
         """Rebuild one die's capture (any shape) with its own weights."""
-        design = _design_matrix(stage_codes, flash_codes)
-        return _apply_weights(
-            design,
-            self.die_weights(die),
-            self.nominal_weights(),
-            self.array.config.n_codes,
-        )
+        return self._calibrations[die].reconstruct(stage_codes, flash_codes)
 
     def convert(
         self, signal: DifferentialSignal, n_samples: int

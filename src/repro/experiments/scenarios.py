@@ -16,9 +16,9 @@ the ``repro`` CLI exactly like the figure reproductions:
 - ``scenario-calibrated-yield`` — population-scale calibrated yield
   screening on the vectorized engine: a mismatch-dominated die
   population (the paper's uncalibrated INL numbers pushed ~10x) is
-  screened raw and again after die-batched foreground calibration
-  (:class:`~repro.core.calibration.GainCalibrationArray`), comparing
-  the INL/ENOB spreads and the yield.  Extension beyond the paper.
+  screened raw and again after per-die foreground calibration
+  (:class:`~repro.core.calibration.GainCalibration`), comparing the
+  INL/ENOB spreads and the yield.  Extension beyond the paper.
 
 The measurement helpers are shared with the example scripts, so the
 narrative examples and the claim-checked experiments cannot drift
@@ -260,7 +260,7 @@ def run_calibrated_yield(quick: bool = False) -> ExperimentResult:
     claims = (
         ClaimCheck(
             claim=(
-                "die-batched foreground calibration lifts yield on a "
+                "per-die foreground calibration lifts yield on a "
                 "mismatch-dominated population (extension; not in the "
                 "paper)"
             ),
@@ -307,8 +307,8 @@ def run_calibrated_yield(quick: bool = False) -> ExperimentResult:
         claims=claims,
         notes=(
             "Extension beyond the published, uncalibrated part; both "
-            "screens run die-batched on the vectorized engine "
-            "(GainCalibrationArray calibrates each chunk in one pass).",
+            "screens run in die chunks on the vectorized engine, each "
+            "die calibrated alone.",
         ),
     )
 

@@ -16,9 +16,10 @@ executes that shape across a ``multiprocessing`` pool with
   statistics, JSON serialization for CI artifacts).
 
 :class:`EngineDispatch` is the one route yield screens and sign-off
-campaigns take onto the runner: it validates the engine choice, slices
-dies or cells into per-engine tasks and flattens the result to one
-outcome per item, whatever the engine.
+campaigns take onto the runner: each hands over one measure function,
+the dispatch slices dies or cells into tasks of ``chunk`` items (one
+item on the ``pool`` engine) and flattens the result to one outcome per
+item.
 
 ``workers=1`` bypasses the pool entirely and runs the same wrapped
 tasks in-process, so serial batches are bit-exact with the legacy
@@ -481,20 +482,14 @@ class BatchRunner:
         )
 
 
-#: The execution engines: ``pool`` dispatches one item per task through
-#: the serial per-die path, ``vectorized`` dispatches item chunks, each
-#: measured through one :class:`~repro.core.adc_array.AdcArray` with
-#: batched analysis.
+#: The execution engines, two names for one measure path: ``pool``
+#: dispatches one item per task, ``vectorized`` dispatches item chunks.
 ENGINES = ("pool", "vectorized")
 
-#: Items per vectorized chunk when the caller does not choose: big
-#: enough to amortize task dispatch and batch the analysis, small enough
-#: that a chunk's (items, samples) results stay cache-sized.
+#: Items per vectorized chunk when the caller does not choose: enough
+#: to amortize task dispatch, and the number of cells a campaign
+#: checkpoints per ledger fsync.
 DEFAULT_CHUNK = 8
-
-#: An engine's ``(measure, make_task)`` pair: ``make_task`` builds the
-#: task for a tuple of items, ``measure`` runs it in a worker.
-EngineTasks = tuple[Callable[[Any], Any], Callable[[tuple[Any, ...]], Any]]
 
 
 @dataclass(frozen=True)
@@ -502,25 +497,24 @@ class EngineDispatch:
     """The one route from measurement items to :class:`BatchRunner`.
 
     Yield screens (dies) and sign-off campaigns (cells) both go through
-    it: the caller hands over its items and, per engine, a measure
-    function with the task it takes for a chunk of items.  The dispatch
-    validates the engine choice on construction, then slices the items
-    into chunks, runs them and returns one :class:`TaskOutcome` per
-    item — carrying the item's index and seed — whatever the engine.
+    it: the caller hands over its items, one measure function and the
+    task that function takes for a chunk of items.  The engine only
+    chooses how many items a task holds.  The dispatch validates that
+    choice on construction, then slices the items into chunks, runs
+    them and returns one :class:`TaskOutcome` per item — carrying the
+    item's index and seed.
 
     Attributes:
         engine: ``"pool"`` (one item per task) or ``"vectorized"``
-            (item chunks, batched analysis per chunk).
+            (``chunk`` items per task).
         chunk: items per vectorized task; None splits the items evenly
             across the workers, at most :data:`DEFAULT_CHUNK` each.
         workers: worker processes (1 = serial, None = all CPUs).
-        chunk_size: pool dispatch chunk size (None = auto).
     """
 
     engine: str = "pool"
     chunk: int | None = None
     workers: int | None = 1
-    chunk_size: int | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -537,47 +531,43 @@ class EngineDispatch:
                 f"got chunk={self.chunk} with engine='{self.engine}'"
             )
 
+    def items_per_task(self, n_items: int) -> int:
+        """How many of ``n_items`` items each task measures."""
+        if self.engine == "pool":
+            return 1
+        workers = BatchRunner(workers=self.workers).resolve_workers(n_items)
+        return self.chunk or min(-(-n_items // workers), DEFAULT_CHUNK)
+
     def run(
         self,
         items: Sequence[Any],
+        measure: Callable[[Any], tuple[Any, ...]],
+        make_task: Callable[[tuple[Any, ...]], Any],
         *,
-        pool: EngineTasks,
-        vectorized: EngineTasks,
         index_of: Callable[[Any], int],
         seed_of: Callable[[Any], int],
         progress: ProgressCallback | None = None,
     ) -> BatchResult:
-        """Measure ``items`` on this engine, one outcome per item.
+        """Measure ``items`` in chunks, one outcome per item.
 
         Args:
             items: the dies or cells to measure, in report order.
-            pool: the pool engine's ``(measure, make_task)``.
-            vectorized: the vectorized engine's ``(measure, make_task)``.
-                ``measure(task)`` returns a tuple with one value per item
-                of the task's chunk, or the bare value of a one-item
-                chunk.
+            measure: runs one task in a worker and returns a tuple with
+                one value per item of the task's chunk.
+            make_task: builds the task for a tuple of items.
             index_of: maps an item to its outcome index.
             seed_of: maps an item to the seed recorded on its outcome.
-            progress: progress callback, once per task (per item on the
-                pool engine, per chunk on the vectorized engine).
+            progress: progress callback, once per task.
         """
         if not items:
             return BatchResult(
                 outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
             )
-        runner = BatchRunner(
-            workers=self.workers, chunk_size=self.chunk_size, progress=progress
-        )
-        if self.engine == "pool":
-            measure, make_task = pool
-            size = 1
-        else:
-            measure, make_task = vectorized
-            per_worker = -(-len(items) // runner.resolve_workers(len(items)))
-            size = self.chunk or min(per_worker, DEFAULT_CHUNK)
+        size = self.items_per_task(len(items))
         chunks = [
             tuple(items[low : low + size]) for low in range(0, len(items), size)
         ]
+        runner = BatchRunner(workers=self.workers, progress=progress)
         batch = runner.run(measure, [make_task(chunk) for chunk in chunks])
         return _per_item(batch, chunks, index_of, seed_of)
 
@@ -600,15 +590,13 @@ def _per_item(
     outcomes: list[TaskOutcome] = []
     for chunk_outcome in batch.outcomes:
         chunk = chunks[chunk_outcome.index]
-        values = chunk_outcome.value
-        if not isinstance(values, tuple):
-            values = (values,)
-        for position, item in enumerate(chunk):
+        values = chunk_outcome.value if chunk_outcome.ok else (None,) * len(chunk)
+        for value, item in zip(values, chunk):
             outcomes.append(
                 dataclasses.replace(
                     chunk_outcome,
                     index=index_of(item),
-                    value=values[position] if chunk_outcome.ok else None,
+                    value=value,
                     seed=seed_of(item),
                     elapsed_s=chunk_outcome.elapsed_s / len(chunk),
                 )

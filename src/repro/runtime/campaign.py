@@ -12,15 +12,15 @@ a first-class batch workload:
   :class:`CampaignCell` is one (corner, temperature, die) triple with a
   ``SeedSequence``-derived die seed.
 * **Execution** — cells dispatch through
-  :class:`~repro.runtime.batch.BatchRunner` (composable with
-  ``workers``); the vectorized engine measures whole cell chunks
-  through one :class:`~repro.core.adc_array.AdcArray` each, mixing
-  corners and temperatures freely inside one chunk, with one batched
-  FFT pass per chunk.  Each cell's noise streams derive from its die
-  seed alone (:func:`repro.streams.noise_generator`), so a cell's
-  codes are bit-exact with the serial :class:`DynamicTestbench` on
-  the same (point, seed) — regardless of engine, chunking or worker
-  count.
+  :class:`~repro.runtime.batch.EngineDispatch` (composable with
+  ``workers``) in chunks of ``cell_chunk`` cells (one cell on the
+  ``pool`` engine), mixing corners and temperatures freely inside one
+  chunk.  :func:`measure_cell_chunk` measures each cell of a chunk on
+  its own: build the die, convert the tone, analyze the record.  Each
+  cell's noise streams derive from its die seed alone
+  (:func:`repro.streams.noise_generator`), so a cell's record is
+  bit-identical with the serial :class:`DynamicTestbench` on the same
+  (point, seed) — regardless of engine, chunking or worker count.
 * **Checkpointing** — completed cells append to a JSONL run ledger as
   they finish; an interrupted campaign resumes from the ledger and
   recomputes nothing, and the resumed report is identical to a
@@ -42,8 +42,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # import cycle: cell_store builds on this module
     from repro.runtime.cell_store import CellStore
 
-from repro.core.adc_array import AdcArray
 from repro.core.config import FINGERPRINT_EXCLUDED, AdcConfig
+from repro.core.die_cache import build_die
 from repro.errors import ConfigurationError
 from repro.evaluation.datasheet import Datasheet, signoff_datasheet
 from repro.evaluation.reporting import format_table
@@ -79,9 +79,8 @@ class CampaignSpec:
     resume identity (:meth:`fingerprint` — what a ledger must match to
     be reused).  Execution choices — engine, chunking, workers — live
     outside the spec because they cannot change any cell's metrics.
-    Under ``repro profile`` a cell measurement appears as a
-    ``task/measure-cell`` (serial) or ``task/measure-cell-chunk``
-    (vectorized) entry.
+    Under ``repro profile`` a task of cells appears as a
+    ``task/measure-cell-chunk`` entry.
 
     Attributes:
         corners: process corners, grid-outermost.
@@ -294,7 +293,7 @@ class CampaignCell:
         )
 
     def process_sample(self, technology) -> ProcessSample:
-        """The cell as a die realization for the batched engine."""
+        """The cell as a die realization."""
         return ProcessSample(
             operating_point=self.operating_point(technology),
             seed=self.die_seed,
@@ -308,7 +307,7 @@ class CellMetrics:
 
     Engine-independent by the per-die stream contract: the same cell
     yields the same record from the serial testbench and from any
-    vectorized chunk it lands in.
+    chunk it lands in.
     """
 
     index: int
@@ -355,7 +354,7 @@ class CellMetrics:
 
 @dataclass(frozen=True)
 class CellTask:
-    """One worker's serial task: a single cell through the testbench."""
+    """A single cell through the serial testbench (the reference)."""
 
     cell: CampaignCell
     config: AdcConfig
@@ -364,7 +363,7 @@ class CellTask:
 
 @dataclass(frozen=True)
 class CellChunkTask:
-    """One worker's vectorized task: a cell chunk on one AdcArray."""
+    """One worker's task: a chunk of cells, measured one by one."""
 
     cells: tuple[CampaignCell, ...]
     config: AdcConfig
@@ -393,9 +392,8 @@ def _cell_metrics(cell: CampaignCell, metrics) -> CellMetrics:
 def measure_cell(task: CellTask) -> CellMetrics:
     """Measure one cell with the serial :class:`DynamicTestbench`.
 
-    The reference implementation the vectorized engine is bit-exact
-    against; module-level and dependent only on ``task`` so it can run
-    in any worker of any partition.
+    The reference for :func:`measure_cell_chunk`, which must give the
+    same record, cell for cell.
     """
     spec = task.spec
     bench = DynamicTestbench(
@@ -411,35 +409,37 @@ def measure_cell(task: CellTask) -> CellMetrics:
 
 @profile_step("task", "measure-cell-chunk")
 def measure_cell_chunk(task: CellChunkTask) -> tuple[CellMetrics, ...]:
-    """Measure a cell chunk with one batched FFT.
+    """Measure a chunk of cells, one record per cell.
 
-    The chunk's cells — mixed corners, temperatures and dies — convert
-    one at a time through one :class:`~repro.core.adc_array.AdcArray`
-    into a ``(cells, samples)`` code block, then one batched FFT
-    produces the per-cell metrics.  Cell-for-cell bit-exact with
-    :func:`measure_cell`: each cell draws only from its own
-    seed-derived streams, and the tone and analyzer are the ones
-    :meth:`DynamicTestbench.measure` uses.
+    The chunk's cells — mixed corners, temperatures and dies — each
+    build their die, convert the tone and analyze the record alone; the
+    tone and analyzer are built once per chunk and are the ones
+    :meth:`DynamicTestbench.measure` uses.  Module-level and dependent
+    only on ``task``, so it can run in any worker of any partition.
     """
     spec = task.spec
     config = task.config
-    samples = [cell.process_sample(config.technology) for cell in task.cells]
-    adc = AdcArray(config, spec.conversion_rate, samples)
+    rate = spec.conversion_rate
     tone = coherent_tone(
         config,
-        spec.conversion_rate,
+        rate,
         spec.input_frequency,
         spec.n_samples,
         spec.amplitude_fraction,
     )
-    capture = adc.convert(tone, spec.n_samples)
-    spectra = code_analyzer(config).analyze_batch(
-        capture.codes, spec.conversion_rate
-    )
-    return tuple(
-        _cell_metrics(cell, metrics)
-        for cell, metrics in zip(task.cells, spectra)
-    )
+    analyzer = code_analyzer(config)
+
+    def measure_one(cell: CampaignCell) -> CellMetrics:
+        adc = build_die(
+            config,
+            rate,
+            operating_point=cell.operating_point(config.technology),
+            seed=cell.die_seed,
+        )
+        capture = adc.convert(tone, spec.n_samples)
+        return _cell_metrics(cell, analyzer.analyze(capture.codes, rate))
+
+    return tuple(measure_one(cell) for cell in task.cells)
 
 
 @dataclass(frozen=True)
@@ -931,7 +931,6 @@ def run_campaign(
     resume: bool = False,
     cell_chunk: int | None = None,
     workers: int | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
     cell_range: tuple[int, int] | None = None,
     cell_store: "CellStore | str | Path | None" = None,
@@ -942,24 +941,22 @@ def run_campaign(
     Args:
         spec: the grid and bench settings (default sign-off grid).
         config: converter configuration (paper default when omitted).
-        engine: ``"pool"`` measures one cell per task through the
-            serial :class:`DynamicTestbench`; ``"vectorized"``
-            converts cell chunks as single
-            :class:`~repro.core.adc_array.AdcArray` batches.  Per-cell
-            metrics are bit-exact across engines, chunkings and worker
+        engine: ``"pool"`` measures one cell per task;
+            ``"vectorized"`` measures ``cell_chunk`` cells per task.
+            Both run :func:`measure_cell_chunk`, so per-cell records
+            are bit-identical across engines, chunkings and worker
             counts.
         ledger_path: JSONL checkpoint file.  Completed cells append as
             they finish; with ``resume`` an existing ledger's cells are
             reused instead of recomputed.  Omitted: no checkpointing.
         resume: reuse a matching existing ledger at ``ledger_path``
             (fingerprint-checked) instead of starting fresh.
-        cell_chunk: cells per vectorized batch (vectorized engine only;
-            None splits evenly across the workers, bounded by a
-            cache-friendly default).
+        cell_chunk: cells per vectorized task (vectorized engine only;
+            None splits evenly across the workers, at most
+            :data:`~repro.runtime.batch.DEFAULT_CHUNK` each).  The
+            ledger appends and fsyncs once per task.
         workers: worker processes (1 = serial, None = all CPUs).
-        chunk_size: pool dispatch chunk size (None = auto).
-        progress: progress callback (per cell for the pool engine, per
-            cell chunk for the vectorized engine).
+        progress: progress callback, once per task.
         cell_range: run only grid cells ``[start, stop)`` — a shard of
             the campaign (usually planned by
             :meth:`CampaignSpec.shard`).  The ledger header records
@@ -981,12 +978,7 @@ def run_campaign(
     """
     spec = spec or CampaignSpec()
     config = config or AdcConfig.paper_default()
-    dispatch = EngineDispatch(
-        engine=engine,
-        chunk=cell_chunk,
-        workers=workers,
-        chunk_size=chunk_size,
-    )
+    dispatch = EngineDispatch(engine=engine, chunk=cell_chunk, workers=workers)
     cells = spec.cells()
     if cell_range is not None:
         start, stop = cell_range
@@ -1039,8 +1031,7 @@ def run_campaign(
     def checkpoint(update) -> None:
         outcome = update.latest
         if outcome is not None and outcome.ok:
-            value = outcome.value
-            fresh = value if isinstance(value, tuple) else (value,)
+            fresh = outcome.value
             if ledger is not None:
                 ledger.record(fresh)
             if store is not None:
@@ -1053,14 +1044,8 @@ def run_campaign(
 
     batch = dispatch.run(
         pending,
-        pool=(
-            measure_cell,
-            lambda chunk: CellTask(cell=chunk[0], config=config, spec=spec),
-        ),
-        vectorized=(
-            measure_cell_chunk,
-            lambda chunk: CellChunkTask(cells=chunk, config=config, spec=spec),
-        ),
+        measure_cell_chunk,
+        lambda chunk: CellChunkTask(cells=chunk, config=config, spec=spec),
         index_of=lambda cell: cell.index,
         seed_of=lambda cell: cell.die_seed,
         progress=checkpoint,

@@ -1,30 +1,27 @@
 """Monte Carlo yield analysis on the batch runtime.
 
-Two execution engines measure the same die population through the
-shared :class:`~repro.runtime.batch.EngineDispatch` route; both take a
-:class:`DieTask` and differ only in measure function and chunk size:
+One measure function, :func:`measure_die`, screens every die: it builds
+the die's :class:`~repro.core.adc.PipelineAdc` (through the die cache),
+converts the tone and the linearity ramp, and analyzes each record on
+its own.  The shared :class:`~repro.runtime.batch.EngineDispatch` route
+only decides how many dies one task holds:
 
-* ``engine="pool"`` — one die per task: :func:`measure_die` builds the
-  die's :class:`~repro.core.adc.PipelineAdc` and measures it alone.
-  ``workers=1`` is the serial per-die loop.
-* ``engine="vectorized"`` — dies are grouped into chunks and
-  :func:`measure_die_chunk` measures each chunk through one
-  :class:`~repro.core.adc_array.AdcArray`: the dies convert one at a
-  time, then batched FFTs and batched code-density histograms analyze
-  the whole chunk.
-  The engines compose: with ``workers > 1`` the pool fans the
-  vectorized chunks out across processes.
+* ``engine="pool"`` — one die per task; ``workers=1`` is the serial
+  per-die loop.
+* ``engine="vectorized"`` — die chunks per task (``die_chunk``, or an
+  even split across the workers bounded by a default), which amortizes
+  task dispatch and the per-task stimulus.
 
-Both measure with the serial benches' stimulus
+With ``workers > 1`` the pool fans the tasks out across processes.
+
+Every die is measured with the serial benches' stimulus
 (:mod:`repro.evaluation.testbench`): the near-full-scale coherent tone
 and code analyzer of :class:`~repro.evaluation.testbench.DynamicTestbench`
 and the over-ranged ramp of
-:class:`~repro.evaluation.testbench.StaticTestbench`.  The engines are
-interchangeable by construction: per-die noise streams are derived from
-the die seed alone (:mod:`repro.streams`), so a die's output codes are
-bit-exact across engines, worker counts and chunk sizes; the derived
-SNDR/ENOB metrics agree to floating-point association in the batched
-FFT (documented tolerance ~1e-9 dB).
+:class:`~repro.evaluation.testbench.StaticTestbench`.  Per-die noise
+streams are derived from the die seed alone (:mod:`repro.streams`), so
+a die's record is bit-identical across engines, worker counts and
+chunk sizes.
 """
 
 from __future__ import annotations
@@ -34,9 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.adc import PipelineAdc
-from repro.core.adc_array import AdcArray
-from repro.core.calibration import GainCalibration, GainCalibrationArray
+from repro.core.calibration import GainCalibration
 from repro.core.config import AdcConfig
 from repro.core.die_cache import build_die
 from repro.errors import ConfigurationError
@@ -173,9 +168,6 @@ def _die_metrics(
 class DieTask:
     """Everything one worker needs to measure a chunk of dies.
 
-    The pool engine hands :func:`measure_die` one die per task; the
-    vectorized engine hands :func:`measure_die_chunk` a die chunk.
-
     Attributes:
         samples: the dies' realizations, in batch order.
         config: converter configuration.
@@ -208,105 +200,58 @@ class DieTask:
 
 @profile_step("task", "measure-die")
 def measure_die(task: DieTask) -> tuple[DieMetrics, ...]:
-    """Measure each die of the task alone: the serial per-die reference.
+    """Measure each die of the task alone, one record per die.
 
     Dynamic (SNDR/ENOB) and static (DNL/INL) screens on one
-    :class:`~repro.core.adc.PipelineAdc` per die.  Module-level and
+    :class:`~repro.core.adc.PipelineAdc` per die; the tone, analyzer
+    and ramp are built once per task.  Each die's long ramp is reduced
+    to its output codes before the next die converts, so only one die's
+    per-stage decisions are alive at a time.  Module-level and
     dependent only on ``task``, so it can run in any worker process of
     any batch partition and produce identical bits.  With
     ``task.calibrate`` each die is foreground-calibrated first (capture
     on the die's reserved calibration stream) and the screens measure
     the calibrated reconstruction.
     """
-    return tuple(_measure_one_die(task, die) for die in task.samples)
-
-
-def _measure_one_die(task: DieTask, die: ProcessSample) -> DieMetrics:
     config = task.config
     rate = task.spec.conversion_rate
-    adc = build_die(
-        config, rate, operating_point=die.operating_point, seed=die.seed
-    )
-    calibration = None
-    if task.calibrate:
-        calibration = GainCalibration(
-            adc, samples_per_code=task.calibration_samples_per_code
-        )
-        calibration.calibrate()
-
-    def codes(result) -> np.ndarray:
-        if calibration is None:
-            return result.codes
-        return calibration.reconstruct(result.stage_codes, result.flash_codes)
-
     tone = coherent_tone(config, rate, task.spec.input_frequency, task.n_fft)
-    capture = adc.convert(tone, task.n_fft)
-    spectrum = code_analyzer(config).analyze(codes(capture), rate)
+    analyzer = code_analyzer(config)
     ramp = linearity_ramp(config, RAMP_SAMPLES_PER_CODE)
-    linearity = ramp_linearity(codes(adc.convert_samples(ramp)), config.n_codes)
-    return _die_metrics(
-        die, task.spec, spectrum, linearity, calibrated=task.calibrate
-    )
 
-
-@profile_step("task", "measure-die-chunk")
-def measure_die_chunk(task: DieTask) -> tuple[DieMetrics, ...]:
-    """Measure a chunk of dies with batched analysis.
-
-    One :class:`~repro.core.adc_array.AdcArray` converts the chunk's
-    tone capture and linearity ramp die by die, then batched FFTs and
-    batched code-density histograms produce the per-die metrics.  Each
-    die's output codes are bit-exact with :func:`measure_die` on the
-    same die, because every die draws from its own seed-derived noise
-    streams regardless of the chunking.  With ``task.calibrate`` the
-    whole chunk is foreground-calibrated first —
-    :class:`~repro.core.calibration.GainCalibrationArray` captures the
-    calibration ramp for every die and fits all dies in one stacked
-    solve, and the screens
-    measure the calibrated reconstruction, die-for-die equivalent to
-    the serial calibration in :func:`measure_die`.
-    """
-    config = task.config
-    rate = task.spec.conversion_rate
-    adc = AdcArray(config, rate, task.samples)
-    calibration = None
-    if task.calibrate:
-        calibration = GainCalibrationArray(
-            adc, samples_per_code=task.calibration_samples_per_code
+    def measure_one(die: ProcessSample) -> DieMetrics:
+        adc = build_die(
+            config, rate, operating_point=die.operating_point, seed=die.seed
         )
-        calibration.calibrate()
-    tone = coherent_tone(config, rate, task.spec.input_frequency, task.n_fft)
-    capture = adc.convert(tone, task.n_fft)
-    tone_codes = (
-        calibration.reconstruct(capture.stage_codes, capture.flash_codes)
-        if calibration
-        else capture.codes
-    )
-    spectra = code_analyzer(config).analyze_batch(tone_codes, rate)
-    ramp = linearity_ramp(config, RAMP_SAMPLES_PER_CODE)
-    # Each die's long ramp is reduced to its output codes before the
-    # next die converts, so only one die's per-stage decisions (16+
-    # samples per code) are alive at a time.  The code-density
-    # histograms are then built in one batched bincount pass.
+        calibration = None
+        if task.calibrate:
+            calibration = GainCalibration(
+                adc, samples_per_code=task.calibration_samples_per_code
+            )
+            calibration.calibrate()
 
-    def ramp_row(index: int, die: PipelineAdc) -> np.ndarray:
-        result = die.convert_samples(ramp)
-        if calibration is None:
-            return result.codes
-        return calibration.reconstruct_die(
-            index, result.stage_codes, result.flash_codes
+        def codes(result) -> np.ndarray:
+            if calibration is None:
+                return result.codes
+            return calibration.reconstruct(
+                result.stage_codes, result.flash_codes
+            )
+
+        spectrum = analyzer.analyze(codes(adc.convert(tone, task.n_fft)), rate)
+        linearity = ramp_linearity(
+            codes(adc.convert_samples(ramp)), config.n_codes
         )
-
-    ramp_codes = np.stack(
-        [ramp_row(index, die) for index, die in enumerate(adc.dies)]
-    )
-    linearities = ramp_linearity(ramp_codes, config.n_codes)
-    return tuple(
-        _die_metrics(
+        return _die_metrics(
             die, task.spec, spectrum, linearity, calibrated=task.calibrate
         )
-        for die, spectrum, linearity in zip(task.samples, spectra, linearities)
-    )
+
+    return tuple(measure_one(die) for die in task.samples)
+
+
+#: Callers that import the chunk measure by this name get
+#: :func:`measure_die`; the runtime itself dispatches ``measure_die``, so
+#: pooled tasks pickle under the name the function was defined with.
+measure_die_chunk = measure_die
 
 
 @dataclass(frozen=True)
@@ -320,12 +265,14 @@ class YieldReport:
             "vectorized"); per-die metrics are engine-independent.
         calibrated: whether the dies were foreground-calibrated before
             screening (extension beyond the paper).
+        dies_per_task: how many dies one dispatched task measured.
     """
 
     batch: BatchResult
     spec: YieldSpec
     engine: str = "pool"
     calibrated: bool = False
+    dies_per_task: int = 1
 
     @property
     def dies(self) -> list[DieMetrics]:
@@ -428,7 +375,8 @@ class YieldReport:
         lines.append(
             f"batch: {self.engine} engine,{calibration} "
             f"{self.batch.workers} worker(s), "
-            f"chunk size {self.batch.chunk_size}, {self.batch.elapsed_s:.2f} s"
+            f"{self.dies_per_task} die(s) per task, "
+            f"{self.batch.elapsed_s:.2f} s"
         )
         return "\n".join(lines)
 
@@ -470,7 +418,6 @@ def run_yield_analysis(
     calibration_samples_per_code: int = 8,
     die_chunk: int | None = None,
     workers: int | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> YieldReport:
     """Run a Monte Carlo yield analysis across the batch runtime.
@@ -479,14 +426,12 @@ def run_yield_analysis(
         n_dies: number of die realizations.
         seed: master seed for the PVT/mismatch draws; a given
             ``(seed, n_dies)`` pair reproduces the identical die set
-            regardless of ``engine``, ``workers`` and any chunk sizes.
+            regardless of ``engine``, ``workers`` and ``die_chunk``.
         config: converter configuration (paper default when omitted).
         spec: screening spec and measurement conditions.
         n_fft: coherent capture length per die.
         calibrate: foreground-calibrate every die first and screen the
-            calibrated reconstruction — per-die identical across
-            engines (the vectorized engine calibrates whole chunks in
-            one batched capture).
+            calibrated reconstruction.
         calibration_samples_per_code: calibration-ramp density.
         seed_strategy: ``"stream"`` draws dies from one sequential
             generator (bit-compatible with the legacy serial loops);
@@ -494,24 +439,16 @@ def run_yield_analysis(
             ``SeedSequence.spawn`` child, so die *i* is identical no
             matter how large the batch is (sharding-stable).
         engine: ``"pool"`` measures one die per task;
-            ``"vectorized"`` measures die chunks as single
-            :class:`~repro.core.adc_array.AdcArray` batches.  Per-die
-            output codes are bit-exact across engines.
-        die_chunk: dies per vectorized batch (vectorized engine only;
-            None splits evenly across the workers, bounded by a
-            cache-friendly default).
-        workers: worker processes (1 = serial, None = all CPUs); with
-            the vectorized engine the pool fans out die chunks.
-        chunk_size: pool dispatch chunk size (None = auto).
-        progress: progress callback (per die for the pool engine, per
-            die chunk for the vectorized engine).
+            ``"vectorized"`` measures ``die_chunk`` dies per task.
+            Both run :func:`measure_die`, so per-die records are
+            bit-identical across engines.
+        die_chunk: dies per vectorized task (vectorized engine only;
+            None splits evenly across the workers, at most
+            :data:`~repro.runtime.batch.DEFAULT_CHUNK` each).
+        workers: worker processes (1 = serial, None = all CPUs).
+        progress: progress callback, once per task.
     """
-    dispatch = EngineDispatch(
-        engine=engine,
-        chunk=die_chunk,
-        workers=workers,
-        chunk_size=chunk_size,
-    )
+    dispatch = EngineDispatch(engine=engine, chunk=die_chunk, workers=workers)
     config = config or AdcConfig.paper_default()
     spec = spec or YieldSpec()
     sampler = default_sampler(config)
@@ -536,8 +473,8 @@ def run_yield_analysis(
 
     batch = dispatch.run(
         dies,
-        pool=(measure_die, task),
-        vectorized=(measure_die_chunk, task),
+        measure_die,
+        task,
         index_of=lambda die: die.index,
         seed_of=lambda die: die.seed,
         progress=progress,
@@ -547,4 +484,5 @@ def run_yield_analysis(
         spec=spec,
         engine=engine,
         calibrated=calibrate,
+        dies_per_task=dispatch.items_per_task(len(dies)),
     )

@@ -53,8 +53,6 @@ from repro.profiling import (  # noqa: F401 — re-exported public surface
 from repro.runtime.campaign import (
     CampaignSpec,
     CellChunkTask,
-    CellTask,
-    measure_cell,
     measure_cell_chunk,
     run_campaign,
 )
@@ -65,9 +63,9 @@ from repro.technology.corners import Corner
 #: The workloads ``repro profile`` can run.
 WORKLOADS = ("dynamic-screen", "yield-screen", "pvt-campaign")
 
-#: The engine columns of a profile report.  ``serial`` is the per-die
-#: path (``engine="pool"`` with one worker); ``vectorized`` is the
-#: :class:`~repro.core.adc_array.AdcArray` path with batched analysis.
+#: The engine columns of a profile report, both in one process on the
+#: one measure path: ``serial`` measures one item per task
+#: (``engine="pool"``), ``vectorized`` the automatic chunk.
 ENGINES = ("serial", "vectorized")
 
 #: The root stage every profiled engine run is wrapped in.
@@ -275,21 +273,15 @@ def _run_dynamic_screen(
 ) -> int:
     """The dynamic-screen workload: tone + FFT per cell, one PVT point.
 
-    The exact campaign cell path: serial cells go through
-    :func:`~repro.runtime.campaign.measure_cell` (one
-    :class:`~repro.evaluation.testbench.DynamicTestbench` each),
-    vectorized cells through one
-    :func:`~repro.runtime.campaign.measure_cell_chunk` pass.
+    The exact campaign cell path,
+    :func:`~repro.runtime.campaign.measure_cell_chunk`: serial runs one
+    task per cell, vectorized one task for all cells.
     """
     spec = _dynamic_screen_spec(dies, fft_points)
-    cells = spec.cells()
-    if engine == "serial":
-        for cell in cells:
-            measure_cell(CellTask(cell=cell, config=config, spec=spec))
-    else:
-        measure_cell_chunk(
-            CellChunkTask(cells=tuple(cells), config=config, spec=spec)
-        )
+    cells = tuple(spec.cells())
+    chunks = [(cell,) for cell in cells] if engine == "serial" else [cells]
+    for chunk in chunks:
+        measure_cell_chunk(CellChunkTask(cells=chunk, config=config, spec=spec))
     return len(cells)
 
 

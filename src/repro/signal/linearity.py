@@ -98,25 +98,6 @@ def _linearity_from_counts(
     return _assemble(dnl, counts, n_codes)
 
 
-def _code_counts(data: np.ndarray, n_codes: int) -> np.ndarray:
-    """Code histograms: (n_codes,) for 1-D input, (dies, n_codes) for 2-D.
-
-    The batched form offsets each die's codes into its own bin range so
-    one ``bincount`` pass builds every die's histogram.
-    """
-    values = data.astype(int)
-    if values.ndim == 1:
-        return np.bincount(values, minlength=n_codes).astype(float)
-    n_dies = values.shape[0]
-    offsets = (np.arange(n_dies) * n_codes)[:, None]
-    flat = (values + offsets).reshape(-1)
-    return (
-        np.bincount(flat, minlength=n_dies * n_codes)
-        .reshape(n_dies, n_codes)
-        .astype(float)
-    )
-
-
 def histogram_linearity(
     codes: np.ndarray, n_codes: int, expected_density: np.ndarray
 ) -> LinearityResult | list[LinearityResult]:
@@ -124,14 +105,14 @@ def histogram_linearity(
 
     Args:
         codes: captured output codes — one record, or a
-            (dies, n_samples) block measured die by die.
+            (dies, n_samples) block measured row by row.
         n_codes: number of possible codes (2^R).
         expected_density: relative expected hit probability per code
             (length n_codes); only its shape matters.
 
     Returns:
         The linearity result (end bins excluded); a list with one
-        result per die for a 2-D block.
+        result per row for a 2-D block.
     """
     data = np.asarray(codes)
     if data.ndim not in (1, 2):
@@ -144,20 +125,16 @@ def histogram_linearity(
     expected = np.asarray(expected_density, dtype=float)
     if expected.shape != (n_codes,):
         raise AnalysisError("expected_density must have one entry per code")
-    # Range-check before histogramming: the batched offset trick would
-    # otherwise book a stray code into the next die's histogram.
     if data.min() < 0 or data.max() >= n_codes:
         raise AnalysisError(
             f"codes must lie in [0, {n_codes}), got "
             f"[{data.min()}, {data.max()}]"
         )
+    if data.ndim == 2:
+        return [histogram_linearity(row, n_codes, expected) for row in data]
     with record("analyze", "linearity"):
-        counts = _code_counts(data, n_codes)
-        if data.ndim == 1:
-            return _linearity_from_counts(counts, n_codes, expected)
-        return [
-            _linearity_from_counts(row, n_codes, expected) for row in counts
-        ]
+        counts = np.bincount(data.astype(int), minlength=n_codes).astype(float)
+        return _linearity_from_counts(counts, n_codes, expected)
 
 
 def ramp_linearity(
@@ -165,9 +142,8 @@ def ramp_linearity(
 ) -> LinearityResult | list[LinearityResult]:
     """INL/DNL from a slow over-ranged linear ramp capture.
 
-    Accepts one record or a (dies, n_samples) block; the batched form
-    histograms every die in one pass and returns one result per die,
-    each identical to the 1-D measurement of that row.
+    Accepts one record or a (dies, n_samples) block; a block returns
+    one result per row, each the 1-D measurement of that row.
     """
     return histogram_linearity(codes, n_codes, np.ones(n_codes))
 

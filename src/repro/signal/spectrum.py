@@ -61,28 +61,21 @@ class SpectrumAnalyzer:
             raise AnalysisError("full scale must be positive")
 
     def power_spectrum(self, samples: np.ndarray) -> np.ndarray:
-        """One-sided power spectrum of a mean-removed record.
-
-        Accepts a 1-D record, or a (dies, n) block whose rows are
-        transformed in one batched FFT; the spectrum axis is last.
-        """
+        """One-sided power spectrum of a mean-removed 1-D record."""
         x = np.asarray(samples, dtype=float)
-        if x.ndim not in (1, 2) or x.shape[-1] < 16:
-            raise AnalysisError(
-                "need a 1-D record (or a (dies, n) block) of >= 16 samples"
-            )
-        x = x - x.mean(axis=-1, keepdims=True)
-        w = window_function(self.window, x.shape[-1])
-        spectrum = np.fft.rfft(x * w, axis=-1)
-        power = np.abs(spectrum) ** 2
+        if x.ndim != 1 or x.size < 16:
+            raise AnalysisError("need a 1-D record of >= 16 samples")
+        x = x - x.mean()
+        w = window_function(self.window, x.size)
+        power = np.abs(np.fft.rfft(x * w)) ** 2
         # One-sided scaling: double everything except DC (and Nyquist for
         # even records).
-        power[..., 1:] *= 2.0
-        if x.shape[-1] % 2 == 0:
-            power[..., -1] /= 2.0
+        power[1:] *= 2.0
+        if x.size % 2 == 0:
+            power[-1] /= 2.0
         # Normalize so a coherent sine's lobe sums to its mean-square
         # value (A^2/2); for ratio metrics the factor cancels anyway.
-        power /= np.sum(w**2) * x.shape[-1]
+        power /= np.sum(w**2) * x.size
         return power
 
     def analyze(
@@ -122,28 +115,14 @@ class SpectrumAnalyzer:
         sample_rate: float,
         fundamental_bin: int | None = None,
     ) -> list[SpectrumMetrics]:
-        """Measure every die of a (dies, n_samples) capture block.
+        """Measure every row of a (dies, n_samples) capture block.
 
-        The FFTs run as one batched transform over the die axis; the
-        per-die peak/harmonic bookkeeping then walks the precomputed
-        power rows.  Row *d* gives the same metrics as
-        ``analyze(samples[d], ...)`` up to floating-point association in
-        the batched FFT (empirically bit-identical on one platform;
-        documented tolerance ~1e-9 dB across platforms).
+        Row *d* is ``analyze(samples[d], ...)``.
         """
-        if sample_rate <= 0:
-            raise AnalysisError("sample rate must be positive")
         x = np.asarray(samples, dtype=float)
         if x.ndim != 2:
             raise AnalysisError("analyze_batch() needs a (dies, n) block")
-        with record("analyze", "spectrum"):
-            power = self.power_spectrum(x)
-            return [
-                self._metrics_from_power(
-                    row, x.shape[-1], sample_rate, fundamental_bin
-                )
-                for row in power
-            ]
+        return [self.analyze(row, sample_rate, fundamental_bin) for row in x]
 
     def _metrics_from_power(
         self,

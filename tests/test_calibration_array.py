@@ -1,8 +1,8 @@
 """Tests for the die-batched calibration subsystem.
 
-:class:`GainCalibrationArray` weights and calibrated codes match
-per-die :class:`GainCalibration` within 1e-9 per die under matched die
-seeds, and the calibrated yield screen is engine-independent.
+:class:`GainCalibrationArray` weights and calibrated codes equal
+per-die :class:`GainCalibration` under matched die seeds, and the
+calibrated yield screen is engine-independent.
 """
 
 import numpy as np
@@ -66,10 +66,7 @@ class TestArrayCalibrationEquivalence:
     def test_weights_match_per_die(self, array_calibration, solo_calibrations):
         assert array_calibration.weights.shape == (3, 12)
         for die, solo in enumerate(solo_calibrations):
-            delta = np.max(
-                np.abs(array_calibration.die_weights(die) - solo.weights)
-            )
-            assert delta <= 1e-9
+            assert np.array_equal(array_calibration.die_weights(die), solo.weights)
 
     def test_weight_errors_are_per_die(self, array_calibration):
         errors = array_calibration.weight_errors()
@@ -163,6 +160,15 @@ class TestArrayCalibrationValidation:
                 batch.stage_codes[:2], batch.flash_codes[:2]
             )
 
+    def test_reconstruct_rejects_mismatched_flash(
+        self, adc_array, array_calibration
+    ):
+        batch = adc_array.convert_samples(np.linspace(-0.5, 0.5, 64))
+        with pytest.raises(ConfigurationError):
+            array_calibration.reconstruct(
+                batch.stage_codes, batch.flash_codes[:2]
+            )
+
     def test_reconstruct_rejects_1d(self, adc_array, array_calibration):
         batch = adc_array.convert_samples(np.linspace(-0.5, 0.5, 64))
         with pytest.raises(ConfigurationError):
@@ -188,12 +194,8 @@ class TestCalibratedYieldScreen:
             config=paper_config, engine="vectorized", **self.KWARGS
         )
         assert pool.calibrated and vec.calibrated
-        for a, b in zip(pool.dies, vec.dies):
-            assert a.calibrated and b.calibrated
-            assert b.sndr_db == pytest.approx(a.sndr_db, rel=1e-9)
-            assert b.dnl_peak_lsb == a.dnl_peak_lsb
-            assert b.inl_peak_lsb == a.inl_peak_lsb
-            assert b.passed == a.passed
+        assert all(die.calibrated for die in pool.dies)
+        assert pool.dies == vec.dies
 
     def test_report_carries_calibration_flag(self, paper_config):
         import json

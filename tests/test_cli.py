@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_mc_parser, build_parser, main
+from repro.cli import build_campaign_parser, build_mc_parser, build_parser, main
 from repro.experiments.registry import available_experiments
 
 
@@ -36,9 +36,18 @@ class TestCli:
         assert args.experiments == ["fig4"]
 
     def test_parser_workers_default(self):
+        # Experiments keep --chunk-size: it is their only grouping knob.
         args = build_parser().parse_args(["fig4"])
         assert args.workers == 1
         assert args.chunk_size is None
+
+    @pytest.mark.parametrize("parser", [build_mc_parser, build_campaign_parser])
+    def test_measure_parsers_have_no_dispatch_chunk_size(self, parser, capsys):
+        # Yield screens and campaigns group items with --die-chunk and
+        # --cell-chunk alone.
+        with pytest.raises(SystemExit):
+            parser().parse_args(["--chunk-size", "2"])
+        assert "--chunk-size" in capsys.readouterr().err
 
     def test_experiments_through_worker_pool(self, capsys):
         assert main(["fig4", "fig7", "--quick", "--workers", "2"]) == 0
@@ -82,6 +91,26 @@ class TestMcCli:
         assert args.engine == "vectorized"
         assert args.die_chunk == 4
         assert build_mc_parser().parse_args([]).engine == "pool"
+
+    def test_mc_render_reports_dies_per_task(self, capsys):
+        code = main(
+            [
+                "mc",
+                "--dies",
+                "6",
+                "--fft-points",
+                "512",
+                "--engine",
+                "vectorized",
+                "--die-chunk",
+                "3",
+                "--workers",
+                "2",
+            ]
+        )
+        assert code in (0, 1)
+        out = capsys.readouterr().out
+        assert "2 worker(s), 3 die(s) per task," in out
 
     def test_mc_calibrate_flag_parses(self):
         args = build_mc_parser().parse_args(["--calibrate", "--cal-samples", "6"])

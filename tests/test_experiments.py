@@ -77,7 +77,7 @@ def test_extension_experiments_pass(experiment_id):
 
 
 def test_calibrated_yield_scenario_passes():
-    """The die-batched calibrated-yield screen (quick mode): claims
+    """The calibrated-yield screen in die chunks (quick mode): claims
     compare calibrated against uncalibrated INL/ENOB spread and yield."""
     result = run_experiment("scenario-calibrated-yield", quick=True)
     assert len(result.rows) == 2

@@ -279,8 +279,11 @@ class TestMonteCarloRuntime:
             n_fft=1024,
         )
         serial = run_yield_analysis(workers=1, **kwargs)
-        pooled = run_yield_analysis(workers=2, chunk_size=1, **kwargs)
-        assert serial.dies == pooled.dies
+        pooled = run_yield_analysis(workers=2, **kwargs)
+        chunked = run_yield_analysis(
+            workers=2, engine="vectorized", die_chunk=3, **kwargs
+        )
+        assert serial.dies == pooled.dies == chunked.dies
         assert serial.yield_fraction == pooled.yield_fraction
 
     def test_report_document_and_render(self, paper_config):
