@@ -46,7 +46,7 @@ from repro.runtime.campaign import (
     run_campaign,
 )
 from repro.runtime.montecarlo import YieldSpec, run_yield_analysis
-from repro.runtime.profiling import ENGINES, WORKLOADS, profile_workload
+from repro.runtime.profiling import WORKLOADS, profile_workload
 from repro.schemas import (
     CELL_STORE_REPORT_SCHEMA,
     DISPATCH_REPORT_SCHEMA,
@@ -121,19 +121,10 @@ def build_mc_parser() -> argparse.ArgumentParser:
         default="pool",
         help=(
             "execution engine: 'pool' measures one die per task, "
-            "'vectorized' a chunk of dies per task; both run the same "
+            "'vectorized' splits the dies across the workers, at most 8 "
+            "per task; both run the same "
             "per-die measurement, so per-die records are identical "
             "across engines (default pool)"
-        ),
-    )
-    parser.add_argument(
-        "--die-chunk",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "dies per vectorized task (vectorized engine only; "
-            "default: split across workers, at most 8)"
         ),
     )
     parser.add_argument(
@@ -382,21 +373,11 @@ def build_campaign_parser() -> argparse.ArgumentParser:
         choices=("pool", "vectorized"),
         default="vectorized",
         help=(
-            "execution engine: 'pool' measures one cell per task, "
-            "'vectorized' a chunk of cells per task; both run the same "
+            "execution engine: 'pool' measures one cell per task (and "
+            "ledger append), 'vectorized' splits the cells across the "
+            "workers, at most 8 per task; both run the same "
             "per-cell measurement, so per-cell metrics are identical "
             "across engines (default vectorized)"
-        ),
-    )
-    parser.add_argument(
-        "--cell-chunk",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "cells per vectorized task, and per ledger append "
-            "(vectorized engine only; default: split across workers, "
-            "at most 8)"
         ),
     )
     parser.add_argument(
@@ -540,9 +521,9 @@ def build_profile_parser() -> argparse.ArgumentParser:
         description=(
             "Run a named workload with per-stage wall-time "
             "instrumentation enabled and render the cost breakdown "
-            "(counts, total/mean time, %-of-run per stage), serial (one "
-            "item per task) vs vectorized (auto chunk) side by side.  "
-            "Profiling never touches "
+            "(counts, total/mean time, %-of-run per stage).  The "
+            "workload runs once, on one worker, through its command's "
+            "default engine.  Profiling never touches "
             "a random stream, so the measured runs are bit-exact with "
             "unprofiled ones.  See docs/performance.md for how to read "
             "the output."
@@ -575,12 +556,6 @@ def build_profile_parser() -> argparse.ArgumentParser:
         help="record length per cell (default 4096)",
     )
     parser.add_argument(
-        "--engine",
-        choices=ENGINES + ("both",),
-        default="both",
-        help="which engine column(s) to run (default both)",
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -596,12 +571,8 @@ def build_profile_parser() -> argparse.ArgumentParser:
 def run_profile(argv: Sequence[str] | None = None) -> int:
     """Run the ``profile`` subcommand; returns a process exit code."""
     args = build_profile_parser().parse_args(argv)
-    engines = ENGINES if args.engine == "both" else (args.engine,)
     report = profile_workload(
-        args.workload,
-        dies=args.dies,
-        fft_points=args.fft_points,
-        engines=engines,
+        args.workload, dies=args.dies, fft_points=args.fft_points
     )
     print(report.render())
     _write_json(args.json, report)
@@ -703,7 +674,6 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         engine=args.engine,
         ledger_path=args.ledger,
         resume=args.resume,
-        cell_chunk=args.cell_chunk,
         workers=args.workers,
         progress=_stderr_progress if args.progress else None,
         cell_range=cell_range,
@@ -836,7 +806,10 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         "--engine",
         choices=("pool", "vectorized"),
         default="vectorized",
-        help="execution engine for the shard processes (default vectorized)",
+        help=(
+            "execution engine for the shard processes; 'pool' makes "
+            "the shard ledgers checkpoint per cell (default vectorized)"
+        ),
     )
     parser.add_argument(
         "--workers",
@@ -844,16 +817,6 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes per shard process (default 1)",
-    )
-    parser.add_argument(
-        "--cell-chunk",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "cells per vectorized batch inside each shard; 1 makes "
-            "the shard ledgers checkpoint per cell (default: auto)"
-        ),
     )
     parser.add_argument(
         "--cell-store",
@@ -914,7 +877,6 @@ def run_campaign_dispatch_cli(argv: Sequence[str] | None = None) -> int:
         poll_interval_s=args.poll,
         engine=args.engine,
         workers=args.workers,
-        cell_chunk=args.cell_chunk,
         cell_store=args.cell_store,
         fsync=not args.no_fsync,
         out_ledger=args.out_ledger,
@@ -1051,7 +1013,6 @@ def run_mc(argv: Sequence[str] | None = None) -> int:
         engine=args.engine,
         calibrate=args.calibrate,
         calibration_samples_per_code=args.cal_samples,
-        die_chunk=args.die_chunk,
         workers=args.workers,
         progress=_stderr_progress if args.progress else None,
     )

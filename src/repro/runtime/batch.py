@@ -17,9 +17,9 @@ executes that shape across a ``multiprocessing`` pool with
 
 :class:`EngineDispatch` is the one route yield screens and sign-off
 campaigns take onto the runner: each hands over one measure function,
-the dispatch slices dies or cells into tasks of ``chunk`` items (one
-item on the ``pool`` engine) and flattens the result to one outcome per
-item.
+the dispatch slices dies or cells into tasks (one item per task on the
+``pool`` engine, an even split across the workers on ``vectorized``)
+and flattens the result to one outcome per item.
 
 ``workers=1`` bypasses the pool entirely and runs the same wrapped
 tasks in-process, so serial batches are bit-exact with the legacy
@@ -132,7 +132,8 @@ class BatchResult:
     Attributes:
         outcomes: one :class:`TaskOutcome` per task, in submission order.
         workers: worker-process count the batch actually used.
-        chunk_size: dispatch chunk size the batch actually used.
+        chunk_size: dispatch chunk size the batch actually used (for
+            an :class:`EngineDispatch` batch: items per task).
         elapsed_s: wall-clock seconds for the whole batch.
         root_seed: root seed used for per-task seed derivation, if any.
     """
@@ -486,9 +487,8 @@ class BatchRunner:
 #: dispatches one item per task, ``vectorized`` dispatches item chunks.
 ENGINES = ("pool", "vectorized")
 
-#: Items per vectorized chunk when the caller does not choose: enough
-#: to amortize task dispatch, and the number of cells a campaign
-#: checkpoints per ledger fsync.
+#: Most items a vectorized task holds: enough to amortize task
+#: dispatch, and the most cells a campaign checkpoints per ledger fsync.
 DEFAULT_CHUNK = 8
 
 
@@ -499,21 +499,19 @@ class EngineDispatch:
     Yield screens (dies) and sign-off campaigns (cells) both go through
     it: the caller hands over its items, one measure function and the
     task that function takes for a chunk of items.  The engine only
-    chooses how many items a task holds.  The dispatch validates that
-    choice on construction, then slices the items into chunks, runs
+    chooses how many items a task holds.  The dispatch validates the
+    engine on construction, then slices the items into chunks, runs
     them and returns one :class:`TaskOutcome` per item — carrying the
     item's index and seed.
 
     Attributes:
         engine: ``"pool"`` (one item per task) or ``"vectorized"``
-            (``chunk`` items per task).
-        chunk: items per vectorized task; None splits the items evenly
-            across the workers, at most :data:`DEFAULT_CHUNK` each.
+            (the items split evenly across the workers, at most
+            :data:`DEFAULT_CHUNK` per task).
         workers: worker processes (1 = serial, None = all CPUs).
     """
 
     engine: str = "pool"
-    chunk: int | None = None
     workers: int | None = 1
 
     def __post_init__(self) -> None:
@@ -521,22 +519,6 @@ class EngineDispatch:
             raise ConfigurationError(
                 f"engine must be 'pool' or 'vectorized', got '{self.engine}'"
             )
-        if self.chunk is not None and self.chunk < 1:
-            raise ConfigurationError(
-                f"chunk must be >= 1 or None, got {self.chunk}"
-            )
-        if self.chunk is not None and self.engine != "vectorized":
-            raise ConfigurationError(
-                "a chunk size applies to the vectorized engine only; "
-                f"got chunk={self.chunk} with engine='{self.engine}'"
-            )
-
-    def items_per_task(self, n_items: int) -> int:
-        """How many of ``n_items`` items each task measures."""
-        if self.engine == "pool":
-            return 1
-        workers = BatchRunner(workers=self.workers).resolve_workers(n_items)
-        return self.chunk or min(-(-n_items // workers), DEFAULT_CHUNK)
 
     def run(
         self,
@@ -563,11 +545,14 @@ class EngineDispatch:
             return BatchResult(
                 outcomes=(), workers=1, chunk_size=1, elapsed_s=0.0
             )
-        size = self.items_per_task(len(items))
+        runner = BatchRunner(workers=self.workers, progress=progress)
+        size = 1
+        if self.engine == "vectorized":
+            workers = runner.resolve_workers(len(items))
+            size = min(-(-len(items) // workers), DEFAULT_CHUNK)
         chunks = [
             tuple(items[low : low + size]) for low in range(0, len(items), size)
         ]
-        runner = BatchRunner(workers=self.workers, progress=progress)
         batch = runner.run(measure, [make_task(chunk) for chunk in chunks])
         return _per_item(batch, chunks, index_of, seed_of)
 
@@ -581,7 +566,8 @@ def _per_item(
     """Per-item outcomes from a batch whose tasks were item chunks.
 
     A crashed chunk marks each of its items failed with the chunk's
-    error; a successful chunk contributes one outcome per item.  The
+    error; a successful chunk contributes one outcome per item, and the
+    result's ``chunk_size`` is the items per task.  The
     chunk's wall time is amortized evenly across its items — for
     reports only: profiling's ``dispatch`` entries are recorded by
     :meth:`BatchRunner.run` from the chunk outcomes, so they keep true
@@ -602,4 +588,6 @@ def _per_item(
                 )
             )
     outcomes.sort(key=lambda outcome: outcome.index)
-    return dataclasses.replace(batch, outcomes=tuple(outcomes))
+    return dataclasses.replace(
+        batch, outcomes=tuple(outcomes), chunk_size=len(chunks[0])
+    )

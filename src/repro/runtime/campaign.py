@@ -13,14 +13,14 @@ a first-class batch workload:
   ``SeedSequence``-derived die seed.
 * **Execution** — cells dispatch through
   :class:`~repro.runtime.batch.EngineDispatch` (composable with
-  ``workers``) in chunks of ``cell_chunk`` cells (one cell on the
-  ``pool`` engine), mixing corners and temperatures freely inside one
-  chunk.  :func:`measure_cell_chunk` measures each cell of a chunk on
-  its own: build the die, convert the tone, analyze the record.  Each
-  cell's noise streams derive from its die seed alone
+  ``workers``) in chunks of cells (one cell on the ``pool`` engine),
+  mixing corners and temperatures freely inside one chunk.
+  :func:`measure_cell_chunk` measures each cell of a chunk on its own:
+  build the die, convert the tone, analyze the record.  Each cell's
+  noise streams derive from its die seed alone
   (:func:`repro.streams.noise_generator`), so a cell's record is
   bit-identical with the serial :class:`DynamicTestbench` on the same
-  (point, seed) — regardless of engine, chunking or worker count.
+  (point, seed) — regardless of engine or worker count.
 * **Checkpointing** — completed cells append to a JSONL run ledger as
   they finish; an interrupted campaign resumes from the ledger and
   recomputes nothing, and the resumed report is identical to a
@@ -77,7 +77,7 @@ class CampaignSpec:
     A spec fully determines the campaign's cells (:meth:`cells`, in the
     shared :func:`~repro.technology.corners.pvt_grid` order) and its
     resume identity (:meth:`fingerprint` — what a ledger must match to
-    be reused).  Execution choices — engine, chunking, workers — live
+    be reused).  Execution choices — engine and workers — live
     outside the spec because they cannot change any cell's metrics.
     Under ``repro profile`` a task of cells appears as a
     ``task/measure-cell-chunk`` entry.
@@ -179,8 +179,8 @@ class CampaignSpec:
 
         The ledger stores this so a resume against a different grid,
         bench setting or converter configuration is rejected instead of
-        silently mixing incompatible cells.  Engine, chunking and
-        worker count are deliberately absent — they do not change the
+        silently mixing incompatible cells.  Engine and worker count
+        are deliberately absent — they do not change the
         results, so a campaign may resume on a different execution
         configuration.
         """
@@ -929,7 +929,6 @@ def run_campaign(
     engine: str = "vectorized",
     ledger_path: str | Path | None = None,
     resume: bool = False,
-    cell_chunk: int | None = None,
     workers: int | None = 1,
     progress: ProgressCallback | None = None,
     cell_range: tuple[int, int] | None = None,
@@ -942,19 +941,16 @@ def run_campaign(
         spec: the grid and bench settings (default sign-off grid).
         config: converter configuration (paper default when omitted).
         engine: ``"pool"`` measures one cell per task;
-            ``"vectorized"`` measures ``cell_chunk`` cells per task.
-            Both run :func:`measure_cell_chunk`, so per-cell records
-            are bit-identical across engines, chunkings and worker
-            counts.
+            ``"vectorized"`` splits the cells evenly across the workers,
+            at most :data:`~repro.runtime.batch.DEFAULT_CHUNK` per
+            task.  The ledger appends and fsyncs once per task.  Both
+            run :func:`measure_cell_chunk`, so per-cell records are
+            bit-identical across engines and worker counts.
         ledger_path: JSONL checkpoint file.  Completed cells append as
             they finish; with ``resume`` an existing ledger's cells are
             reused instead of recomputed.  Omitted: no checkpointing.
         resume: reuse a matching existing ledger at ``ledger_path``
             (fingerprint-checked) instead of starting fresh.
-        cell_chunk: cells per vectorized task (vectorized engine only;
-            None splits evenly across the workers, at most
-            :data:`~repro.runtime.batch.DEFAULT_CHUNK` each).  The
-            ledger appends and fsyncs once per task.
         workers: worker processes (1 = serial, None = all CPUs).
         progress: progress callback, once per task.
         cell_range: run only grid cells ``[start, stop)`` — a shard of
@@ -978,7 +974,7 @@ def run_campaign(
     """
     spec = spec or CampaignSpec()
     config = config or AdcConfig.paper_default()
-    dispatch = EngineDispatch(engine=engine, chunk=cell_chunk, workers=workers)
+    dispatch = EngineDispatch(engine=engine, workers=workers)
     cells = spec.cells()
     if cell_range is not None:
         start, stop = cell_range

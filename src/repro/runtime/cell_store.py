@@ -41,6 +41,7 @@ cache miss / a skipped row, never a ``FileNotFoundError``.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -526,7 +527,9 @@ class BoundCellStore:
         against concurrent hygiene: a prune that removes the prefix
         directory between our mkdir and the write is retried once;
         losing the race twice leaves the entry unwritten (the cell is
-        simply recomputed next time), never raises.
+        simply recomputed next time), never raises.  Any other write
+        error (a full disk, a denied permission) removes the temp file
+        and propagates.
         """
         key = self._key(cell)
         path = self._path(key)
@@ -555,4 +558,10 @@ class BoundCellStore:
                 if attempt:
                     return
                 continue
+            except OSError:
+                # ENOSPC, EACCES, ...: the *.json sweeps never see a
+                # temp file, so remove it before the error propagates.
+                with contextlib.suppress(OSError):
+                    tmp.unlink()
+                raise
             return

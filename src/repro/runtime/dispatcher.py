@@ -72,7 +72,7 @@ from repro import native
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.profiling import active
-from repro.runtime.batch import BatchProgress, ProgressCallback
+from repro.runtime.batch import BatchProgress, EngineDispatch, ProgressCallback
 from repro.runtime.campaign import (
     CampaignLedger,
     CampaignReport,
@@ -313,11 +313,10 @@ class CampaignDispatcher:
         backoff_cap_s: ceiling on the un-jittered backoff delay.
         poll_interval_s: longest wait between timeout checks (a
             shard exit wakes the dispatcher at once).
-        engine: execution engine for the shard processes.
-        workers: worker processes per shard process.
-        cell_chunk: cells per vectorized batch inside each shard
-            (``1`` makes the ledger checkpoint per cell — what the
+        engine: execution engine for the shard processes (``"pool"``
+            makes the ledger checkpoint per cell — what the
             fault-injection tests and CI gate use).
+        workers: worker processes per shard process.
         cell_store: content-addressed cell store shared by all shards.
         fsync: per-shard ledger fsync policy (also used for
             ``out_ledger``).
@@ -345,7 +344,6 @@ class CampaignDispatcher:
         poll_interval_s: float = 0.05,
         engine: str = "vectorized",
         workers: int = 1,
-        cell_chunk: int | None = None,
         cell_store: str | Path | None = None,
         fsync: bool = True,
         out_ledger: str | Path | None = None,
@@ -363,6 +361,8 @@ class CampaignDispatcher:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {timeout_s}"
             )
+        # Reject an unknown engine here, not in every forked shard.
+        EngineDispatch(engine=engine, workers=workers)
         self.spec = spec
         self.config = config or AdcConfig.paper_default()
         self.shards = min(shards, spec.n_cells)
@@ -374,7 +374,6 @@ class CampaignDispatcher:
         self.poll_interval_s = poll_interval_s
         self.engine = engine
         self.workers = workers
-        self.cell_chunk = cell_chunk
         self.cell_store = cell_store
         self.fsync = fsync
         self.out_ledger = out_ledger
@@ -651,7 +650,6 @@ class CampaignDispatcher:
             ledger_path=ledger,
             resume=True,
             cell_range=(start, stop),
-            cell_chunk=self.cell_chunk,
             workers=self.workers,
             cell_store=self.cell_store,
             ledger_fsync=self.fsync,

@@ -8,9 +8,9 @@ only decides how many dies one task holds:
 
 * ``engine="pool"`` — one die per task; ``workers=1`` is the serial
   per-die loop.
-* ``engine="vectorized"`` — die chunks per task (``die_chunk``, or an
-  even split across the workers bounded by a default), which amortizes
-  task dispatch and the per-task stimulus.
+* ``engine="vectorized"`` — die chunks per task (an even split across
+  the workers, bounded by a default), which amortizes task dispatch and
+  the per-task stimulus.
 
 With ``workers > 1`` the pool fans the tasks out across processes.
 
@@ -20,8 +20,7 @@ and code analyzer of :class:`~repro.evaluation.testbench.DynamicTestbench`
 and the over-ranged ramp of
 :class:`~repro.evaluation.testbench.StaticTestbench`.  Per-die noise
 streams are derived from the die seed alone (:mod:`repro.streams`), so
-a die's record is bit-identical across engines, worker counts and
-chunk sizes.
+a die's record is bit-identical across engines and worker counts.
 """
 
 from __future__ import annotations
@@ -265,14 +264,12 @@ class YieldReport:
             "vectorized"); per-die metrics are engine-independent.
         calibrated: whether the dies were foreground-calibrated before
             screening (extension beyond the paper).
-        dies_per_task: how many dies one dispatched task measured.
     """
 
     batch: BatchResult
     spec: YieldSpec
     engine: str = "pool"
     calibrated: bool = False
-    dies_per_task: int = 1
 
     @property
     def dies(self) -> list[DieMetrics]:
@@ -375,7 +372,7 @@ class YieldReport:
         lines.append(
             f"batch: {self.engine} engine,{calibration} "
             f"{self.batch.workers} worker(s), "
-            f"{self.dies_per_task} die(s) per task, "
+            f"{self.batch.chunk_size} die(s) per task, "
             f"{self.batch.elapsed_s:.2f} s"
         )
         return "\n".join(lines)
@@ -416,7 +413,6 @@ def run_yield_analysis(
     engine: str = "pool",
     calibrate: bool = False,
     calibration_samples_per_code: int = 8,
-    die_chunk: int | None = None,
     workers: int | None = 1,
     progress: ProgressCallback | None = None,
 ) -> YieldReport:
@@ -426,7 +422,7 @@ def run_yield_analysis(
         n_dies: number of die realizations.
         seed: master seed for the PVT/mismatch draws; a given
             ``(seed, n_dies)`` pair reproduces the identical die set
-            regardless of ``engine``, ``workers`` and ``die_chunk``.
+            regardless of ``engine`` and ``workers``.
         config: converter configuration (paper default when omitted).
         spec: screening spec and measurement conditions.
         n_fft: coherent capture length per die.
@@ -439,16 +435,14 @@ def run_yield_analysis(
             ``SeedSequence.spawn`` child, so die *i* is identical no
             matter how large the batch is (sharding-stable).
         engine: ``"pool"`` measures one die per task;
-            ``"vectorized"`` measures ``die_chunk`` dies per task.
-            Both run :func:`measure_die`, so per-die records are
+            ``"vectorized"`` splits the dies evenly across the workers,
+            at most :data:`~repro.runtime.batch.DEFAULT_CHUNK` per
+            task.  Both run :func:`measure_die`, so per-die records are
             bit-identical across engines.
-        die_chunk: dies per vectorized task (vectorized engine only;
-            None splits evenly across the workers, at most
-            :data:`~repro.runtime.batch.DEFAULT_CHUNK` each).
         workers: worker processes (1 = serial, None = all CPUs).
         progress: progress callback, once per task.
     """
-    dispatch = EngineDispatch(engine=engine, chunk=die_chunk, workers=workers)
+    dispatch = EngineDispatch(engine=engine, workers=workers)
     config = config or AdcConfig.paper_default()
     spec = spec or YieldSpec()
     sampler = default_sampler(config)
@@ -480,9 +474,5 @@ def run_yield_analysis(
         progress=progress,
     )
     return YieldReport(
-        batch=batch,
-        spec=spec,
-        engine=engine,
-        calibrated=calibrate,
-        dies_per_task=dispatch.items_per_task(len(dies)),
+        batch=batch, spec=spec, engine=engine, calibrated=calibrate
     )

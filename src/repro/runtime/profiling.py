@@ -8,11 +8,11 @@ without touching this package's init.  This module re-exports all of it
 and adds the workload layer ``repro profile`` runs:
 
 * :func:`profile_workload` — run a named workload (``dynamic-screen``,
-  ``yield-screen``, ``pvt-campaign``) once per engine with a fresh
-  recorder, producing a :class:`ProfileReport`.
-* :class:`ProfileReport` — the serial-vs-vectorized side-by-side
-  per-stage cost breakdown (counts, total/mean wall time, % of run)
-  with a stable JSON document (schema ``repro.profile-report/v1``).
+  ``yield-screen``, ``pvt-campaign``) once, through the entry point and
+  default engine of its user command, with a fresh recorder.
+* :class:`ProfileReport` — that run's per-stage cost breakdown (counts,
+  total/mean wall time, % of run) with a stable JSON document (schema
+  ``repro.profile-report/v2``).
 
 Reading the numbers: *total* is inclusive wall time (children
 included); *% of run* is the stage's **exclusive** share — exclusive
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 from repro import native
 from repro.core import die_cache
@@ -50,12 +51,7 @@ from repro.profiling import (  # noqa: F401 — re-exported public surface
     profiled,
     record,
 )
-from repro.runtime.campaign import (
-    CampaignSpec,
-    CellChunkTask,
-    measure_cell_chunk,
-    run_campaign,
-)
+from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.montecarlo import run_yield_analysis
 from repro.schemas import PROFILE_REPORT_SCHEMA
 from repro.technology.corners import Corner
@@ -63,31 +59,41 @@ from repro.technology.corners import Corner
 #: The workloads ``repro profile`` can run.
 WORKLOADS = ("dynamic-screen", "yield-screen", "pvt-campaign")
 
-#: The engine columns of a profile report, both in one process on the
-#: one measure path: ``serial`` measures one item per task
-#: (``engine="pool"``), ``vectorized`` the automatic chunk.
-ENGINES = ("serial", "vectorized")
+#: The grid of each campaign workload beyond dies and record length:
+#: ``dynamic-screen`` is the nominal TT/27C point alone.
+_CAMPAIGN_GRIDS = {
+    "dynamic-screen": {"corners": (Corner.TT,), "temperatures_c": (27.0,)},
+    "pvt-campaign": {},
+}
 
-#: The root stage every profiled engine run is wrapped in.
+#: The root stage the profiled run is wrapped in.
 RUN_STAGE = "run"
 
 
 @dataclass(frozen=True)
-class EngineProfile:
-    """One engine's profiled run of one workload.
+class ProfileReport:
+    """Per-stage cost breakdown of one profiled workload run.
 
     Attributes:
-        engine: ``"serial"`` or ``"vectorized"``.
-        wall_s: inclusive wall time of the whole run (the
-            ``run/<engine>`` root entry).
+        workload: the workload name (one of :data:`WORKLOADS`).
         n_items: cells (or dies) the workload measured.
+        fft_points: record length per cell.
+        wall_s: inclusive wall time of the whole run (the
+            ``run/<workload>`` root entry).
         stats: the recorder's per-``(stage, phase)`` entries.
+        normal_fill: what served the dense Gaussian draws: ``native``
+            (the compiled fill) or ``numpy: <reason>``.
+        stage_chain: what ran the exact stage chain of 1-D records:
+            ``native`` (the compiled chain) or ``numpy: <reason>``.
     """
 
-    engine: str
-    wall_s: float
+    workload: str
     n_items: int
+    fft_points: int
+    wall_s: float
     stats: tuple[StageStat, ...]
+    normal_fill: str
+    stage_chain: str
 
     def stat(self, stage: str, phase: str | None = None) -> StageStat | None:
         for entry in self.stats:
@@ -125,123 +131,43 @@ class EngineProfile:
             return 0.0
         return self.stage_totals().get(stage, 0.0) / self.wall_s
 
-    def to_dict(self) -> dict:
-        return {
-            "engine": self.engine,
-            "wall_s": self.wall_s,
-            "n_items": self.n_items,
-            "item_wall_s": self.wall_s / self.n_items if self.n_items else 0.0,
-            "attributed_fraction": self.attributed_fraction(),
-            "stage_shares": {
-                stage: self.stage_share(stage)
-                for stage in sorted(self.stage_totals())
-                if stage not in OVERLAY_STAGES and stage != RUN_STAGE
-            },
-            "entries": [entry.to_dict() for entry in self.stats],
-        }
-
-
-@dataclass(frozen=True)
-class ProfileReport:
-    """Per-stage cost breakdown of one workload across engines.
-
-    Attributes:
-        workload: the workload name (one of :data:`WORKLOADS`).
-        n_items: cells (or dies) each engine measured.
-        fft_points: record length per cell.
-        engines: one :class:`EngineProfile` per profiled engine.
-        normal_fill: what served the dense Gaussian draws: ``native``
-            (the compiled fill) or ``numpy: <reason>``.
-        stage_chain: what ran the exact stage chain of 1-D records:
-            ``native`` (the compiled chain) or ``numpy: <reason>``.
-    """
-
-    workload: str
-    n_items: int
-    fft_points: int
-    engines: tuple[EngineProfile, ...]
-    normal_fill: str
-    stage_chain: str
-
-    def engine(self, name: str) -> EngineProfile:
-        for profile in self.engines:
-            if profile.engine == name:
-                return profile
-        raise ConfigurationError(
-            f"no '{name}' engine in this report "
-            f"(have {[p.engine for p in self.engines]})"
-        )
-
-    def _row_keys(self) -> list[tuple[str, str | None]]:
-        """Union of (stage, phase) keys, first engine's self-time order."""
-        keys: list[tuple[str, str | None]] = []
-        for profile in self.engines:
-            for entry in profile.stats:
-                key = (entry.stage, entry.phase)
-                if key not in keys:
-                    keys.append(key)
-        return keys
-
     def render(self) -> str:
-        """The side-by-side textual breakdown."""
-        headers: list[str] = ["stage", "phase"]
-        for profile in self.engines:
-            name = profile.engine
-            headers += [
-                f"{name} n",
-                f"{name} total [ms]",
-                f"{name} mean [us]",
-                f"{name} %run",
-            ]
+        """The textual breakdown, partition rows above overlay rows."""
         partition_rows = []
         overlay_rows = []
-        for stage, phase in self._row_keys():
-            row: list[str] = [stage, phase or "-"]
-            for profile in self.engines:
-                entry = profile.stat(stage, phase)
-                if entry is None or entry.count == 0:
-                    row += ["-", "-", "-", "-"]
-                    continue
-                share = (
-                    entry.self_s / profile.wall_s if profile.wall_s else 0.0
-                )
-                row += [
-                    str(entry.count),
-                    f"{entry.total_s * 1e3:.2f}",
-                    f"{entry.total_s / entry.count * 1e6:.1f}",
-                    f"{share * 100:.1f}"
-                    if stage not in OVERLAY_STAGES
-                    else "-",
-                ]
-            if stage in OVERLAY_STAGES:
-                overlay_rows.append(tuple(row))
-            else:
-                partition_rows.append(tuple(row))
-        lines = [
-            format_table(
-                tuple(headers),
-                partition_rows + overlay_rows,
-                title=(
-                    f"--- repro profile: {self.workload} "
-                    f"({self.n_items} cells x {self.fft_points} samples, "
-                    "%run columns sum to 100 over the partition; "
-                    "dispatch/task overlay the stages above) ---"
-                ),
-            ),
-            "",
-        ]
-        for profile in self.engines:
-            noise = profile.stage_share("noise-draw")
-            lines.append(
-                f"{profile.engine}: {profile.wall_s:.3f} s wall "
-                f"({profile.wall_s / profile.n_items * 1e3:.1f} ms/cell), "
-                f"{profile.attributed_fraction() * 100:.0f}% attributed "
-                f"to named stages, noise-draw share "
-                f"{noise * 100:.0f}%"
+        for entry in self.stats:
+            overlay = entry.stage in OVERLAY_STAGES
+            row = (
+                entry.stage,
+                entry.phase or "-",
+                str(entry.count),
+                f"{entry.total_s * 1e3:.2f}",
+                f"{entry.total_s / entry.count * 1e6:.1f}",
+                "-" if overlay else f"{entry.self_s / self.wall_s * 100:.1f}",
             )
-        lines.append(f"normal fill: {self.normal_fill}")
-        lines.append(f"stage chain: {self.stage_chain}")
-        return "\n".join(lines)
+            (overlay_rows if overlay else partition_rows).append(row)
+        noise = self.stage_share("noise-draw")
+        return "\n".join(
+            [
+                format_table(
+                    ("stage", "phase", "n", "total [ms]", "mean [us]", "%run"),
+                    partition_rows + overlay_rows,
+                    title=(
+                        f"--- repro profile: {self.workload} "
+                        f"({self.n_items} cells x {self.fft_points} samples, "
+                        "%run sums to 100 over the partition; "
+                        "dispatch/task overlay the stages above) ---"
+                    ),
+                ),
+                "",
+                f"run: {self.wall_s:.3f} s wall "
+                f"({self.wall_s / self.n_items * 1e3:.1f} ms/cell), "
+                f"{self.attributed_fraction() * 100:.0f}% attributed "
+                f"to named stages, noise-draw share {noise * 100:.0f}%",
+                f"normal fill: {self.normal_fill}",
+                f"stage chain: {self.stage_chain}",
+            ]
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -249,7 +175,15 @@ class ProfileReport:
             "workload": self.workload,
             "n_items": self.n_items,
             "fft_points": self.fft_points,
-            "engines": [profile.to_dict() for profile in self.engines],
+            "wall_s": self.wall_s,
+            "item_wall_s": self.wall_s / self.n_items,
+            "attributed_fraction": self.attributed_fraction(),
+            "stage_shares": {
+                stage: self.stage_share(stage)
+                for stage in sorted(self.stage_totals())
+                if stage not in OVERLAY_STAGES and stage != RUN_STAGE
+            },
+            "entries": [entry.to_dict() for entry in self.stats],
             "normal_fill": self.normal_fill,
             "stage_chain": self.stage_chain,
         }
@@ -258,136 +192,69 @@ class ProfileReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _dynamic_screen_spec(dies: int, fft_points: int) -> CampaignSpec:
-    """One nominal-point campaign spec: TT/27C, ``dies`` dies."""
-    return CampaignSpec(
-        corners=(Corner.TT,),
-        temperatures_c=(27.0,),
-        n_dies=dies,
-        n_samples=fft_points,
-    )
-
-
-def _run_dynamic_screen(
-    engine: str, dies: int, fft_points: int, config: AdcConfig
-) -> int:
-    """The dynamic-screen workload: tone + FFT per cell, one PVT point.
-
-    The exact campaign cell path,
-    :func:`~repro.runtime.campaign.measure_cell_chunk`: serial runs one
-    task per cell, vectorized one task for all cells.
-    """
-    spec = _dynamic_screen_spec(dies, fft_points)
-    cells = tuple(spec.cells())
-    chunks = [(cell,) for cell in cells] if engine == "serial" else [cells]
-    for chunk in chunks:
-        measure_cell_chunk(CellChunkTask(cells=chunk, config=config, spec=spec))
-    return len(cells)
-
-
-def _run_yield_screen(
-    engine: str, dies: int, fft_points: int, config: AdcConfig
-) -> int:
-    """The ``repro mc`` workload: dynamic + static screen per die."""
-    run_yield_analysis(
-        n_dies=dies,
-        config=config,
-        n_fft=fft_points,
-        engine="pool" if engine == "serial" else "vectorized",
-        workers=1,
-    )
-    return dies
-
-
-def _run_pvt_campaign(
-    engine: str, dies: int, fft_points: int, config: AdcConfig
-) -> int:
-    """The sign-off grid workload: all corners x temperatures x dies."""
-    spec = CampaignSpec(n_dies=dies, n_samples=fft_points)
-    run_campaign(
-        spec,
-        config=config,
-        engine="pool" if engine == "serial" else "vectorized",
-        workers=1,
-    )
-    return spec.n_cells
-
-
-_WORKLOAD_RUNNERS = {
-    "dynamic-screen": _run_dynamic_screen,
-    "yield-screen": _run_yield_screen,
-    "pvt-campaign": _run_pvt_campaign,
-}
-
-
 def profile_workload(
     workload: str,
     dies: int = 8,
     fft_points: int = 4096,
-    engines: tuple[str, ...] = ENGINES,
     config: AdcConfig | None = None,
 ) -> ProfileReport:
-    """Profile one named workload, once per engine.
+    """Profile one named workload.
 
-    Each engine runs with a fresh recorder under a ``run/<engine>``
-    root, with one worker, so every stage timer stays in-process and
+    The workload runs once, through its user command's entry point and
+    default engine — :func:`~repro.runtime.montecarlo.run_yield_analysis`
+    on the ``pool`` engine for ``yield-screen`` (``repro mc``),
+    :func:`~repro.runtime.campaign.run_campaign` on the ``vectorized``
+    engine for the campaign workloads (``repro campaign``) — with one
+    worker, a cold die cache and a fresh recorder under a
+    ``run/<workload>`` root, so every stage timer stays in-process and
     the exclusive times partition the run exactly.  Profiling never
-    touches a random stream, so the codes each engine produces here are
-    bit-exact with an unprofiled run.
+    touches a random stream, so the codes produced here are bit-exact
+    with an unprofiled run.
 
     Args:
         workload: one of :data:`WORKLOADS`.
         dies: dies (cells) per operating point.
         fft_points: record length per cell.
-        engines: which engine columns to run (subset of
-            :data:`ENGINES`).
         config: converter configuration (paper default when omitted).
-
-    Returns:
-        The side-by-side :class:`ProfileReport`.
     """
-    if workload not in _WORKLOAD_RUNNERS:
+    if workload not in WORKLOADS:
         raise ConfigurationError(
             f"unknown profile workload '{workload}' "
             f"(choose from {', '.join(WORKLOADS)})"
         )
-    for engine in engines:
-        if engine not in ENGINES:
-            raise ConfigurationError(
-                f"unknown profile engine '{engine}' "
-                f"(choose from {', '.join(ENGINES)})"
-            )
     if dies < 1:
         raise ConfigurationError(f"dies must be >= 1, got {dies}")
     config = config or AdcConfig.paper_default()
-    runner = _WORKLOAD_RUNNERS[workload]
-    # Load and self-check the compiled kernels before any timer runs, so
-    # their one-off checks stay out of the first engine's column.
-    native.preload()
-    profiles = []
-    n_items = 0
-    for engine in engines:
-        # Every engine column starts cold: a warm die cache from the
-        # previous engine would erase its build/die column and skew the
-        # comparison.
-        die_cache.clear()
-        recorder = ProfileRecorder()
-        with profiled(recorder):
-            with recorder.record(RUN_STAGE, engine):
-                n_items = runner(engine, dies, fft_points, config)
-        profiles.append(
-            EngineProfile(
-                engine=engine,
-                wall_s=recorder.total_s(RUN_STAGE, engine),
-                n_items=n_items,
-                stats=tuple(recorder.stats()),
-            )
+    if workload == "yield-screen":
+        n_items = dies
+        run = partial(
+            run_yield_analysis,
+            n_dies=dies,
+            config=config,
+            n_fft=fft_points,
+            workers=1,
         )
+    else:
+        spec = CampaignSpec(
+            n_dies=dies, n_samples=fft_points, **_CAMPAIGN_GRIDS[workload]
+        )
+        n_items = spec.n_cells
+        run = partial(run_campaign, spec, config=config, workers=1)
+    # Load and self-check the compiled kernels before the timer runs, so
+    # their one-off checks stay out of the profile, and start with a
+    # cold die cache so the build/die rows count every die.
+    native.preload()
+    die_cache.clear()
+    recorder = ProfileRecorder()
+    with profiled(recorder):
+        with recorder.record(RUN_STAGE, workload):
+            run()
     return ProfileReport(
         workload=workload,
         n_items=n_items,
         fft_points=fft_points,
-        engines=tuple(profiles),
+        wall_s=recorder.total_s(RUN_STAGE, workload),
+        stats=tuple(recorder.stats()),
         normal_fill=native_normal.status(),
         stage_chain=native_chain.status(),
     )

@@ -54,8 +54,8 @@ DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v1"
 #: (:meth:`repro.profiling.ProfileRecorder.to_dict`).
 PROFILE_SCHEMA = "repro.profile/v1"
 
-#: Side-by-side engine profile reports (``repro profile --json``).
-PROFILE_REPORT_SCHEMA = "repro.profile-report/v1"
+#: Per-stage profile reports of one workload run (``repro profile --json``).
+PROFILE_REPORT_SCHEMA = "repro.profile-report/v2"
 
 #: Lint reports emitted by ``repro lint --json``
 #: (:mod:`repro.analysis`).

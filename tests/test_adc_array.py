@@ -325,28 +325,25 @@ class TestVectorizedEngine:
         assert pool.dies == vec.dies
 
     def test_die_chunk_invariance(self, paper_config):
-        reports = [
-            run_yield_analysis(
-                config=paper_config,
-                engine="vectorized",
-                die_chunk=chunk,
-                **self.KWARGS,
-            )
-            for chunk in (1, 2, None)
-        ]
-        for report in reports[1:]:
-            assert report.dies == reports[0].dies
+        """3 dies split 3, 2 and 1 per task at 1, 2 and 3 workers."""
+        reference = run_yield_analysis(config=paper_config, **self.KWARGS)
+        for workers, vectorized_chunk in ((1, 3), (2, 2), (3, 1)):
+            for engine, chunk in (("pool", 1), ("vectorized", vectorized_chunk)):
+                report = run_yield_analysis(
+                    config=paper_config,
+                    engine=engine,
+                    workers=workers,
+                    **self.KWARGS,
+                )
+                assert report.batch.chunk_size == chunk, (engine, workers)
+                assert report.dies == reference.dies
 
     def test_worker_invariance(self, paper_config):
         serial = run_yield_analysis(
-            config=paper_config, engine="vectorized", die_chunk=1, **self.KWARGS
+            config=paper_config, engine="vectorized", **self.KWARGS
         )
         pooled = run_yield_analysis(
-            config=paper_config,
-            engine="vectorized",
-            die_chunk=1,
-            workers=2,
-            **self.KWARGS,
+            config=paper_config, engine="vectorized", workers=None, **self.KWARGS
         )
         assert serial.dies == pooled.dies
 
@@ -367,22 +364,6 @@ class TestVectorizedEngine:
         with pytest.raises(ConfigurationError):
             run_yield_analysis(
                 config=paper_config, engine="turbo", **self.KWARGS
-            )
-
-    def test_bad_die_chunk_rejected(self, paper_config):
-        with pytest.raises(ConfigurationError):
-            run_yield_analysis(
-                config=paper_config,
-                engine="vectorized",
-                die_chunk=0,
-                **self.KWARGS,
-            )
-
-    def test_die_chunk_with_pool_engine_rejected(self, paper_config):
-        """The flag must not be silently ignored on the default engine."""
-        with pytest.raises(ConfigurationError):
-            run_yield_analysis(
-                config=paper_config, die_chunk=4, **self.KWARGS
             )
 
     def test_report_document_carries_engine(self, paper_config):

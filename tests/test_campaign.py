@@ -168,25 +168,22 @@ class TestCornerBatchedEquivalence:
         assert pool.cells == vectorized_report.cells
 
     def test_cell_chunk_invariance(self, small_spec, vectorized_report):
-        for chunk in (1, 3):
-            report = run_campaign(
-                small_spec, engine="vectorized", cell_chunk=chunk
-            )
-            assert report.cells == vectorized_report.cells
+        """8 cells split 8, 4 and 3 per task at 1, 2 and 3 workers."""
+        for workers, vectorized_chunk in ((1, 8), (2, 4), (3, 3)):
+            for engine, chunk in (("pool", 1), ("vectorized", vectorized_chunk)):
+                report = run_campaign(
+                    small_spec, engine=engine, workers=workers
+                )
+                assert report.batch.chunk_size == chunk, (engine, workers)
+                assert report.cells == vectorized_report.cells
 
     def test_worker_invariance(self, small_spec, vectorized_report):
-        report = run_campaign(
-            small_spec, engine="vectorized", cell_chunk=2, workers=2
-        )
+        report = run_campaign(small_spec, engine="vectorized", workers=None)
         assert report.cells == vectorized_report.cells
 
     def test_engine_validation(self, small_spec):
         with pytest.raises(ConfigurationError):
             run_campaign(small_spec, engine="turbo")
-        with pytest.raises(ConfigurationError):
-            run_campaign(small_spec, engine="pool", cell_chunk=4)
-        with pytest.raises(ConfigurationError):
-            run_campaign(small_spec, cell_chunk=0)
 
 
 class TestLedgerResume:
@@ -214,24 +211,19 @@ class TestLedgerResume:
         def bomb(update):
             nonlocal seen
             seen += 1
-            if seen == 2:  # two chunks checkpointed, then the "kill"
+            if seen == 2:  # two cells checkpointed, then the "kill"
                 raise Interrupt()
 
         with pytest.raises(Interrupt):
             run_campaign(
-                small_spec,
-                engine="vectorized",
-                cell_chunk=2,
-                ledger_path=ledger,
-                progress=bomb,
+                small_spec, engine="pool", ledger_path=ledger, progress=bomb
             )
         checkpointed = len(ledger.read_text().splitlines()) - 1
         assert 0 < checkpointed < small_spec.n_cells
 
         resumed = run_campaign(
             small_spec,
-            engine="vectorized",
-            cell_chunk=3,  # different chunking on purpose
+            engine="vectorized",  # different chunking on purpose
             ledger_path=ledger,
             resume=True,
         )

@@ -43,11 +43,33 @@ class TestCli:
 
     @pytest.mark.parametrize("parser", [build_mc_parser, build_campaign_parser])
     def test_measure_parsers_have_no_dispatch_chunk_size(self, parser, capsys):
-        # Yield screens and campaigns group items with --die-chunk and
-        # --cell-chunk alone.
+        # Yield screens and campaigns group items by --engine alone.
         with pytest.raises(SystemExit):
             parser().parse_args(["--chunk-size", "2"])
         assert "--chunk-size" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("mc", "--die-chunk", "2"),
+            ("campaign", "--cell-chunk", "2"),
+            ("campaign-dispatch", "--cell-chunk", "2"),
+            ("profile", "--engine", "serial"),
+        ],
+    )
+    def test_retired_dispatch_flags_rejected(
+        self, command, flag, value, capsys, tmp_path
+    ):
+        # --engine is the one dispatch setting, and repro profile runs
+        # each workload once on its command's default engine.
+        required = {
+            "campaign-dispatch": ["--shards", "2", "--work-dir", str(tmp_path)],
+            "profile": ["dynamic-screen"],
+        }
+        with pytest.raises(SystemExit) as raised:
+            main([command, *required.get(command, []), flag, value])
+        assert raised.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_experiments_through_worker_pool(self, capsys):
         assert main(["fig4", "fig7", "--quick", "--workers", "2"]) == 0
@@ -85,32 +107,33 @@ class TestMcCli:
         assert document["yield"]["n_dies"] == 2
 
     def test_mc_engine_flag_parses(self):
-        args = build_mc_parser().parse_args(
-            ["--engine", "vectorized", "--die-chunk", "4"]
-        )
+        args = build_mc_parser().parse_args(["--engine", "vectorized"])
         assert args.engine == "vectorized"
-        assert args.die_chunk == 4
         assert build_mc_parser().parse_args([]).engine == "pool"
 
-    def test_mc_render_reports_dies_per_task(self, capsys):
-        code = main(
-            [
-                "mc",
-                "--dies",
-                "6",
-                "--fft-points",
-                "512",
-                "--engine",
-                "vectorized",
-                "--die-chunk",
-                "3",
-                "--workers",
-                "2",
-            ]
-        )
-        assert code in (0, 1)
-        out = capsys.readouterr().out
-        assert "2 worker(s), 3 die(s) per task," in out
+    def test_mc_render_reports_dies_per_task(self, capsys, tmp_path):
+        """The text report and the JSON name the same items per task."""
+        for engine, per_task in (("pool", 1), ("vectorized", 3)):
+            out_path = tmp_path / f"mc-{engine}.json"
+            code = main(
+                [
+                    "mc",
+                    "--dies",
+                    "6",
+                    "--fft-points",
+                    "512",
+                    "--engine",
+                    engine,
+                    "--workers",
+                    "2",
+                    "--json",
+                    str(out_path),
+                ]
+            )
+            assert code in (0, 1)
+            out = capsys.readouterr().out
+            assert f"2 worker(s), {per_task} die(s) per task," in out
+            assert json.loads(out_path.read_text())["chunk_size"] == per_task
 
     def test_mc_calibrate_flag_parses(self):
         args = build_mc_parser().parse_args(["--calibrate", "--cal-samples", "6"])

@@ -175,6 +175,12 @@ class TestDispatcherValidation:
                 small_spec, shards=2, work_dir=tmp_path, timeout_s=0.0
             )
 
+    def test_bad_engine(self, small_spec, tmp_path):
+        with pytest.raises(ConfigurationError, match="engine"):
+            CampaignDispatcher(
+                small_spec, shards=2, work_dir=tmp_path, engine="turbo"
+            )
+
     def test_shards_clamped_to_grid(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
             small_spec, shards=99, work_dir=tmp_path
@@ -190,7 +196,7 @@ class TestDispatchEndToEnd:
             small_spec,
             shards=3,
             work_dir=work,
-            cell_chunk=1,
+            engine="pool",
             out_ledger=work / "merged.jsonl",
         )
         return work, dispatcher.run()
@@ -243,7 +249,7 @@ class TestDispatchRecovery:
             small_spec,
             shards=3,
             work_dir=tmp_path,
-            cell_chunk=1,
+            engine="pool",
             backoff_base_s=0.01,
             poll_interval_s=0.01,
             fault_kill=(1, 1),
@@ -278,7 +284,7 @@ class TestDispatchRecovery:
             small_spec,
             shards=3,
             work_dir=tmp_path,
-            cell_chunk=1,
+            engine="pool",
             max_retries=0,
             poll_interval_s=0.01,
             fault_kill=(0, 0),
@@ -341,7 +347,7 @@ class TestDispatchRecovery:
         # The remains of a shard killed before its header hit disk.
         (tmp_path / "range-000000-000004.jsonl").write_text("garbage\n")
         report = CampaignDispatcher(
-            small_spec, shards=2, work_dir=tmp_path, cell_chunk=1
+            small_spec, shards=2, work_dir=tmp_path, engine="pool"
         ).run()
         assert report.complete
         assert report.unreadable_ledgers == (
@@ -400,7 +406,7 @@ class TestForkedShards:
         monkeypatch.setattr(dispatcher_module, "run_campaign", chatty)
         capfd.readouterr()
         report = CampaignDispatcher(
-            small_spec, shards=3, work_dir=tmp_path, cell_chunk=1
+            small_spec, shards=3, work_dir=tmp_path, engine="pool"
         ).run()
         out, err = capfd.readouterr()
         assert (out, err) == ("", "")
@@ -446,8 +452,8 @@ class TestDispatchCli:
                 "512",
                 "--shards",
                 "3",
-                "--cell-chunk",
-                "1",
+                "--engine",
+                "pool",
                 "--poll",
                 "0.01",
                 "--work-dir",
@@ -488,8 +494,8 @@ class TestDispatchCli:
                 "512",
                 "--shards",
                 "2",
-                "--cell-chunk",
-                "1",
+                "--engine",
+                "pool",
                 "--poll",
                 "0.01",
                 "--max-retries",

@@ -31,7 +31,6 @@ from repro.profiling import (
     record,
 )
 from repro.runtime.profiling import (
-    ENGINES,
     PROFILE_REPORT_SCHEMA,
     WORKLOADS,
     profile_workload,
@@ -173,26 +172,28 @@ class TestProfileWorkload:
         report = profile_workload("dynamic-screen", dies=2, fft_points=256)
         assert report.workload == "dynamic-screen"
         assert report.n_items == 2
-        assert tuple(p.engine for p in report.engines) == ENGINES
-        # Both engines convert die by die, on the compiled chain when it
-        # is loaded.
+        # The run converts die by die, on the compiled chain when it is
+        # loaded, through the campaign's one measure path.
         native = native_chain.status() == "native"
         row = ("chain", "native") if native else ("mdac", "settle")
-        for profile in report.engines:
-            assert profile.wall_s > 0
-            # The engine stages show up under both engines, and the
-            # partition never exceeds the run it partitions.
-            assert profile.stat(*row) is not None
-            assert 0 < profile.attributed_fraction() <= 1.0 + 1e-9
+        assert report.wall_s > 0
+        assert report.stat(*row) is not None
+        assert report.stat("task", "measure-cell-chunk").count == 1
+        # The partition never exceeds the run it partitions.
+        assert 0 < report.attributed_fraction() <= 1.0 + 1e-9
         rendered = report.render()
         assert row[0] in rendered and "noise-draw" in rendered
         assert "attributed to named stages" in rendered
         assert f"stage chain: {native_chain.status()}" in rendered.splitlines()
 
+    def test_yield_screen_runs_the_mc_default_engine(self):
+        # repro mc's pool engine: one task per die.
+        report = profile_workload("yield-screen", dies=2, fft_points=256)
+        assert report.n_items == 2
+        assert report.stat("task", "measure-die").count == 2
+
     def test_report_json_document_stable(self):
-        report = profile_workload(
-            "dynamic-screen", dies=1, fft_points=256, engines=("serial",)
-        )
+        report = profile_workload("dynamic-screen", dies=1, fft_points=256)
         document = json.loads(report.to_json())
         assert document["schema"] == PROFILE_REPORT_SCHEMA
         assert document["workload"] in WORKLOADS
@@ -200,26 +201,27 @@ class TestProfileWorkload:
         assert document["fft_points"] == 256
         assert document["stage_chain"] == native_chain.status()
         assert document["normal_fill"] == native_normal.status()
-        (engine,) = document["engines"]
-        assert engine.keys() == {
-            "engine",
-            "wall_s",
+        assert document.keys() == {
+            "schema",
+            "workload",
             "n_items",
+            "fft_points",
+            "wall_s",
             "item_wall_s",
             "attributed_fraction",
             "stage_shares",
             "entries",
+            "normal_fill",
+            "stage_chain",
         }
-        assert "run" not in engine["stage_shares"]
-        assert not OVERLAY_STAGES & engine["stage_shares"].keys()
+        assert "run" not in document["stage_shares"]
+        assert not OVERLAY_STAGES & document["stage_shares"].keys()
 
     def test_unknown_inputs_rejected(self):
         from repro.errors import ConfigurationError
 
         with pytest.raises(ConfigurationError):
             profile_workload("nope")
-        with pytest.raises(ConfigurationError):
-            profile_workload("dynamic-screen", engines=("gpu",))
         with pytest.raises(ConfigurationError):
             profile_workload("dynamic-screen", dies=0)
 
@@ -237,8 +239,6 @@ class TestProfileCli:
                 "1",
                 "--fft-points",
                 "256",
-                "--engine",
-                "serial",
                 "--json",
                 str(out),
             ]
@@ -263,8 +263,6 @@ class TestProfileCli:
                 "1",
                 "--fft-points",
                 "256",
-                "--engine",
-                "serial",
                 "--json",
                 str(tmp_path / "missing-dir" / "p.json"),
             ]

@@ -270,21 +270,24 @@ class TestMonteCarloRuntime:
         assert metrics.dnl_peak_lsb == legacy_dnl
 
     def test_workers_do_not_change_metrics(self, paper_config):
-        """ISSUE acceptance: per-die metrics are bit-identical for any
-        worker count and chunking of the same seeded run."""
+        """Per-die metrics are bit-identical for any worker count and
+        engine of the same seeded run; 5 dies split 5, 3 and 2 per
+        vectorized task at 1, 2 and 3 workers."""
         kwargs = dict(
-            n_dies=4,
+            n_dies=5,
             seed=99,
             config=paper_config,
             n_fft=1024,
         )
         serial = run_yield_analysis(workers=1, **kwargs)
-        pooled = run_yield_analysis(workers=2, **kwargs)
-        chunked = run_yield_analysis(
-            workers=2, engine="vectorized", die_chunk=3, **kwargs
-        )
-        assert serial.dies == pooled.dies == chunked.dies
-        assert serial.yield_fraction == pooled.yield_fraction
+        for workers, vectorized_chunk in ((1, 5), (2, 3), (3, 2)):
+            for engine, chunk in (("pool", 1), ("vectorized", vectorized_chunk)):
+                report = run_yield_analysis(
+                    workers=workers, engine=engine, **kwargs
+                )
+                assert report.batch.chunk_size == chunk, (engine, workers)
+                assert report.dies == serial.dies
+                assert report.yield_fraction == serial.yield_fraction
 
     def test_report_document_and_render(self, paper_config):
         report = run_yield_analysis(

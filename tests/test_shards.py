@@ -14,7 +14,9 @@ The load-bearing contracts:
   store with zero recomputation, across grid shapes.
 """
 
+import errno
 import json
+import os
 import re
 
 import pytest
@@ -286,6 +288,24 @@ class TestCellStore:
         cells = small_spec.cells()
         assert bound.get(cells[0]) is None
         assert bound.misses == 1
+
+    def test_failed_put_leaves_no_temp_file(
+        self, small_spec, paper_config, tmp_path, monkeypatch
+    ):
+        """A full disk propagates, and no ``*.tmp`` outlives the put."""
+        (metrics,) = run_campaign(small_spec, cell_range=(0, 1)).cells
+        root = tmp_path / "store"
+        bound = CellStore(root).bind(small_spec, paper_config)
+
+        def full_disk(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        with pytest.raises(OSError) as raised:
+            bound.put(small_spec.cells()[0], metrics)
+        monkeypatch.undo()
+        assert raised.value.errno == errno.ENOSPC
+        assert list(root.rglob("*.tmp")) == []
 
 
 class TestShardCli:
