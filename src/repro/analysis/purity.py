@@ -32,15 +32,30 @@ from repro.analysis.base import Finding, Project
 INVARIANT = "die-purity"
 
 #: The cached-die classes: everything a ``die_cache.build_die`` hit
-#: returns, transitively.
+#: returns, transitively, and the die templates its misses share —
+#: the template itself and what it hands to every die built on it.
 DIE_CLASSES: dict[str, frozenset[str]] = {
-    "src/repro/core/adc.py": frozenset({"PipelineAdc"}),
+    "src/repro/core/adc.py": frozenset({"PipelineAdc", "DieTemplate", "StageTemplate"}),
     "src/repro/core/stage.py": frozenset({"PipelineStage"}),
     "src/repro/core/mdac.py": frozenset({"Mdac"}),
     "src/repro/core/subadc.py": frozenset({"SubAdc"}),
     "src/repro/core/flash.py": frozenset({"FlashBackend"}),
+    "src/repro/core/correction.py": frozenset({"DigitalCorrection"}),
     "src/repro/devices/comparator.py": frozenset({"DynamicComparator"}),
     "src/repro/devices/opamp.py": frozenset({"TwoStageMillerOpamp"}),
+    "src/repro/devices/opamp_design.py": frozenset({"OpampDesigner", "InputPair"}),
+    "src/repro/devices/switch.py": frozenset(
+        {
+            "_TransmissionGateBase",
+            "TransmissionGate",
+            "BulkSwitchedTransmissionGate",
+            "BootstrappedSwitch",
+        }
+    ),
+    "src/repro/analog/sampling.py": frozenset({"TrackingModel", "SamplingNetwork"}),
+    "src/repro/analog/bias.py": frozenset(
+        {"ScBiasCurrentGenerator", "FixedBiasGenerator"}
+    ),
 }
 
 #: Methods allowed to assign attributes.

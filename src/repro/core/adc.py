@@ -9,7 +9,10 @@ bandgap/reference/CM/bias/clock infrastructure — into one object with a
 Construction freezes one *die*: mismatch draws (capacitor ratios,
 comparator offsets, mirror errors) are taken once from a seed, so the
 same die can be measured repeatedly under different stimuli, exactly
-like the physical part on the bench.
+like the physical part on the bench.  Everything else a die holds — the
+timing, the bias generator, the opamp designers, the front end — reads
+no seed; it lives in a :class:`DieTemplate` that the dies of one
+(config, rate, operating point) can share.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.flash import FlashBackend
 from repro.core.mdac import Mdac
 from repro.core.stage import PipelineStage
 from repro.core.subadc import SubAdc
-from repro.devices.opamp_design import OpampDesigner
+from repro.devices.opamp_design import InputPair, OpampDesigner
 from repro.devices.switch import (
     _JUNCTION_GRADING,
     _JUNCTION_POTENTIAL,
@@ -157,16 +160,44 @@ def _frontend_parameters(
     return parameters, flags, _JUNCTION_GRADING
 
 
-class PipelineAdc:
-    """The reproduced converter.
+@dataclass(frozen=True)
+class StageTemplate:
+    """One stage's share of a :class:`DieTemplate`.
+
+    Attributes:
+        config: the stage's electrical configuration.
+        designer: the stage's opamp designer at the template's
+            operating point (capacitances already cap-scaled).
+        input_pair: the designer's input-device constants.
+        ratio_sigma: 1-sigma of the stage's C1/C2 ratio error.
+    """
+
+    config: StageConfig
+    designer: OpampDesigner
+    input_pair: InputPair
+    ratio_sigma: float
+
+
+class DieTemplate:
+    """Everything a die's construction computes without its seed.
+
+    A pure function of (config, conversion rate, operating point): the
+    phase timing, the resolved bias generator, each stage's opamp
+    designer constants and ratio sigma, and the front-end sampling
+    network with its compiled-front-end parameters.  A die is a
+    template plus a seed — :class:`PipelineAdc` draws the seed's
+    mismatch and finishes the opamp designs from the drawn currents —
+    so the dies of one PVT point can share one template
+    (:func:`repro.core.die_cache.build_die` keeps them in a bounded
+    LRU).  Like a die, a template is frozen after construction.
 
     Args:
         config: full electrical configuration.
-        conversion_rate: f_CR this instance is clocked at [Hz].
+        conversion_rate: f_CR the dies are clocked at [Hz].
         operating_point: PVT context; nominal TT/27C when omitted.
-        seed: die seed; freezes every mismatch draw.
 
     Raises:
+        ConfigurationError: for a non-positive conversion rate.
         ModelDomainError: if the clock scheme leaves no settling window
             at the requested rate.
     """
@@ -176,7 +207,6 @@ class PipelineAdc:
         config: AdcConfig,
         conversion_rate: float,
         operating_point: OperatingPoint | None = None,
-        seed: int = 0,
     ):
         if conversion_rate <= 0:
             raise ConfigurationError("conversion rate must be positive")
@@ -185,55 +215,35 @@ class PipelineAdc:
         self.operating_point = operating_point or OperatingPoint(
             technology=config.technology
         )
-        self.seed = seed
-        self.timing: PhaseTiming = config.clock.timing(conversion_rate)
-
-        with record("build", "die"):
+        with record("build", "die-template"):
+            self.timing: PhaseTiming = config.clock.timing(conversion_rate)
             stage_configs = config.stage_configs()
             #: Total DAC capacitance the reference buffer drives [F].
             self.dac_capacitance = 2.0 * sum(
                 sc.unit_capacitance for sc in stage_configs
             )
-            mismatch_rng = mismatch_generator(seed)
-            self._build_bias(mismatch_rng)
-            self._build_stages(stage_configs, mismatch_rng)
-            self._build_frontend(stage_configs[0])
-            self.flash = FlashBackend(
-                vref=config.vref,
-                bits=config.flash_bits,
-                parameters=config.flash_comparator,
-                rng=mismatch_rng,
+            self.bias_generator = (
+                config.resolved_fixed_bias()
+                if config.use_fixed_bias
+                else config.resolved_bias()
             )
+            self._build_stages(stage_configs)
+            self._build_frontend(stage_configs[0])
             self.correction = DigitalCorrection(
                 n_stages=config.n_stages, flash_bits=config.flash_bits
             )
 
-    # --- construction ----------------------------------------------------
+    @property
+    def key(self) -> tuple:
+        """(config, conversion rate, operating point) it was built for."""
+        return (self.config, self.conversion_rate, self.operating_point)
 
-    def _build_bias(self, mismatch_rng: np.random.Generator) -> None:
-        config = self.config
-        generator = (
-            config.resolved_fixed_bias()
-            if config.use_fixed_bias
-            else config.resolved_bias()
-        )
-        rng = mismatch_rng if config.include_mismatch else None
-        self.bias_report: BiasReport = generator.evaluate(
-            self.conversion_rate, self.operating_point, rng
-        )
-
-    def _build_stages(
-        self,
-        stage_configs: tuple[StageConfig, ...],
-        mismatch_rng: np.random.Generator,
-    ) -> None:
+    def _build_stages(self, stage_configs: tuple[StageConfig, ...]) -> None:
         config = self.config
         cap_scale = self.operating_point.capacitance_scale()
-        currents = self.bias_report.stage_currents
-
         mismatch_model = CapacitorMismatchModel(technology=config.technology)
-        self.stages: list[PipelineStage] = []
-        for stage_config, current in zip(stage_configs, currents):
+        stages = []
+        for stage_config in stage_configs:
             designer = OpampDesigner(
                 operating_point=self.operating_point,
                 input_pair_width=stage_config.input_pair_width,
@@ -249,45 +259,22 @@ class PipelineAdc:
                 compression=config.opamp_compression,
                 noise_excess_factor=config.noise_excess_factor,
             )
-            opamp = designer.build(float(current))
-            if config.include_mismatch:
-                ratio_error = float(
-                    mismatch_model.sample_ratio_errors(
-                        np.array([stage_config.unit_capacitance]), mismatch_rng
-                    )[0]
+            stages.append(
+                StageTemplate(
+                    config=stage_config,
+                    designer=designer,
+                    input_pair=designer.input_pair(),
+                    ratio_sigma=mismatch_model.ratio_sigma(
+                        stage_config.unit_capacitance
+                    ),
                 )
-            else:
-                ratio_error = 0.0
-            mdac = Mdac(
-                unit_capacitance=stage_config.unit_capacitance,
-                ratio_error=ratio_error,
-                opamp=opamp,
-                load_capacitance=stage_config.load_capacitance * cap_scale,
-                summing_parasitic=(
-                    config.parasitic_summing_capacitance * stage_config.scale
-                ),
-                settle_time=self.timing.amplification_time,
-                include_settling=config.include_settling,
-                include_noise=config.include_thermal_noise,
-                # Stage 1's acquisition noise belongs to the front-end
-                # sampling network.
-                include_sampling_noise=(
-                    config.include_thermal_noise and stage_config.index > 0
-                ),
             )
-            subadc = SubAdc(
-                vref=config.vref,
-                parameters=config.comparator,
-                rng=mismatch_rng,
-            )
-            self.stages.append(
-                PipelineStage(index=stage_config.index, subadc=subadc, mdac=mdac)
-            )
+        self.stages: tuple[StageTemplate, ...] = tuple(stages)
 
     def _build_frontend(self, stage1: StageConfig) -> None:
         config = self.config
         common_mode = config.common_mode.voltage(self.operating_point)
-        self.input_switch: SwitchModel = self._make_switch()
+        self.input_switch: SwitchModel = self._build_switch()
         tracking = TrackingModel(
             switch=self.input_switch,
             hold_capacitance=stage1.sampling_capacitance,
@@ -304,13 +291,13 @@ class PipelineAdc:
         )
         #: The compiled front end's (parameters, flags, grading), or None
         #: where numpy computes every acquisition.
-        self._native_frontend = (
+        self.native_frontend = (
             _frontend_parameters(self.frontend, self.timing.amplification_time)
             if config.include_tracking
             else None
         )
 
-    def _make_switch(self) -> SwitchModel:
+    def _build_switch(self) -> SwitchModel:
         config = self.config
         if config.switch_style is SwitchStyle.TRANSMISSION_GATE:
             return TransmissionGate(
@@ -331,6 +318,120 @@ class PipelineAdc:
             length=config.switch_length,
             operating_point=self.operating_point,
         )
+
+
+class PipelineAdc:
+    """The reproduced converter.
+
+    Args:
+        config: full electrical configuration.
+        conversion_rate: f_CR this instance is clocked at [Hz].
+        operating_point: PVT context; nominal TT/27C when omitted.
+        seed: die seed; freezes every mismatch draw.
+        template: the :class:`DieTemplate` of (config, conversion_rate,
+            operating_point), when the caller holds one; built here
+            when omitted.  Either way the die is the same to the bit.
+
+    Raises:
+        ConfigurationError: for a non-positive conversion rate, or a
+            template built for another key.
+        ModelDomainError: if the clock scheme leaves no settling window
+            at the requested rate.
+    """
+
+    def __init__(
+        self,
+        config: AdcConfig,
+        conversion_rate: float,
+        operating_point: OperatingPoint | None = None,
+        seed: int = 0,
+        template: DieTemplate | None = None,
+    ):
+        if template is None:
+            template = DieTemplate(config, conversion_rate, operating_point)
+        elif template.key != (
+            config,
+            conversion_rate,
+            operating_point or OperatingPoint(technology=config.technology),
+        ):
+            raise ConfigurationError(
+                "die template was built for another configuration, "
+                "conversion rate or operating point"
+            )
+        self.template = template
+        self.config = template.config
+        self.conversion_rate = template.conversion_rate
+        self.operating_point = template.operating_point
+        self.seed = seed
+        self.timing: PhaseTiming = template.timing
+        #: Total DAC capacitance the reference buffer drives [F].
+        self.dac_capacitance = template.dac_capacitance
+        self.input_switch: SwitchModel = template.input_switch
+        self.frontend = template.frontend
+        self._native_frontend = template.native_frontend
+        self.correction = template.correction
+
+        with record("build", "die"):
+            # The seed's mismatch draws, in their frozen order: bias
+            # mirrors, then per stage the capacitor ratio and the two
+            # ADSC offsets, then the flash ladder.
+            mismatch_rng = mismatch_generator(seed)
+            self._build_bias(mismatch_rng)
+            self._build_stages(mismatch_rng)
+            self.flash = FlashBackend(
+                vref=self.config.vref,
+                bits=self.config.flash_bits,
+                parameters=self.config.flash_comparator,
+                rng=mismatch_rng,
+            )
+
+    # --- construction ----------------------------------------------------
+
+    def _build_bias(self, mismatch_rng: np.random.Generator) -> None:
+        rng = mismatch_rng if self.config.include_mismatch else None
+        self.bias_report: BiasReport = self.template.bias_generator.evaluate(
+            self.conversion_rate, self.operating_point, rng
+        )
+
+    def _build_stages(self, mismatch_rng: np.random.Generator) -> None:
+        config = self.config
+        include_mismatch = config.include_mismatch
+        settle_time = self.timing.amplification_time
+        self.stages: list[PipelineStage] = []
+        for stage, current in zip(
+            self.template.stages, self.bias_report.stage_currents.tolist()
+        ):
+            opamp = stage.designer.build(current, stage.input_pair)
+            ratio_error = (
+                mismatch_rng.normal(0.0, 1.0) * stage.ratio_sigma
+                if include_mismatch
+                else 0.0
+            )
+            mdac = Mdac(
+                unit_capacitance=stage.config.unit_capacitance,
+                ratio_error=ratio_error,
+                opamp=opamp,
+                load_capacitance=stage.designer.load_capacitance,
+                summing_parasitic=(
+                    config.parasitic_summing_capacitance * stage.config.scale
+                ),
+                settle_time=settle_time,
+                include_settling=config.include_settling,
+                include_noise=config.include_thermal_noise,
+                # Stage 1's acquisition noise belongs to the front-end
+                # sampling network.
+                include_sampling_noise=(
+                    config.include_thermal_noise and stage.config.index > 0
+                ),
+            )
+            subadc = SubAdc(
+                vref=config.vref,
+                parameters=config.comparator,
+                rng=mismatch_rng,
+            )
+            self.stages.append(
+                PipelineStage(index=stage.config.index, subadc=subadc, mdac=mdac)
+            )
 
     # --- conversion --------------------------------------------------------
 

@@ -177,7 +177,7 @@ def build_comparator_bank(
     Returns:
         Comparators in the same order as the thresholds.
     """
-    values = [float(t) for t in np.asarray(thresholds, dtype=float)]
+    values = [float(t) for t in thresholds]
     if values != sorted(values):
         raise ConfigurationError("comparator thresholds must be ascending")
     return [DynamicComparator(t, parameters, rng) for t in values]

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 from repro.devices.opamp import OpampParameters, TwoStageMillerOpamp
 from repro.errors import ConfigurationError, ModelDomainError
 from repro.technology.corners import OperatingPoint
-from repro.technology.mosfet import Mosfet, MosPolarity
+from repro.technology.mosfet import (
+    Mosfet,
+    MosPolarity,
+    square_law_overdrive,
+    square_law_transconductance,
+)
 
 
 @dataclass(frozen=True)
@@ -42,6 +47,27 @@ class OpampDesignReport:
     input_overdrive: float
     gm: float
     parameters: OpampParameters
+
+
+@dataclass(frozen=True)
+class InputPair:
+    """The input device's constants at one operating point.
+
+    What :meth:`OpampDesigner.design` reads of the input transistor
+    besides the bias current.  None of it depends on the current, so a
+    caller that designs many opamps of one size at one operating point
+    (every die of a PVT point, see :class:`repro.core.adc.DieTemplate`)
+    evaluates it once with :meth:`OpampDesigner.input_pair`.
+
+    Attributes:
+        beta: k' * W/L [A/V^2].
+        theta: mobility-degradation coefficient [1/V].
+        gate_capacitance: Cox*W*L [F].
+    """
+
+    beta: float
+    theta: float
+    gate_capacitance: float
 
 
 @dataclass(frozen=True)
@@ -105,23 +131,49 @@ class OpampDesigner:
             operating_point=self.operating_point,
         )
 
-    def design(self, bias_current: float) -> OpampDesignReport:
+    def input_pair(self) -> InputPair:
+        """The input device's current-independent constants."""
+        device = self._input_device()
+        return InputPair(
+            beta=device.beta,
+            theta=self.operating_point.technology.mobility_theta,
+            gate_capacitance=device.gate_capacitance(),
+        )
+
+    def design(
+        self, bias_current: float, pair: InputPair | None = None
+    ) -> OpampDesignReport:
         """Evaluate the opamp at a given tail current.
 
         Args:
             bias_current: differential-pair tail current [A].
+            pair: this designer's :meth:`input_pair`, when the caller
+                holds it already; evaluated here when omitted.
 
         Returns:
             A report bundling the derived :class:`OpampParameters`.
         """
+        parameters, overdrive, gm = self._evaluate(bias_current, pair)
+        return OpampDesignReport(
+            bias_current=bias_current,
+            input_overdrive=overdrive,
+            gm=gm,
+            parameters=parameters,
+        )
+
+    def _evaluate(
+        self, bias_current: float, pair: InputPair | None
+    ) -> tuple[OpampParameters, float, float]:
+        """(parameters, input overdrive, gm) at a tail current."""
         if bias_current <= 0:
             raise ModelDomainError(
                 f"bias current must be positive, got {bias_current}"
             )
-        device = self._input_device()
+        if pair is None:
+            pair = self.input_pair()
         per_side = bias_current / 2.0
-        gm = device.transconductance(per_side)
-        overdrive = device.overdrive_for_current(per_side)
+        overdrive = square_law_overdrive(pair.beta, pair.theta, per_side)
+        gm = square_law_transconductance(pair.beta, pair.theta, overdrive)
 
         gbw = gm / (2.0 * math.pi * self.compensation_capacitance)
         slew_internal = bias_current / self.compensation_capacitance
@@ -145,16 +197,13 @@ class OpampDesigner:
             output_swing=self.output_swing,
             compression=self.compression,
             noise_excess_factor=self.noise_excess_factor,
-            input_capacitance=device.gate_capacitance(),
+            input_capacitance=pair.gate_capacitance,
             quiescent_current=quiescent,
         )
-        return OpampDesignReport(
-            bias_current=bias_current,
-            input_overdrive=overdrive,
-            gm=gm,
-            parameters=parameters,
-        )
+        return parameters, overdrive, gm
 
-    def build(self, bias_current: float) -> TwoStageMillerOpamp:
+    def build(
+        self, bias_current: float, pair: InputPair | None = None
+    ) -> TwoStageMillerOpamp:
         """Convenience: design and wrap into the behavioral opamp."""
-        return TwoStageMillerOpamp(self.design(bias_current).parameters)
+        return TwoStageMillerOpamp(self._evaluate(bias_current, pair)[0])

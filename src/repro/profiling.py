@@ -38,8 +38,11 @@ Stage taxonomy (the names the engines emit — documented in
 ======================  ================================================
 stage / phase           what it times
 ======================  ================================================
-``build/die``           one die's construction (bias solve, opamp
-                        design, frozen mismatch draws)
+``build/die``           one die's seed step (frozen mismatch draws,
+                        opamp designs from the drawn currents)
+``build/die-template``  one die template's construction (timing, bias
+                        generator, opamp designer constants, front end);
+                        never nested in ``build/die``
 ``sample/stimulus``     signal evaluation at the (jittered) instants
 ``sample/acquire``      front-end tracking, pedestal, droop
 ``references/window``   delivered-reference record + per-stage windows

@@ -331,6 +331,11 @@ def _if_picklable(error: BaseException) -> BaseException | None:
     return error
 
 
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
+        raise ConfigurationError(f"workers must be >= 1 or None, got {workers}")
+
+
 @dataclass(frozen=True)
 class BatchRunner:
     """Executes many independent tasks, serially or across a pool.
@@ -353,10 +358,7 @@ class BatchRunner:
     progress: ProgressCallback | None = None
 
     def __post_init__(self) -> None:
-        if self.workers is not None and self.workers < 1:
-            raise ConfigurationError(
-                f"workers must be >= 1 or None, got {self.workers}",
-            )
+        _check_workers(self.workers)
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ConfigurationError(
                 f"chunk_size must be >= 1 or None, got {self.chunk_size}",
@@ -500,9 +502,10 @@ class EngineDispatch:
     it: the caller hands over its items, one measure function and the
     task that function takes for a chunk of items.  The engine only
     chooses how many items a task holds.  The dispatch validates the
-    engine on construction, then slices the items into chunks, runs
-    them and returns one :class:`TaskOutcome` per item — carrying the
-    item's index and seed.
+    engine and the worker count on construction, before its callers
+    touch a ledger or fork a shard; it then slices the items into
+    chunks, runs them and returns one :class:`TaskOutcome` per item —
+    carrying the item's index and seed.
 
     Attributes:
         engine: ``"pool"`` (one item per task) or ``"vectorized"``
@@ -519,6 +522,7 @@ class EngineDispatch:
             raise ConfigurationError(
                 f"engine must be 'pool' or 'vectorized', got '{self.engine}'"
             )
+        _check_workers(self.workers)
 
     def run(
         self,

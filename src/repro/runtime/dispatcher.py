@@ -361,7 +361,8 @@ class CampaignDispatcher:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {timeout_s}"
             )
-        # Reject an unknown engine here, not in every forked shard.
+        # Reject an unknown engine or a bad worker count here, not in
+        # every forked shard.
         EngineDispatch(engine=engine, workers=workers)
         self.spec = spec
         self.config = config or AdcConfig.paper_default()

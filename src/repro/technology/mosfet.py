@@ -38,6 +38,32 @@ class MosPolarity(enum.Enum):
 _SUBTHRESHOLD_SMOOTHING = 0.040
 
 
+def square_law_overdrive(beta: float, theta: float, drain_current: float) -> float:
+    """Saturation overdrive for a drain current, given beta and theta [V].
+
+    Solves ``0.5*beta*Vov^2/(1+theta*Vov) = Id`` exactly (quadratic in
+    Vov).  Shared by :meth:`Mosfet.overdrive_for_current` and callers
+    that hold a device's beta and theta already, so both compute the
+    same bits.
+    """
+    # 0.5*beta*Vov^2 - Id*theta*Vov - Id = 0
+    a = 0.5 * beta
+    b = -drain_current * theta
+    c = -drain_current
+    return (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
+
+
+def square_law_transconductance(beta: float, theta: float, overdrive: float) -> float:
+    """Saturation gm at an overdrive, given beta and theta [A/V].
+
+    Differentiates the degraded square law; reduces to
+    ``gm = 2*Id/Vov`` when theta = 0.
+    """
+    mob = 1.0 / (1.0 + theta * overdrive)
+    # d/dVov [0.5*beta*Vov^2*mob] = beta*Vov*mob - 0.5*beta*Vov^2*mob^2*theta
+    return beta * overdrive * mob - 0.5 * beta * overdrive**2 * theta * mob**2
+
+
 @dataclass(frozen=True)
 class Mosfet:
     """A sized transistor evaluated at an operating point.
@@ -147,20 +173,14 @@ class Mosfet:
         """Invert :meth:`saturation_current`: overdrive for a target Id.
 
         Solves ``0.5*beta*Vov^2/(1+theta*Vov) = Id`` exactly (quadratic in
-        Vov).  Used by the opamp designer to translate the SC-bias current
-        into gm and slew rate.
+        Vov) with :func:`square_law_overdrive`.
         """
         if drain_current <= 0:
             raise ModelDomainError(
                 f"drain current must be positive, got {drain_current}"
             )
         theta = self.operating_point.technology.mobility_theta
-        # 0.5*beta*Vov^2 - Id*theta*Vov - Id = 0
-        a = 0.5 * self.beta
-        b = -drain_current * theta
-        c = -drain_current
-        vov = (-b + math.sqrt(b * b - 4 * a * c)) / (2 * a)
-        return vov
+        return square_law_overdrive(self.beta, theta, drain_current)
 
     def transconductance(self, drain_current: float) -> float:
         """Saturation gm at the given drain current [A/V].
@@ -170,10 +190,7 @@ class Mosfet:
         """
         vov = self.overdrive_for_current(drain_current)
         theta = self.operating_point.technology.mobility_theta
-        mob = 1.0 / (1.0 + theta * vov)
-        # d/dVov [0.5*beta*Vov^2*mob] = beta*Vov*mob - 0.5*beta*Vov^2*mob^2*theta
-        gm = self.beta * vov * mob - 0.5 * self.beta * vov**2 * theta * mob**2
-        return gm
+        return square_law_transconductance(self.beta, theta, vov)
 
     def triode_conductance(
         self,

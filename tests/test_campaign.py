@@ -185,6 +185,21 @@ class TestCornerBatchedEquivalence:
         with pytest.raises(ConfigurationError):
             run_campaign(small_spec, engine="turbo")
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_workers_leave_an_existing_ledger_untouched(
+        self, small_spec, workers, tmp_path
+    ):
+        """A worker count is rejected before the ledger is opened."""
+        ledger = tmp_path / "run.jsonl"
+        run_campaign(small_spec, ledger_path=ledger)
+        before = ledger.read_bytes()
+        for resume in (False, True):
+            with pytest.raises(ConfigurationError, match="workers"):
+                run_campaign(
+                    small_spec, workers=workers, ledger_path=ledger, resume=resume
+                )
+            assert ledger.read_bytes() == before
+
 
 class TestLedgerResume:
     """ISSUE acceptance: interrupt mid-grid, resume, identical report."""

@@ -181,6 +181,18 @@ class TestDispatcherValidation:
                 small_spec, shards=2, work_dir=tmp_path, engine="turbo"
             )
 
+    def test_bad_workers_rejected_before_any_shard(
+        self, small_spec, tmp_path, monkeypatch
+    ):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a shard process was started")
+
+        monkeypatch.setattr(dispatcher_module.multiprocessing, "get_context", no_fork)
+        work = tmp_path / "work"
+        with pytest.raises(ConfigurationError, match="workers"):
+            CampaignDispatcher(small_spec, shards=2, work_dir=work, workers=0).run()
+        assert not work.exists()
+
     def test_shards_clamped_to_grid(self, small_spec, tmp_path):
         dispatcher = CampaignDispatcher(
             small_spec, shards=99, work_dir=tmp_path

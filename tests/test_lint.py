@@ -381,6 +381,30 @@ def test_purity_ignores_uncached_classes(tmp_path):
     assert rules(purity_checker.check(project)) == []
 
 
+def test_purity_covers_the_die_template(tmp_path):
+    """Dies of one PVT point share their template, so it is frozen too."""
+    project = make_project(
+        tmp_path,
+        {
+            "src/repro/core/adc.py": """
+                class DieTemplate:
+                    def __init__(self, config):
+                        self.config = config
+                        self._build_stages()
+
+                    def _build_stages(self):
+                        self.stages = ()
+
+                    def retune(self, rate):
+                        self.conversion_rate = rate
+                """,
+        },
+    )
+    findings = list(purity_checker.check(project))
+    assert rules(findings) == ["PUR001"]
+    assert findings[0].scope == "DieTemplate.retune"
+
+
 # --- suppressions --------------------------------------------------------
 
 
