@@ -90,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for multi-experiment runs (default 1)",
     )
-    parser.add_argument(
-        "--chunk-size",
-        type=int,
-        default=None,
-        metavar="N",
-        help="batch dispatch chunk size (default: auto)",
-    )
     return parser
 
 
@@ -1066,17 +1059,12 @@ def run_experiments(argv: Sequence[str]) -> int:
             emit(printed.pop(next_index))
             next_index += 1
 
-    batch = run_experiment_batch(
+    run_experiment_batch(
         requested,
         quick=args.quick,
         workers=args.workers,
-        chunk_size=args.chunk_size,
         progress=on_progress,
     )
-    # Safety net: emit anything the progress hook did not cover.
-    for outcome in batch.outcomes:
-        if outcome.index >= next_index:
-            emit(outcome)
     return 0 if all_passed else 1
 
 

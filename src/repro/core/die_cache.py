@@ -60,7 +60,6 @@ _hits = 0
 _misses = 0
 _template_hits = 0
 _template_misses = 0
-_enabled = True
 
 
 @dataclass(frozen=True)
@@ -93,8 +92,6 @@ def build_die(
     frozen mismatch draws), so callers may share it freely.  A die
     that misses is built on the key's cached template.
     """
-    if not _enabled:
-        return PipelineAdc(config, conversion_rate, operating_point, seed)
     resolved = operating_point or OperatingPoint(technology=config.technology)
     rate = float(conversion_rate)
     key = (config, rate, resolved, int(seed))
@@ -163,11 +160,3 @@ def stats() -> CacheStats:
         template_misses=_template_misses,
         templates=len(_templates),
     )
-
-
-def set_enabled(enabled: bool) -> bool:
-    """Toggle the cache (tests and bench baselines); returns the old state."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(enabled)
-    return previous

@@ -1,4 +1,4 @@
-"""Measurement harness: testbenches, sweeps, figures of merit, survey.
+"""Measurement harness: testbenches, figures of merit, survey.
 
 This subpackage is the reproduction of the paper's *measurement setup*
 (section 4): dynamic testing with filtered RF sources, static code-
@@ -10,7 +10,6 @@ from repro.evaluation.fom import paper_figure_of_merit, walden_figure_of_merit
 from repro.evaluation.noise_budget import NoiseBudget, compute_noise_budget
 from repro.evaluation.reporting import format_series, format_table
 from repro.evaluation.survey import SurveyEntry, survey_entries, this_design_entry
-from repro.evaluation.sweeps import SweepPoint, sweep
 from repro.evaluation.testbench import (
     DynamicTestbench,
     PowerTestbench,
@@ -24,12 +23,10 @@ __all__ = [
     "PowerTestbench",
     "StaticTestbench",
     "SurveyEntry",
-    "SweepPoint",
     "format_series",
     "format_table",
     "paper_figure_of_merit",
     "survey_entries",
-    "sweep",
     "this_design_entry",
     "walden_figure_of_merit",
 ]

@@ -116,7 +116,6 @@ def run_experiment_batch(
     experiment_ids: Iterable[str],
     quick: bool = False,
     workers: int | None = 1,
-    chunk_size: int | None = None,
     progress: ProgressCallback | None = None,
 ) -> BatchResult:
     """Run many experiments through the batch runtime.
@@ -134,7 +133,6 @@ def run_experiment_batch(
         quick: trade statistical confidence for speed.
         workers: worker processes (1 = serial, bit-exact with
             sequential :func:`run_experiment` calls).
-        chunk_size: dispatch chunk size (None = auto).
         progress: per-experiment progress callback.
 
     Returns:
@@ -149,7 +147,7 @@ def run_experiment_batch(
             f"unknown experiment(s): {', '.join(unknown)}; available: "
             f"{', '.join(sorted(_REGISTRY))}"
         )
-    runner = BatchRunner(workers=workers, chunk_size=chunk_size, progress=progress)
+    runner = BatchRunner(workers=workers, progress=progress)
     return runner.run(_run_for_batch, [(eid, quick) for eid in ids])
 
 

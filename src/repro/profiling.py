@@ -26,11 +26,11 @@ Design constraints, in order:
    workloads, reports — lives in :mod:`repro.runtime.profiling`, which
    re-exports everything here.
 
-Activation is explicit (:func:`enable` / the :func:`profiled` context
-manager) or environment-gated: setting ``REPRO_PROFILE`` to a non-empty
-value other than ``0`` installs a process-global recorder at import
-time, which is how worker processes inherit profiling from a dispatching
-parent.
+Activation is explicit: :func:`enable` or the :func:`profiled` context
+manager.  Forked pool workers inherit the active recorder, but theirs
+are never collected; :class:`~repro.runtime.batch.BatchRunner` folds
+each task's worker-measured wall time into the dispatching process's
+recorder as a ``dispatch/*`` entry instead.
 
 Stage taxonomy (the names the engines emit — documented in
 ``docs/performance.md`` and rendered by ``repro profile``):
@@ -76,7 +76,6 @@ stage / phase           what it times
 from __future__ import annotations
 
 import functools
-import os
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -84,9 +83,6 @@ from time import perf_counter
 from typing import Any
 
 from repro.schemas import PROFILE_SCHEMA
-
-#: Environment variable that enables profiling at import time.
-PROFILE_ENV = "REPRO_PROFILE"
 
 #: Stages whose entries overlap other stages' wall time (an outer view
 #: of the same work) and are therefore excluded from share-of-run and
@@ -344,13 +340,3 @@ def profile_step(
         return inner
 
     return wrap
-
-
-def env_enabled(environ=os.environ) -> bool:
-    """Whether ``REPRO_PROFILE`` requests profiling (unset/"0"/"" = no)."""
-    value = environ.get(PROFILE_ENV, "")
-    return value not in ("", "0", "false", "off")
-
-
-if env_enabled():  # pragma: no cover — exercised via subprocess in tests
-    enable()

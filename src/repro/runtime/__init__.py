@@ -2,10 +2,13 @@
 
 The runtime is the scaling layer every fan-out workload goes through:
 
-* :class:`BatchRunner` — worker-pool execution with chunked dispatch,
-  progress callbacks and failure isolation.
-* :mod:`repro.runtime.seeding` — ``SeedSequence``-spawned per-task
-  seeds, invariant to chunking and worker count.
+* :class:`BatchRunner` — worker-pool execution of ``fn(task)`` with
+  chunked dispatch, progress callbacks and failure isolation;
+  :class:`~repro.runtime.batch.EngineDispatch`, the one route yield
+  screens and campaigns take onto it.
+* :mod:`repro.runtime.seeding` — ``SeedSequence``-spawned per-die
+  seeds, carried inside the tasks, so invariant to chunking and worker
+  count.
 * :mod:`repro.runtime.montecarlo` — the Monte Carlo yield workload
   (die measurement tasks, yield reports) built on the runner.
 * :mod:`repro.runtime.campaign` — corner-batched PVT sign-off

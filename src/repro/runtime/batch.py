@@ -5,10 +5,7 @@ share one shape: many independent tasks, each a full simulation, whose
 results feed distributions and pass/fail summaries.  :class:`BatchRunner`
 executes that shape across a ``multiprocessing`` pool with
 
-* deterministic per-task seed derivation (``SeedSequence.spawn`` via
-  :mod:`repro.runtime.seeding`) that is invariant to chunking and
-  worker count,
-* chunked dispatch (``imap_unordered`` with a tuned chunk size),
+* chunked dispatch (``imap_unordered``, about four chunks per worker),
 * progress callbacks as results stream back,
 * structured failure capture — one crashing task is recorded in
   :attr:`BatchResult.failures` instead of killing the batch,
@@ -21,9 +18,12 @@ the dispatch slices dies or cells into tasks (one item per task on the
 ``pool`` engine, an even split across the workers on ``vectorized``)
 and flattens the result to one outcome per item.
 
-``workers=1`` bypasses the pool entirely and runs the same wrapped
-tasks in-process, so serial batches are bit-exact with the legacy
-serial loops and task callables need not be picklable.
+The runner calls each task as ``fn(task)`` and nothing else: a task
+carries whatever seed it needs, so no result depends on the worker
+count or the dispatch chunking.  ``workers=1`` bypasses the pool
+entirely and runs the same wrapped tasks in-process, so serial batches
+are bit-exact with the legacy serial loops and task callables need not
+be picklable.
 """
 
 from __future__ import annotations
@@ -47,11 +47,10 @@ from repro import native
 from repro.errors import ConfigurationError
 from repro.native import blas
 from repro.profiling import active as _active_profile
-from repro.runtime.seeding import derive_seeds
 from repro.schemas import BATCH_RESULT_SCHEMA
 
-#: Chunks per worker when no explicit chunk size is given; small enough
-#: to balance uneven task costs, large enough to amortize IPC.
+#: Dispatch chunks per worker: small enough to balance uneven task
+#: costs, large enough to amortize IPC.
 _CHUNKS_PER_WORKER = 4
 
 
@@ -75,10 +74,6 @@ class BatchProgress:
     elapsed_s: float
     latest: "TaskOutcome | None" = None
 
-    @property
-    def fraction(self) -> float:
-        return self.done / self.total if self.total else 1.0
-
 
 ProgressCallback = Callable[[BatchProgress], None]
 
@@ -90,7 +85,8 @@ class TaskOutcome:
     Attributes:
         index: position of the task in the submitted sequence.
         value: what the task callable returned (None on failure).
-        seed: derived task seed, when the batch ran with a root seed.
+        seed: the item's seed, on a per-item :class:`EngineDispatch`
+            outcome.
         error: stringified exception, when the task failed.
         error_type: exception class name, when the task failed.
         traceback: formatted traceback from the worker, when available.
@@ -135,22 +131,16 @@ class BatchResult:
         chunk_size: dispatch chunk size the batch actually used (for
             an :class:`EngineDispatch` batch: items per task).
         elapsed_s: wall-clock seconds for the whole batch.
-        root_seed: root seed used for per-task seed derivation, if any.
     """
 
     outcomes: tuple[TaskOutcome, ...]
     workers: int
     chunk_size: int
     elapsed_s: float
-    root_seed: int | None = None
 
     @property
     def n_tasks(self) -> int:
         return len(self.outcomes)
-
-    @property
-    def successes(self) -> tuple[TaskOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.ok)
 
     @property
     def failures(self) -> tuple[TaskOutcome, ...]:
@@ -178,25 +168,13 @@ class BatchResult:
                 f"{outcome.error}\n{outcome.traceback or ''}"
             )
 
-    def metric_rows(
-        self, metrics: Callable[[Any], Mapping[str, float]] | None = None
-    ) -> list[dict[str, float]]:
-        """Numeric metrics of each successful task.
+    def metric_rows(self) -> list[dict[str, float]]:
+        """Numeric metrics of each successful task (:func:`default_metrics`)."""
+        return [default_metrics(value) for value in self.values]
 
-        Args:
-            metrics: maps a task value to a name -> number mapping.
-                Defaults to :func:`default_metrics` (mappings and
-                dataclasses are mined for their numeric fields; objects
-                exposing ``to_metrics()`` are asked directly).
-        """
-        extract = metrics or default_metrics
-        return [dict(extract(value)) for value in self.values]
-
-    def summary(
-        self, metrics: Callable[[Any], Mapping[str, float]] | None = None
-    ) -> dict[str, dict[str, float]]:
+    def summary(self) -> dict[str, dict[str, float]]:
         """Per-metric summary statistics across successful tasks."""
-        rows = self.metric_rows(metrics)
+        rows = self.metric_rows()
         keys: list[str] = []
         for row in rows:
             for key in row:
@@ -223,7 +201,6 @@ class BatchResult:
             "workers": self.workers,
             "chunk_size": self.chunk_size,
             "elapsed_s": self.elapsed_s,
-            "root_seed": self.root_seed,
             "n_tasks": self.n_tasks,
             "n_failures": len(self.failures),
             "summary": self.summary(),
@@ -281,7 +258,7 @@ def json_safe(value: Any) -> Any:
 
 
 def _run_task(
-    payload: tuple[int, Callable[..., Any], Any, int | None],
+    payload: tuple[int, Callable[[Any], Any], Any],
     in_process: bool = False,
 ) -> TaskOutcome:
     """Execute one wrapped task; never raises (failures become outcomes).
@@ -290,36 +267,24 @@ def _run_task(
     exception never crosses a process boundary there, so it is kept
     verbatim instead of being filtered through a pickle round-trip.
     """
-    index, fn, task, seed = payload
+    index, fn, task = payload
     start = time.perf_counter()
     try:
-        value = fn(task) if seed is None else fn(task, seed)
+        value = fn(task)
         return TaskOutcome(
             index=index,
             value=value,
-            seed=seed,
             elapsed_s=time.perf_counter() - start,
         )
     except Exception as error:  # noqa: BLE001 — failure isolation is the point
         return TaskOutcome(
             index=index,
-            seed=seed,
             error=str(error),
             error_type=type(error).__name__,
             traceback=traceback.format_exc(),
             exception=error if in_process else _if_picklable(error),
             elapsed_s=time.perf_counter() - start,
         )
-
-
-def _stops_batch(
-    stop_on_failure: bool | Callable[[TaskOutcome], bool],
-    outcome: TaskOutcome,
-) -> bool:
-    """Whether a failed outcome stops a ``stop_on_failure`` batch."""
-    if callable(stop_on_failure):
-        return bool(stop_on_failure(outcome))
-    return bool(stop_on_failure)
 
 
 def _if_picklable(error: BaseException) -> BaseException | None:
@@ -343,45 +308,27 @@ class BatchRunner:
     Attributes:
         workers: worker processes; 1 (default) runs in-process and is
             bit-exact with a plain serial loop, None uses all CPUs.
-        chunk_size: tasks per dispatch chunk; None picks
-            ``ceil(n / (workers * 4))``.  Seed derivation and results
-            are invariant to this — it only tunes IPC granularity.
         progress: callback invoked with a :class:`BatchProgress` after
             every completed task.
 
     Task callables must be picklable (module-level functions) when
-    ``workers > 1``; the serial path has no such requirement.
+    ``workers > 1``; the serial path has no such requirement.  The pool
+    hands tasks out in chunks of ``ceil(n / (workers * 4))``; results
+    never depend on the chunking, which only tunes IPC granularity.
     """
 
     workers: int | None = 1
-    chunk_size: int | None = None
     progress: ProgressCallback | None = None
 
     def __post_init__(self) -> None:
         _check_workers(self.workers)
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ConfigurationError(
-                f"chunk_size must be >= 1 or None, got {self.chunk_size}",
-            )
 
     def resolve_workers(self, n_tasks: int) -> int:
         """Actual worker count for a batch of ``n_tasks``."""
         workers = self.workers if self.workers is not None else os.cpu_count() or 1
         return max(1, min(workers, n_tasks)) if n_tasks else 1
 
-    def resolve_chunk_size(self, n_tasks: int, workers: int) -> int:
-        """Actual dispatch chunk size for a batch of ``n_tasks``."""
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, math.ceil(n_tasks / (workers * _CHUNKS_PER_WORKER)))
-
-    def run(
-        self,
-        fn: Callable[..., Any],
-        tasks: Iterable[Any],
-        root_seed: int | None = None,
-        stop_on_failure: bool | Callable[[TaskOutcome], bool] = False,
-    ) -> BatchResult:
+    def run(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> BatchResult:
         """Execute ``fn`` over every task.
 
         When profiling is enabled (:mod:`repro.profiling`), each task's
@@ -394,24 +341,9 @@ class BatchRunner:
         them separately from the share-of-run breakdown.
 
         Args:
-            fn: task callable.  Called as ``fn(task)``, or as
-                ``fn(task, seed)`` when ``root_seed`` is given.
+            fn: task callable, called as ``fn(task)``.  A task that
+                needs a seed carries it.
             tasks: the task inputs, one per execution.
-            root_seed: when given, per-task integer seeds are derived
-                with ``SeedSequence.spawn`` — task *i*'s seed depends
-                only on ``(root_seed, i)``, never on chunking or worker
-                count.
-            stop_on_failure: stop dispatching as soon as a failed
-                outcome comes back (fail-fast batches, e.g. a sweep
-                with ``continue_on_error=False``): the serial path
-                stops exactly at the failing task, the pool path
-                terminates outstanding work (with ``workers > 1`` the
-                stopping failure is the first to *arrive*, which under
-                pool scheduling is not necessarily the lowest-index
-                one).  A callable is a predicate over failed outcomes —
-                only failures it accepts stop the batch; the rest are
-                recorded and dispatch continues.  The returned outcomes
-                cover only the tasks that completed.
 
         Returns:
             A :class:`BatchResult` with outcomes in submission order.
@@ -419,16 +351,8 @@ class BatchRunner:
         task_list = list(tasks)
         n_tasks = len(task_list)
         workers = self.resolve_workers(n_tasks)
-        chunk_size = self.resolve_chunk_size(n_tasks, workers)
-        seeds: Sequence[int | None]
-        if root_seed is not None:
-            seeds = derive_seeds(root_seed, n_tasks)
-        else:
-            seeds = [None] * n_tasks
-        payloads = [
-            (index, fn, task, seeds[index])
-            for index, task in enumerate(task_list)
-        ]
+        chunk_size = max(1, math.ceil(n_tasks / (workers * _CHUNKS_PER_WORKER)))
+        payloads = [(index, fn, task) for index, task in enumerate(task_list)]
 
         start = time.perf_counter()
         outcomes: list[TaskOutcome] = []
@@ -456,10 +380,7 @@ class BatchRunner:
 
         if workers == 1:
             for payload in payloads:
-                outcome = _run_task(payload, in_process=True)
-                note(outcome)
-                if not outcome.ok and _stops_batch(stop_on_failure, outcome):
-                    break
+                note(_run_task(payload, in_process=True))
         else:
             # Workers fork with one BLAS thread each (their concurrent
             # calibration solves would oversubscribe the CPUs otherwise)
@@ -470,10 +391,6 @@ class BatchRunner:
                     _run_task, payloads, chunksize=chunk_size
                 ):
                     note(outcome)
-                    if not outcome.ok and _stops_batch(stop_on_failure, outcome):
-                        # Leaving the with-block terminates the pool,
-                        # abandoning the not-yet-collected tasks.
-                        break
 
         outcomes.sort(key=lambda outcome: outcome.index)
         return BatchResult(
@@ -481,7 +398,6 @@ class BatchRunner:
             workers=workers,
             chunk_size=chunk_size,
             elapsed_s=time.perf_counter() - start,
-            root_seed=root_seed,
         )
 
 

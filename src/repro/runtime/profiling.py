@@ -38,7 +38,6 @@ from repro.native import chain as native_chain
 from repro.native import normal as native_normal
 from repro.profiling import (  # noqa: F401 — re-exported public surface
     OVERLAY_STAGES,
-    PROFILE_ENV,
     PROFILE_SCHEMA,
     ProfileRecorder,
     StageStat,
@@ -46,7 +45,6 @@ from repro.profiling import (  # noqa: F401 — re-exported public surface
     disable,
     enable,
     enabled,
-    env_enabled,
     profile_step,
     profiled,
     record,

@@ -22,8 +22,9 @@ cycle-free.
 from __future__ import annotations
 
 #: Serialized :class:`repro.runtime.batch.BatchResult` documents
-#: (``repro mc --json``, experiment batches).
-BATCH_RESULT_SCHEMA = "repro.batch-result/v1"
+#: (``repro mc --json``, experiment batches).  v2 dropped the
+#: always-null ``root_seed`` key.
+BATCH_RESULT_SCHEMA = "repro.batch-result/v2"
 
 #: JSONL run ledgers and campaign reports
 #: (:mod:`repro.runtime.campaign`).  v2 added the optional ``shard``

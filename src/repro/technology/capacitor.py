@@ -75,12 +75,12 @@ class MetalCapacitor:
 
 @dataclass(frozen=True)
 class CapacitorMismatchModel:
-    """Draws correlated C1/C2 mismatch realizations for the MDACs.
+    """C1/C2 mismatch statistics of the MDAC capacitor pairs.
 
     Each MDAC has two nominally equal capacitors; what the residue
     transfer cares about is the ratio error ``delta = C1/C2 - 1``.  This
-    model converts drawn capacitance into a per-stage delta sigma and
-    samples it.
+    model converts drawn capacitance into a per-stage delta sigma, which
+    each die scales its own standard-normal ratio draws by.
 
     Attributes:
         technology: source of the Pelgrom coefficient.
@@ -93,26 +93,6 @@ class CapacitorMismatchModel:
         cap = MetalCapacitor(nominal=unit_capacitance, technology=self.technology)
         # Difference of two independent caps: sqrt(2) * single-cap sigma.
         return math.sqrt(2.0) * cap.matching_sigma()
-
-    def sample_ratio_errors(
-        self,
-        unit_capacitances: np.ndarray,
-        rng: np.random.Generator,
-    ) -> np.ndarray:
-        """Sample one delta = C1/C2 - 1 per stage.
-
-        Args:
-            unit_capacitances: per-stage unit capacitor values [F].
-            rng: explicit random generator (reproducibility).
-
-        Returns:
-            Array of per-stage ratio errors, same shape as the input.
-        """
-        caps = np.asarray(unit_capacitances, dtype=float)
-        if np.any(caps <= 0):
-            raise ConfigurationError("unit capacitances must be positive")
-        sigmas = np.array([self.ratio_sigma(float(c)) for c in caps])
-        return rng.normal(0.0, 1.0, size=caps.shape) * sigmas
 
     def sample_absolute_scale(self, rng: np.random.Generator) -> float:
         """Sample a die-level absolute capacitance scale factor.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.adc import DieTemplate, PipelineAdc
 from repro.errors import ConfigurationError
 from repro.technology.capacitor import CapacitorMismatchModel, MetalCapacitor
 from repro.technology.corners import OperatingPoint
@@ -62,19 +63,21 @@ class TestMismatchModel:
             np.sqrt(2) * single
         )
 
-    def test_sample_statistics(self, technology, rng):
-        model = CapacitorMismatchModel(technology=technology)
-        caps = np.full(4000, 0.225e-12)
-        draws = model.sample_ratio_errors(caps, rng)
-        assert abs(draws.mean()) < 1e-4
-        assert draws.std() == pytest.approx(
-            model.ratio_sigma(0.225e-12), rel=0.1
-        )
+    def test_sample_statistics(self, paper_config):
+        # The draws every die makes: stage 1's ratio error over 300
+        # seeds spreads by the template's ratio sigma.
+        template = DieTemplate(paper_config, 110e6, None)
+        dies = [
+            PipelineAdc(paper_config, 110e6, seed=seed, template=template)
+            for seed in range(300)
+        ]
+        draws = np.array([die.stages[0].mdac.ratio_error for die in dies])
+        assert draws.std() == pytest.approx(template.stages[0].ratio_sigma, rel=0.1)
 
-    def test_sample_rejects_bad_caps(self, technology, rng):
+    def test_sample_rejects_bad_caps(self, technology):
         model = CapacitorMismatchModel(technology=technology)
         with pytest.raises(ConfigurationError):
-            model.sample_ratio_errors(np.array([0.0]), rng)
+            model.ratio_sigma(0.0)
 
     def test_absolute_scale_truncated(self, technology, rng):
         model = CapacitorMismatchModel(technology=technology)

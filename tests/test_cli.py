@@ -36,14 +36,15 @@ class TestCli:
         assert args.experiments == ["fig4"]
 
     def test_parser_workers_default(self):
-        # Experiments keep --chunk-size: it is their only grouping knob.
         args = build_parser().parse_args(["fig4"])
         assert args.workers == 1
-        assert args.chunk_size is None
 
-    @pytest.mark.parametrize("parser", [build_mc_parser, build_campaign_parser])
+    @pytest.mark.parametrize(
+        "parser", [build_parser, build_mc_parser, build_campaign_parser]
+    )
     def test_measure_parsers_have_no_dispatch_chunk_size(self, parser, capsys):
-        # Yield screens and campaigns group items by --engine alone.
+        # Yield screens and campaigns group items by --engine alone, and
+        # experiment batches by the worker count.
         with pytest.raises(SystemExit):
             parser().parse_args(["--chunk-size", "2"])
         assert "--chunk-size" in capsys.readouterr().err
@@ -102,7 +103,7 @@ class TestMcCli:
         out = capsys.readouterr().out
         assert "yield against" in out
         document = json.loads(out_path.read_text())
-        assert document["schema"] == "repro.batch-result/v1"
+        assert document["schema"] == "repro.batch-result/v2"
         assert document["n_tasks"] == 2
         assert document["yield"]["n_dies"] == 2
 

@@ -25,12 +25,10 @@ from repro.technology.corners import Corner, OperatingPoint
 
 @pytest.fixture(autouse=True)
 def fresh_cache():
-    """Each test starts and ends with an empty, enabled cache."""
+    """Each test starts and ends with an empty cache."""
     die_cache.clear()
-    die_cache.set_enabled(True)
     yield
     die_cache.clear()
-    die_cache.set_enabled(True)
 
 
 @pytest.fixture()
@@ -117,14 +115,6 @@ class TestLifecycle:
         assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
         die_cache.build_die(paper_config, 110e6, seed=1)
         assert die_cache.stats().misses == 1
-
-    def test_disabled_cache_builds_fresh(self, paper_config):
-        die_cache.set_enabled(False)
-        first = die_cache.build_die(paper_config, 110e6, seed=1)
-        second = die_cache.build_die(paper_config, 110e6, seed=1)
-        assert second is not first
-        stats = die_cache.stats()
-        assert (stats.lookups, stats.size) == (0, 0)
 
     def test_lru_bound_evicts_oldest(self, paper_config, monkeypatch):
         monkeypatch.setattr(die_cache, "MAX_CACHED_DIES", 2)

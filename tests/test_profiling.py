@@ -25,7 +25,6 @@ from repro.profiling import (
     ProfileRecorder,
     active,
     enabled,
-    env_enabled,
     profile_step,
     profiled,
     record,
@@ -101,12 +100,6 @@ class TestTransparency:
             assert work(2) == 3
         assert recorder.total_s("task", "unit") >= 0.0
         assert recorder.stats()[0].count == 1
-
-    def test_env_gate_parsing(self):
-        assert not env_enabled({})
-        for off in ("", "0", "false", "off"):
-            assert not env_enabled({"REPRO_PROFILE": off})
-        assert env_enabled({"REPRO_PROFILE": "1"})
 
 
 class TestAccounting:

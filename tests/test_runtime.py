@@ -1,9 +1,9 @@
 """Tests for repro.runtime — seeding, batch execution, Monte Carlo.
 
 The contracts under test are the ones the batch runtime exists for:
-determinism (parallel == serial, bit for bit), seed-derivation
-stability across chunk sizes, and failure isolation (one crashing task
-is reported, not fatal).
+determinism (parallel == serial, bit for bit, for any worker count and
+dispatch chunking), seed-derivation stability across batch sizes, and
+failure isolation (one crashing task is reported, not fatal).
 """
 
 import dataclasses
@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, ModelDomainError
-from repro.evaluation.sweeps import sweep
 from repro.native import blas
 from repro.runtime.batch import (
     BatchRunner,
@@ -35,8 +34,8 @@ def _double(x):
     return 2 * x
 
 
-def _draw(task, seed):
-    """Seeded task: value depends only on the derived seed."""
+def _draw(seed):
+    """Seeded task: the task is its seed, and the value depends on it alone."""
     return float(np.random.default_rng(seed).standard_normal())
 
 
@@ -49,12 +48,6 @@ def _explode_on_three(x):
     if x == 3:
         raise ValueError("boom at 3")
     return x * x
-
-
-def _domain_wall(x):
-    if x > 2.5:
-        raise ModelDomainError("beyond the wall")
-    return x + 1.0
 
 
 class StubbornError(ModelDomainError):
@@ -99,23 +92,18 @@ class TestBatchRunner:
         assert [o.index for o in batch.outcomes] == [0, 1, 2]
 
     def test_parallel_matches_serial(self):
-        serial = BatchRunner(workers=1).run(_draw, range(8), root_seed=42)
-        pooled = BatchRunner(workers=4).run(_draw, range(8), root_seed=42)
+        seeds = derive_seeds(42, 8)
+        serial = BatchRunner(workers=1).run(_draw, seeds)
+        pooled = BatchRunner(workers=4).run(_draw, seeds)
         assert pooled.values == serial.values
 
     def test_chunk_size_does_not_change_results(self):
-        batches = [
-            BatchRunner(workers=2, chunk_size=chunk).run(
-                _draw, range(10), root_seed=9
-            )
-            for chunk in (1, 3, None)
-        ]
-        first = batches[0]
+        # 10 tasks group into chunks of 3, 2 and 1 on 1, 2 and 3 workers.
+        seeds = derive_seeds(9, 10)
+        batches = [BatchRunner(workers=w).run(_draw, seeds) for w in (1, 2, 3)]
+        assert [batch.chunk_size for batch in batches] == [3, 2, 1]
         for batch in batches[1:]:
-            assert batch.values == first.values
-        seeds = [o.seed for o in first.outcomes]
-        for batch in batches[1:]:
-            assert [o.seed for o in batch.outcomes] == seeds
+            assert batch.values == batches[0].values
 
     def test_failure_is_isolated_and_reported(self):
         batch = BatchRunner(workers=2).run(_explode_on_three, range(6))
@@ -140,6 +128,18 @@ class TestBatchRunner:
         assert isinstance(failure.exception, StubbornError)
         assert failure.exception.code == 7
 
+    def test_pool_path_records_unpicklable_exception_by_name(self):
+        # The StubbornError instance cannot travel back from a worker;
+        # its class name and message still do, and the other tasks run.
+        batch = BatchRunner(workers=2).run(_raise_stubborn, [1.0, 3.0, 2.0])
+        assert [o.ok for o in batch.outcomes] == [True, False, True]
+        failure = batch.failures[0]
+        assert failure.exception is None
+        assert failure.error_type == "StubbornError"
+        assert "beyond the wall" in failure.error
+        with pytest.raises(RuntimeError, match="StubbornError: beyond the wall"):
+            batch.raise_first_failure()
+
     def test_progress_callback_sees_every_task(self):
         updates = []
         runner = BatchRunner(workers=1, progress=updates.append)
@@ -155,8 +155,6 @@ class TestBatchRunner:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ConfigurationError):
             BatchRunner(workers=0)
-        with pytest.raises(ConfigurationError):
-            BatchRunner(chunk_size=0)
 
     @pytest.mark.skipif(
         blas._entry_points() is None, reason="numpy bundles no OpenBLAS"
@@ -175,7 +173,7 @@ class TestBatchRunner:
     def test_json_document_round_trips(self):
         batch = BatchRunner(workers=1).run(_double, [1, 2, 3])
         document = json.loads(batch.to_json())
-        assert document["schema"] == "repro.batch-result/v1"
+        assert document["schema"] == "repro.batch-result/v2"
         assert document["n_tasks"] == 3
         assert document["n_failures"] == 0
         assert document["summary"]["value"]["max"] == 6.0
@@ -204,38 +202,6 @@ class TestMetricHelpers:
         encoded = json_safe({"a": np.float64(1.5), "b": np.arange(3)})
         assert encoded == {"a": 1.5, "b": [0, 1, 2]}
         json.dumps(encoded)
-
-
-class TestSweepThroughRunner:
-    def test_runner_matches_serial_loop(self):
-        parameters = [1.0, 2.0, 3.0, 4.0]
-        serial = sweep(parameters, _domain_wall, continue_on_error=True)
-        batched = sweep(
-            parameters,
-            _domain_wall,
-            continue_on_error=True,
-            runner=BatchRunner(workers=2),
-        )
-        assert [(p.parameter, p.result, p.ok) for p in serial] == [
-            (p.parameter, p.result, p.ok) for p in batched
-        ]
-
-    def test_runner_reraises_original_error_type(self):
-        with pytest.raises(ModelDomainError):
-            sweep([1.0, 3.0], _domain_wall, runner=BatchRunner(workers=1))
-
-    def test_unpicklable_repro_error_still_recoverable_in_pool(self):
-        # The StubbornError instance cannot travel back from the
-        # worker, but its recorded class name still marks the point as
-        # a recoverable model-validity failure.
-        points = sweep(
-            [1.0, 3.0, 2.0],
-            _raise_stubborn,
-            continue_on_error=True,
-            runner=BatchRunner(workers=2),
-        )
-        assert [p.ok for p in points] == [True, False, True]
-        assert "beyond the wall" in points[1].error
 
 
 class TestMonteCarloRuntime:
@@ -300,7 +266,7 @@ class TestMonteCarloRuntime:
         assert "yield against" in text
         assert "Monte Carlo dies" in text
         document = json.loads(report.to_json())
-        assert document["schema"] == "repro.batch-result/v1"
+        assert document["schema"] == "repro.batch-result/v2"
         assert document["yield"]["n_dies"] == 2
         assert document["spec"]["min_enob"] == 10.0
         assert {"sndr_db", "enob_bits", "dnl_peak_lsb"} <= set(
