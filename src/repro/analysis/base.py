@@ -195,8 +195,8 @@ def resolve_dotted(node: ast.expr, aliases: dict[str, str]) -> str | None:
 def walk_scoped(tree: ast.Module) -> Iterator[tuple[ast.AST, str]]:
     """Every AST node paired with its qualified enclosing scope.
 
-    The scope of a node inside ``class Mdac: def _constants(...)`` is
-    ``"Mdac._constants"``; module-level nodes report
+    The scope of a node inside ``class Mdac: def amplify(...)`` is
+    ``"Mdac.amplify"``; module-level nodes report
     :data:`MODULE_SCOPE`.  A def/class node itself belongs to the scope
     that *contains* it.
     """

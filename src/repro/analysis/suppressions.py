@@ -4,7 +4,7 @@ Intentional exceptions to a checker live in one reviewed file at the
 repository root (``lint-suppressions.txt``), one per line::
 
     # comment
-    PUR002 src/repro/core/mdac.py Mdac._constants -- identity-keyed memo ...
+    PUR002 src/repro/core/mdac.py Mdac.amplify -- one-line justification
 
 The four parts: the rule id, the repo-relative path, the qualified
 scope the finding sits in (``Class.method``, a function name,

@@ -30,7 +30,7 @@ from repro.core.config import AdcConfig, StageConfig, SwitchStyle
 from repro.core.correction import DigitalCorrection
 from repro.core.flash import FlashBackend
 from repro.core.mdac import Mdac
-from repro.core.stage import PipelineStage
+from repro.core.stage import PipelineStage, chain_block, run_stages
 from repro.core.subadc import SubAdc
 from repro.devices.opamp_design import InputPair, OpampDesigner
 from repro.devices.switch import (
@@ -384,6 +384,9 @@ class PipelineAdc:
                 parameters=self.config.flash_comparator,
                 rng=mismatch_rng,
             )
+            #: The stages as the compiled chain reads them (None where
+            #: numpy serves every record).
+            self._chain_block = chain_block(self.stages, self.operating_point)
 
     # --- construction ----------------------------------------------------
 
@@ -605,16 +608,12 @@ class PipelineAdc:
         # (samples, n_stages) layout is exposed as a transposed view.
         # Residues alternate between two rows: a stage reads one and
         # writes the other.
-        stage_codes = np.empty((self.config.n_stages, total), dtype=int)
+        stage_codes = np.empty((self.config.n_stages, total), dtype=np.int64)
         residues = np.empty((2, total))
-        residue = held
-        for stage, refs in zip(self.stages, references):
-            output = stage.process(
-                residue, refs, self.operating_point, rng,
-                codes_out=stage_codes[stage.index],
-                residues_out=residues[stage.index % 2],
-            )
-            residue = output.residues
+        residue = run_stages(
+            self.stages, self._chain_block, held, references,
+            self.operating_point, rng, stage_codes, residues,
+        )
         with record("flash", "decide"):
             flash_codes = self.flash.decide(residue, rng)
 

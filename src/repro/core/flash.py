@@ -51,6 +51,8 @@ class FlashBackend:
         self.comparators = build_comparator_bank(
             [f * vref for f in fractions], parameters, rng
         )
+        #: The bank as the compiled chain reads it, built once.
+        self._bank = bank_parameters(self.comparators)
 
     @property
     def n_levels(self) -> int:
@@ -80,10 +82,9 @@ class FlashBackend:
         """
         v = np.asarray(inputs, dtype=float)
         functions = native_chain.serves(rng, v)
-        parameters = bank_parameters(self.comparators) if functions else None
-        if parameters is not None:
+        if functions is not None and self._bank is not None:
             return native_chain.bank(
-                functions, rng, v, parameters, len(self.comparators), 0
+                functions, rng, v, self._bank, len(self.comparators), 0
             )
         code = np.zeros(v.shape, dtype=int)
         for comparator in self.comparators:

@@ -21,7 +21,9 @@ layers the real-life errors on top:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,60 +36,81 @@ from repro.technology.corners import OperatingPoint
 from repro.units import BOLTZMANN
 
 
-@dataclass(frozen=True)
-class _AmplifyConstants:
-    """Per-(die, operating point) invariants of the residue transfer.
+def chain_parameters(
+    mdacs: Sequence["Mdac"], operating_point: OperatingPoint
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residue-transfer constants of any number of MDACs at once.
 
-    Everything :meth:`Mdac.amplify` needs per call but that only changes
-    with the bias point: recomputing these per sample batch was ~a third
-    of the settle-path cost.  Built lazily by :meth:`Mdac._constants`
-    and cached on the (frozen) MDAC keyed by operating-point identity —
-    converters hold one operating-point object for their lifetime, so
-    the single slot hits on every conversion after the first.
+    Returns ``(parameters, flags)``: one row per MDAC following
+    :data:`repro.native.chain.MDAC_FIELDS` (the vector the compiled
+    chain reads, and the values :meth:`Mdac.amplify` computes with) and
+    one int64 impairment-flag word per MDAC.  Fields of a switched-off
+    impairment hold the chain's neutral values (0 rms, no settling).
 
-    Noise and settling fields are ``None`` where the matching
-    impairment switch is off.  ``chain`` is the same set as the
-    compiled chain reads it (see :func:`_chain_parameters`), which
-    :meth:`Mdac._constants` fills in.
+    Every column is the scalar expression of :meth:`Mdac.feedback_factor`,
+    :meth:`Mdac.sampling_noise_rms` and the opamp's
+    ``static_gain_error`` / ``sampled_noise_rms`` / ``settle_constants``,
+    in the same operand order, with IEEE basic operations and numpy's
+    own ``sqrt``/``exp`` only, so each row is bit for bit the one-stage
+    scalar result.
     """
-
-    feedback_factor: float
-    capacitor_ratio: float
-    gain_factor: float
-    sampling_noise_rms: float | None
-    opamp_noise_rms: float | None
-    settle: SettleConstants | None
-    chain: tuple[np.ndarray, int] | None = None
-
-
-def _chain_parameters(mdac: "Mdac", c: _AmplifyConstants) -> tuple[np.ndarray, int]:
-    """The compiled chain's description of a one-die MDAC: (parameters, flags).
-
-    The vector follows :data:`repro.native.chain.MDAC_FIELDS` and holds
-    the very values :meth:`Mdac.amplify` computes with.
-    """
-    p = mdac.opamp.parameters
-    settle = c.settle
-    values = {
-        "one_plus_ratio": 1.0 + c.capacitor_ratio,
-        "ratio": c.capacitor_ratio,
-        "gain": c.gain_factor,
-        "sampling_rms": 0.0 if c.sampling_noise_rms is None else c.sampling_noise_rms,
-        "opamp_rms": 0.0 if c.opamp_noise_rms is None else c.opamp_noise_rms,
-        "knee": settle.knee if settle else 0.0,
-        "slew_rate": p.slew_rate,
-        "tau": settle.tau if settle else 1.0,
-        "decay": settle.decay if settle else 0.0,
-        "settle_time": settle.settle_time if settle else 0.0,
-        "swing": p.output_swing,
-        "neg_compression": -p.compression,
-    }
-    flags = (
-        native_chain.SAMPLING_NOISE * mdac.include_sampling_noise
-        | native_chain.OPAMP_NOISE * mdac.include_noise
-        | native_chain.SETTLING * mdac.include_settling
+    (
+        unit, ratio_error, parasitic, load, window, input_capacitance,
+        dc_gain, bandwidth, slew, output_swing, compression, excess,
+        sampling, noise, settling,
+    ) = np.array(
+        [
+            (
+                mdac.unit_capacitance, mdac.ratio_error, mdac.summing_parasitic,
+                mdac.load_capacitance, mdac.settle_time, p.input_capacitance,
+                p.dc_gain, p.unity_gain_bandwidth, p.slew_rate, p.output_swing,
+                p.compression, p.noise_excess_factor,
+                mdac.include_sampling_noise, mdac.include_noise,
+                mdac.include_settling,
+            )
+            for mdac in mdacs
+            for p in (mdac.opamp.parameters,)
+        ],
+        dtype=float,
+    ).T
+    parameters = np.empty((len(mdacs), len(native_chain.MDAC_FIELDS)))
+    (
+        one_plus_ratio, ratio, gain, sampling_rms, opamp_rms, knee,
+        slew_rate, tau, decay, settle_time, swing, neg_compression,
+    ) = parameters.T
+    np.add(1.0, ratio_error, out=ratio)
+    np.add(1.0, ratio, out=one_plus_ratio)
+    beta = unit / (unit * ratio + unit + parasitic + input_capacitance)
+    np.subtract(1.0, 1.0 / (1.0 + dc_gain * beta), out=gain)
+    temperature_k = operating_point.temperature_k
+    np.sqrt(
+        2.0 * BOLTZMANN * temperature_k
+        / (unit * one_plus_ratio * operating_point.capacitance_scale()),
+        out=sampling_rms,
     )
-    return np.array([values[name] for name in native_chain.MDAC_FIELDS]), flags
+    np.sqrt(
+        excess * BOLTZMANN * temperature_k / (beta * load), out=opamp_rms
+    )
+    np.divide(1.0, 2.0 * math.pi * beta * bandwidth, out=tau)
+    np.multiply(slew, tau, out=knee)
+    np.exp(-window / tau, out=decay)
+    slew_rate[:] = slew
+    settle_time[:] = window
+    swing[:] = output_swing
+    np.negative(compression, out=neg_compression)
+    # A switched-off impairment reads the chain's neutral values.
+    sampling, noise, settling = sampling > 0, noise > 0, settling > 0
+    sampling_rms[~sampling] = 0.0
+    opamp_rms[~noise] = 0.0
+    unsettled = ~settling
+    tau[unsettled] = 1.0
+    knee[unsettled] = decay[unsettled] = settle_time[unsettled] = 0.0
+    flags = (
+        native_chain.SAMPLING_NOISE * sampling
+        | native_chain.OPAMP_NOISE * noise
+        | native_chain.SETTLING * settling
+    )
+    return parameters, flags
 
 
 @dataclass(frozen=True)
@@ -169,47 +192,6 @@ class Mdac:
             2.0 * BOLTZMANN * operating_point.temperature_k / c_actual
         )
 
-    def _constants(self, operating_point: OperatingPoint) -> _AmplifyConstants:
-        """The cached per-operating-point amplify invariants.
-
-        Identity-keyed, single slot: each converter passes the one
-        operating-point object it was built with, so the cache computes
-        once per (die, bias point) and hits for every later batch.  The
-        values are the exact ones the uncached expressions produce —
-        caching cannot move a bit.
-        """
-        cached = self.__dict__.get("_op_constants")
-        if cached is not None and cached[0] is operating_point:
-            return cached[1]
-        beta = self.feedback_factor
-        constants = _AmplifyConstants(
-            feedback_factor=beta,
-            capacitor_ratio=self.capacitor_ratio,
-            gain_factor=1.0 - self.opamp.static_gain_error(beta),
-            sampling_noise_rms=(
-                self.sampling_noise_rms(operating_point)
-                if self.include_sampling_noise
-                else None
-            ),
-            opamp_noise_rms=(
-                self.opamp.sampled_noise_rms(
-                    feedback_factor=beta,
-                    load_capacitance=self.load_capacitance,
-                    temperature_k=operating_point.temperature_k,
-                )
-                if self.include_noise
-                else None
-            ),
-            settle=(
-                self.opamp.settle_constants(self.settle_time, beta)
-                if self.include_settling
-                else None
-            ),
-        )
-        constants = replace(constants, chain=_chain_parameters(self, constants))
-        object.__setattr__(self, "_op_constants", (operating_point, constants))
-        return constants
-
     # --- the residue transfer -------------------------------------------
 
     def amplify(
@@ -230,7 +212,11 @@ class Mdac:
             operating_point: PVT context for noise temperatures.
             rng: generator for noise draws.
         """
-        c = self._constants(operating_point)
+        (row,), _ = chain_parameters((self,), operating_point)
+        (
+            one_plus_ratio, ratio, gain, sampling_rms, opamp_rms, knee, _,
+            tau, decay, settle_time, _, _,
+        ) = row.tolist()
         v = np.asarray(inputs, dtype=float)
         # Every step below evaluates the IEEE expression
         # ``((1 + ratio) * (v + n_s) - ratio * d * vref) * gain`` and
@@ -245,21 +231,20 @@ class Mdac:
             # serves both — bit-exact, see streams.normal_pair.
             with record("noise-draw", "mdac-pair"):
                 sampling_noise, opamp_noise = normal_pair(
-                    rng, c.sampling_noise_rms, c.opamp_noise_rms, v.shape
+                    rng, sampling_rms, opamp_rms, v.shape
                 )
             sampling_noise += v
             v, owned = sampling_noise, True
         elif self.include_sampling_noise:
             with record("noise-draw", "mdac-sampling"):
-                sampling_noise = normal(rng, 0.0, c.sampling_noise_rms, v.shape)
+                sampling_noise = normal(rng, 0.0, sampling_rms, v.shape)
             sampling_noise += v
             v, owned = sampling_noise, True
-        ratio = c.capacitor_ratio
-        target = np.multiply(v, 1.0 + ratio, out=v if owned else None)
+        target = np.multiply(v, one_plus_ratio, out=v if owned else None)
         dac = np.multiply(codes, ratio, dtype=float)
         dac *= np.asarray(references, dtype=float)
         target -= dac
-        target *= c.gain_factor
+        target *= gain
         with record("mdac", "settle"):
             if self.include_settling:
                 # The output node is reset toward CM during phi1 (the
@@ -268,9 +253,11 @@ class Mdac:
                 result = self.opamp.settle(
                     target=target,
                     initial=0.0,
-                    settle_time=self.settle_time,
-                    feedback_factor=c.feedback_factor,
-                    constants=c.settle,
+                    settle_time=settle_time,
+                    feedback_factor=self.feedback_factor,
+                    constants=SettleConstants(
+                        settle_time=settle_time, tau=tau, decay=decay, knee=knee
+                    ),
                 )
                 residue = result.output
             else:
@@ -281,7 +268,7 @@ class Mdac:
             residue += opamp_noise
         elif self.include_noise:
             with record("noise-draw", "mdac-opamp"):
-                residue += normal(rng, 0.0, c.opamp_noise_rms, residue.shape)
+                residue += normal(rng, 0.0, opamp_rms, residue.shape)
         return residue
 
     def settling_error_bound(self):

@@ -10,11 +10,12 @@ end of the amplification phase.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.mdac import Mdac
+from repro.core.mdac import Mdac, chain_parameters
 from repro.core.subadc import SubAdc
 from repro.devices.comparator import bank_parameters
 from repro.native import chain as native_chain
@@ -57,15 +58,13 @@ class PipelineStage:
         operating_point: OperatingPoint,
         rng: np.random.Generator,
         codes_out: np.ndarray | None = None,
-        residues_out: np.ndarray | None = None,
     ) -> StageOutput:
-        """Run the stage over a sample array.
+        """Run the stage over a sample array on numpy.
 
-        A 1-D record with a ``PCG64`` generator runs on the compiled
-        chain (:mod:`repro.native.chain`) when it is loaded; everything
-        else, and every record when it is not, on numpy.  The two give
-        the same codes and residue bytes and leave the generator in the
-        same state.
+        The reference for the compiled chain: :func:`run_stages` serves
+        one die's 1-D record through :func:`repro.native.chain.run`,
+        which gives the same codes and residue bytes and leaves the
+        generator in the same state.
 
         Args:
             inputs: held differential stage inputs [V].
@@ -74,21 +73,10 @@ class PipelineStage:
             rng: generator for decision noise / MDAC noise.
             codes_out: optional int buffer of the inputs' shape; the
                 returned codes are this buffer, filled.
-            residues_out: optional float64 buffer of the inputs' shape
-                that does not overlap them.  The compiled chain writes
-                the residues into it; numpy returns a new array.
 
         Returns:
             The decisions and the residues for the next stage.
         """
-        functions = native_chain.serves(rng, inputs)
-        if functions is not None:
-            served = self._process_native(
-                functions, inputs, references, operating_point, rng,
-                codes_out, residues_out,
-            )
-            if served is not None:
-                return served
         with record("subadc", "decide"):
             codes = self.subadc.decide(inputs, rng)
         with record("mdac", "amplify"):
@@ -99,38 +87,6 @@ class PipelineStage:
             codes_out[...] = codes
             codes = codes_out
         return StageOutput(codes=codes, residues=residues)
-
-    def _process_native(
-        self, functions, inputs, references, operating_point, rng,
-        codes_out, residues_out,
-    ) -> StageOutput | None:
-        """:meth:`process` on the compiled chain; None where it cannot serve."""
-        n = inputs.size
-        if not (
-            type(references) is np.ndarray
-            and references.shape == inputs.shape
-            and references.dtype == np.float64
-            and references.flags.c_contiguous
-        ):
-            return None
-        bank = bank_parameters(self.subadc.comparators)
-        mdac = self.mdac._constants(operating_point).chain
-        if bank is None or bank.size != 5:
-            return None
-        if codes_out is None:
-            codes_out = np.empty(n, dtype=np.int64)
-        elif not _writable_record(codes_out, n, np.int64):
-            return None
-        if (
-            not _writable_record(residues_out, n, np.float64)
-            or np.may_share_memory(residues_out, inputs)
-            or np.may_share_memory(residues_out, references)
-        ):
-            residues_out = np.empty(n)
-        native_chain.stage(
-            functions, rng, inputs, references, bank, *mdac, codes_out, residues_out
-        )
-        return StageOutput(codes=codes_out, residues=residues_out)
 
     def describe(self) -> dict:
         """Small diagnostic summary used by reports and tests."""
@@ -144,12 +100,64 @@ class PipelineStage:
         }
 
 
-def _writable_record(buffer, n: int, dtype) -> bool:
-    """Whether ``buffer`` is a writable, C-contiguous ``dtype`` record of n."""
-    return (
-        type(buffer) is np.ndarray
-        and buffer.shape == (n,)
-        and buffer.dtype == dtype
-        and buffer.flags.c_contiguous
-        and buffer.flags.writeable
+def chain_block(
+    stages: Sequence[PipelineStage], operating_point: OperatingPoint
+) -> native_chain.ChainBlock | None:
+    """The stages as the compiled chain reads them, computed once per die.
+
+    Each stage's comparator bank, the MDAC constants of every stage from
+    one :func:`~repro.core.mdac.chain_parameters` call, and the flags.
+    None where numpy must serve every record: a bank whose comparators
+    differ in parameters.
+    """
+    banks = [bank_parameters(stage.subadc.comparators) for stage in stages]
+    if any(bank is None for bank in banks):
+        return None
+    parameters, flags = chain_parameters(
+        [stage.mdac for stage in stages], operating_point
     )
+    banks = np.array(banks)
+    banks.flags.writeable = parameters.flags.writeable = False
+    return native_chain.ChainBlock(
+        banks=banks, mdac=parameters, flags=tuple(flags.tolist())
+    )
+
+
+def run_stages(
+    stages: Sequence[PipelineStage],
+    block: native_chain.ChainBlock | None,
+    held: np.ndarray,
+    references: Sequence[np.ndarray],
+    operating_point: OperatingPoint,
+    rng: np.random.Generator,
+    codes: np.ndarray,
+    residues: np.ndarray,
+) -> np.ndarray:
+    """Every stage over one record; returns the last stage's residues.
+
+    Stage ``k`` decides into ``codes[k]`` and writes its residues into
+    row ``k % len(residues)`` of ``residues`` (two rows or more).  A 1-D
+    record with a ``PCG64`` generator runs on the compiled chain
+    (:func:`repro.native.chain.run`) when it is loaded and ``block`` is
+    the stages' :func:`chain_block`; everything else, and every record
+    when it is not, stage by stage through :meth:`PipelineStage.process`.
+    Both give the same codes and residue bytes and leave the generator
+    in the same state.
+
+    ``references`` holds one float64 record per stage, ``codes`` is an
+    int64 and ``residues`` a float64 buffer, both C-contiguous, of the
+    record's length, and overlapping neither input.
+    """
+    functions = None if block is None else native_chain.serves(rng, held)
+    if functions is not None:
+        return native_chain.run(
+            functions, rng, held, references, block, codes, residues
+        )
+    residue = held
+    for k, (stage, stage_references) in enumerate(zip(stages, references)):
+        output = stage.process(
+            residue, stage_references, operating_point, rng, codes_out=codes[k]
+        )
+        residue = residues[k % len(residues)]
+        residue[...] = output.residues
+    return residue

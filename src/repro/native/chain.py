@@ -12,6 +12,9 @@ samples that settle linearly.  numpy's own ``np.exp`` then runs in place
 over the compact exp arguments of the slewing samples, and a second,
 short C call finishes those.  So the codes, the residue bytes and the
 generator state are the ones numpy computes, operation for operation.
+:func:`run` makes those calls for every stage of a record in one loop,
+on the :class:`ChainBlock` of constants the die computed when it was
+built.
 
 The same library holds the stage-1 front end of
 :meth:`~repro.analog.sampling.SamplingNetwork.acquire` for a
@@ -189,11 +192,15 @@ _workspace = _Workspace()
 def _self_check_run(ramp: np.ndarray) -> list[bytes]:
     """One record through every stage, the flash and the correction.
 
-    Returns the bytes to compare: each stage's codes and residues, the
-    flash codes, the output words and the final generator state.
+    The stages run through :func:`repro.core.stage.run_stages`, the
+    call ``PipelineAdc`` converts with, keeping every stage's residue
+    row.  Returns the bytes to compare: the stage codes, every stage's
+    residues, the flash codes, the output words and the final generator
+    state.
     """
     from repro.core.adc import PipelineAdc
     from repro.core.config import AdcConfig
+    from repro.core.stage import run_stages
     from repro.streams import seeded_generator
 
     # A wide metastability window makes the comparators toss coins too.
@@ -206,21 +213,21 @@ def _self_check_run(ramp: np.ndarray) -> list[bytes]:
     adc = PipelineAdc(config, 200e6, seed=SELF_CHECK_SEED)
     generator = seeded_generator(SELF_CHECK_SEED)
     references = adc._stage_references(ramp.size, generator)
-    stage_codes = np.empty((len(adc.stages), ramp.size), dtype=np.int64)
-    found = []
-    residue = ramp
-    for stage, refs in zip(adc.stages, references):
-        output = stage.process(
-            residue, refs, adc.operating_point, generator,
-            codes_out=stage_codes[stage.index],
-        )
-        found += [output.codes.tobytes(), output.residues.tobytes()]
-        residue = output.residues
+    shape = (len(adc.stages), ramp.size)
+    stage_codes, residues = np.empty(shape, dtype=np.int64), np.empty(shape)
+    residue = run_stages(
+        adc.stages, adc._chain_block, ramp, references, adc.operating_point,
+        generator, stage_codes, residues,
+    )
     flash = adc.flash.decide(residue, generator)
     words = adc.correction.combine(stage_codes.T, flash)
-    found += [flash.tobytes(), words.tobytes()]
-    found.append(repr(generator.bit_generator.state).encode())
-    return found
+    return [
+        stage_codes.tobytes(),
+        residues.tobytes(),
+        flash.tobytes(),
+        words.tobytes(),
+        repr(generator.bit_generator.state).encode(),
+    ]
 
 
 def _self_check_tone(style) -> list[bytes]:
@@ -336,54 +343,81 @@ def serves(generator, inputs) -> _Functions | None:
     return kernel()
 
 
-def stage(
+@dataclass(frozen=True)
+class ChainBlock:
+    """One die's stages as the compiled chain reads them.
+
+    Built once per die (:func:`repro.core.stage.chain_block`) and
+    read-only after that.
+
+    Attributes:
+        banks: one row per stage, the stage's comparator bank
+            (:func:`repro.devices.comparator.bank_parameters`, two
+            thresholds).
+        mdac: one row per stage following :data:`MDAC_FIELDS`.
+        flags: one impairment-flag word per stage.
+    """
+
+    banks: np.ndarray
+    mdac: np.ndarray
+    flags: tuple[int, ...]
+
+
+def run(
     functions: _Functions,
     generator,
-    inputs: np.ndarray,
-    references: np.ndarray,
-    bank: np.ndarray,
-    mdac: np.ndarray,
-    flags: int,
+    held: np.ndarray,
+    references,
+    block: ChainBlock,
     codes: np.ndarray,
     residues: np.ndarray,
-) -> None:
-    """One stage: decide into ``codes``, amplify into ``residues``.
+) -> np.ndarray:
+    """Every stage of ``block`` over one die's held record.
 
-    ``references`` is a C-contiguous float64 record like ``inputs``;
-    ``codes`` (int64) and ``residues`` (float64) are writable,
-    C-contiguous and do not overlap the inputs.
+    Stage ``k`` reads the previous stage's residues (``held`` for the
+    first), decides into ``codes[k]`` and writes its residues into row
+    ``k % len(residues)``; the last stage's row is returned.  The
+    addresses are taken once and the generator lock is held for the
+    whole record; only numpy's ``exp`` over each stage's listed slewing
+    samples runs between the C calls.
+
+    ``held`` is a 1-D float64 record, ``references`` one C-contiguous
+    float64 record of its length per stage; ``codes`` (int64, at least
+    one row per stage) and ``residues`` (float64, at least two rows)
+    are C-contiguous, of the record's length, and overlap neither.
     """
-    n = inputs.size
+    n = held.size
     work = _workspace.arrays(n)
     noise, index, target, args = work.addresses
+    exponents = work.args
+    stage, finish = functions.stage, functions.finish
+    banks, bank_step = library.address(block.banks), block.banks.strides[0]
+    mdac, mdac_step = library.address(block.mdac), block.mdac.strides[0]
+    codes_row, codes_step = library.address(codes), codes.strides[0]
+    first_row = library.address(residues)
+    rows = [first_row + r * residues.strides[0] for r in range(len(residues))]
+    reference_rows = [library.address(reference) for reference in references]
+    inputs = library.address(held)
     bit_generator = generator.bit_generator
-    residues_address = library.address(residues)
-    mdac_address = library.address(mdac)
+    state = bit_generator.ctypes.state_address
     with record("chain", "native"), bit_generator.lock:
-        listed = functions.stage(
-            bit_generator.ctypes.state_address,
-            library.address(inputs),
-            library.address(references),
-            n,
-            library.address(bank),
-            mdac_address,
-            flags,
-            library.address(codes),
-            residues_address,
-            noise,
-            index,
-            target,
-            args,
-        )
-    if listed:
-        with record("chain", "exp"):
-            exponent = work.args[:listed]
-            np.exp(exponent, out=exponent)
-        with record("chain", "native"):
-            functions.finish(
-                listed, index, target, args, noise, mdac_address, flags,
-                residues_address,
+        for k, flags in enumerate(block.flags):
+            output = rows[k % len(rows)]
+            parameters = mdac + k * mdac_step
+            listed = stage(
+                state, inputs, reference_rows[k], n, banks + k * bank_step,
+                parameters, flags, codes_row + k * codes_step, output,
+                noise, index, target, args,
             )
+            if listed:
+                with record("chain", "exp"):
+                    exponent = exponents[:listed]
+                    np.exp(exponent, out=exponent)
+                finish(
+                    listed, index, target, args, noise, parameters, flags, output
+                )
+            inputs = output
+    return residues[(len(block.flags) - 1) % len(rows)]
 
 
 def bank(

@@ -38,19 +38,32 @@ Stage taxonomy (the names the engines emit — documented in
 ======================  ================================================
 stage / phase           what it times
 ======================  ================================================
+``run/<workload>``      the profiled run's root (``repro profile``)
 ``build/die``           one die's seed step (frozen mismatch draws,
-                        opamp designs from the drawn currents)
+                        opamp designs from the drawn currents, the
+                        die's compiled-chain block of stage constants)
 ``build/die-template``  one die template's construction (timing, bias
                         generator, opamp designer constants, front end);
                         never nested in ``build/die``
+``build/die-cache-*``   die-cache ``hit`` / ``miss`` counts (no time)
 ``sample/stimulus``     signal evaluation at the (jittered) instants
-``sample/acquire``      front-end tracking, pedestal, droop
+``sample/acquire``      front-end acquisition (includes children)
+``frontend/*``          the compiled front end: ``native`` (its two C
+                        passes) and ``logaddexp-power`` (numpy's
+                        ``logaddexp`` and ``power`` between them)
 ``references/window``   delivered-reference record + per-stage windows
-``subadc/decide``       1.5-bit ADSC decisions (both comparators)
-``mdac/amplify``        the full residue transfer (includes children)
+``chain/native``        one record through every stage on the compiled
+                        chain (all its C calls, one entry per record)
+``chain/exp``           numpy's ``exp`` over one stage's slewing
+                        samples, inside ``chain/native``
+``subadc/decide``       1.5-bit ADSC decisions (both comparators);
+                        numpy's stage path only
+``mdac/amplify``        the full residue transfer (includes children);
+                        numpy's stage path only
 ``mdac/settle``         opamp settling + compression inside amplify
 ``flash/decide``        terminating 2-bit flash
-``correction/align``    digital alignment + recombination
+``correction/*``        ``align-combine``: digital alignment and
+                        recombination
 ``analyze/spectrum``    windowed FFT + single-tone metric bookkeeping
 ``analyze/linearity``   code-density histogram INL/DNL extraction
 ``noise-draw/*``        every per-sample random draw: ``jitter``,
@@ -59,6 +72,10 @@ stage / phase           what it times
                         sampling+opamp draw), plus ``mdac-sampling`` /
                         ``mdac-opamp``
                         when only one of the two MDAC draws is enabled
+                        (the compiled chain's draws are in
+                        ``chain/native``)
+``campaign/*``          ``cell-store-hit`` / ``cell-store-miss`` counts
+                        (no time)
 ``dispatch/*``          BatchRunner task wall times (worker-side,
                         aggregated by the dispatching process; overlaps
                         the stages above, so it is reported separately

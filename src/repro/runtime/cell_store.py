@@ -79,6 +79,19 @@ def _digest(payload: dict) -> str:
     return sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
+def _around_cell(base: dict) -> tuple[bytes, bytes]:
+    """What ``json.dumps({**base, "cell": c}, sort_keys=True)`` holds
+    before and after the encoding of ``c``."""
+    items = {
+        key: f"{json.dumps(key)}: {json.dumps(value, sort_keys=True)}"
+        for key, value in sorted(base.items())
+        if key != "cell"
+    }
+    before = "".join(f"{item}, " for key, item in items.items() if key < "cell")
+    after = "".join(f", {item}" for key, item in items.items() if key > "cell")
+    return f'{{{before}"cell": '.encode(), f"{after}}}".encode()
+
+
 @dataclass(frozen=True)
 class CellStoreStats:
     """One :meth:`CellStore.stats` sweep.
@@ -461,6 +474,10 @@ class BoundCellStore:
         #: into every entry so the hygiene sweeps can group and prune
         #: one campaign's cells without recomputing any per-cell key.
         self.base_digest = _digest(base)
+        # A cell's key is _digest({**base, "cell": identity}): a fixed
+        # head, the cell's JSON, a fixed tail.  The head is hashed once.
+        head, self._tail = _around_cell(base)
+        self._head = sha256(head)
         self.hits = 0
         self.misses = 0
 
@@ -475,7 +492,10 @@ class BoundCellStore:
         }
 
     def _key(self, cell: CampaignCell) -> str:
-        return _digest({**self.base, "cell": self._identity(cell)})
+        digest = self._head.copy()
+        digest.update(json.dumps(self._identity(cell), sort_keys=True).encode())
+        digest.update(self._tail)
+        return digest.hexdigest()
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"

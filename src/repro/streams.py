@@ -55,16 +55,19 @@ def noise_generator(die_seed: int, stream: int) -> np.random.Generator:
 
     Child ``stream`` of ``SeedSequence(die_seed)``; children are keyed
     by their spawn index, so the generator for one stream never depends
-    on how many other streams exist.  Repeated calls with the same
-    arguments return generators in the identical state — a conversion
-    replays from the die seed alone.
+    on how many other streams exist.  Only that child is built: a
+    ``SeedSequence`` with ``spawn_key=(stream,)`` is the child
+    ``SeedSequence(die_seed).spawn(...)[stream]`` returns.  Repeated
+    calls with the same arguments return generators in the identical
+    state — a conversion replays from the die seed alone.
     """
     if not 0 <= stream < _N_NOISE_STREAMS:
         raise ConfigurationError(
             f"noise stream must be in [0, {_N_NOISE_STREAMS}), got {stream}"
         )
-    children = np.random.SeedSequence(die_seed).spawn(_N_NOISE_STREAMS)
-    return np.random.default_rng(children[stream])
+    return np.random.default_rng(
+        np.random.SeedSequence(die_seed, spawn_key=(stream,))
+    )
 
 
 def mismatch_generator(die_seed: int) -> np.random.Generator:

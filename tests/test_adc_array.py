@@ -6,6 +6,8 @@ execution engine.  Everything else (batched evaluation, input
 validation) hangs off that.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,14 @@ class TestStreams:
         a = noise_generator(42, CONVERT_NOISE_STREAM).normal(size=8)
         b = noise_generator(42, CONVERT_NOISE_STREAM).normal(size=8)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**64 - 1])
+    @pytest.mark.parametrize("stream", [0, 1, 2])
+    def test_noise_generator_is_the_spawned_child(self, seed, stream):
+        """The one child built directly is the spawned child, state for state."""
+        spawned = np.random.SeedSequence(seed).spawn(3)[stream]
+        expected = np.random.default_rng(spawned).bit_generator.state
+        assert noise_generator(seed, stream).bit_generator.state == expected
 
     def test_streams_are_separated(self):
         convert = noise_generator(42, CONVERT_NOISE_STREAM).normal(size=8)
@@ -240,14 +250,23 @@ class TestCompiledChain:
     def test_one_chain_call_per_die_per_stage(
         self, paper_config, die_population, monkeypatch, n_dies, n_samples, capture
     ):
-        calls = []
-        stage = native_chain.stage
+        """One chain run per die, and in it one C stage call per stage."""
+        functions = native_chain.kernel()
+        assert functions is not None, native_chain.status()
+        runs, calls = [], []
+        run = native_chain.run
+
+        def counting_run(*args):
+            runs.append(args[2].shape)
+            return run(*args)
 
         def counting_stage(*args):
-            calls.append(args[2].shape)
-            return stage(*args)
+            calls.append(args[3])  # the record length
+            return functions.stage(*args)
 
-        monkeypatch.setattr(native_chain, "stage", counting_stage)
+        counting = dataclasses.replace(functions, stage=counting_stage)
+        monkeypatch.setattr(native_chain, "run", counting_run)
+        monkeypatch.setattr(native_chain, "kernel", lambda: counting)
         array = AdcArray(paper_config, 110e6, die_population[:n_dies])
         if capture == "tone":
             tone = SineGenerator.coherent(10e6, 110e6, n_samples, amplitude=0.995)
@@ -258,7 +277,8 @@ class TestCompiledChain:
         skip = DigitalCorrection(
             paper_config.n_stages, paper_config.flash_bits
         ).latency_cycles
-        assert calls == [(n_samples + skip,)] * (n_dies * paper_config.n_stages)
+        assert runs == [(n_samples + skip,)] * n_dies
+        assert calls == [n_samples + skip] * (n_dies * paper_config.n_stages)
 
 
 class TestBatchedEvaluation:

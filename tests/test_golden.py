@@ -7,7 +7,8 @@ absolute.  For a small matrix of conversions it compares SHA-256
 digests of the output codes, the stage codes, the flash codes, the
 held record the front end acquires (captured through
 ``PipelineAdc._acquire``) and the residue bytes each stage hands on
-(captured through ``PipelineStage.process``), in call order, with the
+(captured from :func:`repro.native.chain.run` on the compiled chain,
+through ``PipelineStage.process`` on numpy's), in call order, with the
 digests committed in ``tests/golden/stage_chain.json``.  The held and
 residue bytes catch a last-bit change that the codes absorb.  A
 vectorized cell converts its dies one at a time, so its held list holds
@@ -129,8 +130,18 @@ def digests(case: str) -> dict:
     """Digests of one cell's outputs, held records and stage residues."""
     function, arguments = CASES[case]
     native_chain.kernel()  # its load-time self-check converts too
+    original_run = native_chain.run
     original, original_acquire = PipelineStage.process, PipelineAdc._acquire
     residues, held = [], []
+
+    def run(functions, generator, record, references, block, codes, rows):
+        # Every stage's residue row is kept, so each one is digested.
+        kept = np.empty((len(block.flags), record.size))
+        last = original_run(
+            functions, generator, record, references, block, codes, kept
+        )
+        residues.extend(_sha(row) for row in kept)
+        return last
 
     def process(self, *args, **kwargs):
         output = original(self, *args, **kwargs)
@@ -142,10 +153,12 @@ def digests(case: str) -> dict:
         held.append(_sha(output))
         return output
 
+    native_chain.run = run
     PipelineStage.process, PipelineAdc._acquire = process, acquire
     try:
         result = function(*arguments)
     finally:
+        native_chain.run = original_run
         PipelineStage.process, PipelineAdc._acquire = original, original_acquire
     found = {}
     if isinstance(result, tuple):

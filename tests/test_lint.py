@@ -454,10 +454,8 @@ def test_checker_registry_covers_all_five_invariants():
 def test_repo_lints_clean():
     report = run_lint(REPO_ROOT)
     assert report.clean, report.render()
-    # The one committed exception is the Mdac memo slot.
-    assert [(f.rule, f.scope) for f, _ in report.suppressed] == [
-        ("PUR002", "Mdac._constants"),
-    ]
+    # No committed exception is left.
+    assert report.suppressed == ()
 
 
 def test_run_lint_rejects_unparseable_tree(tmp_path):

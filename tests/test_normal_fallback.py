@@ -4,10 +4,12 @@ Each case runs twice on the same host: once with the compiled normal
 fill and the compiled stage chain and front end serving, once with both
 loaders forced to report them unavailable, so numpy computes everything.
 Output codes, stage codes, flash codes, the held record the front end
-acquires (captured through ``PipelineAdc._acquire``), the residue bytes
-every stage hands on (captured through ``PipelineStage.process``) and
-the generator state after the acquisition, every stage and the flash
-must be identical.  The held and residue bytes catch a last-bit
+acquires (captured through ``PipelineAdc._acquire``), the codes and
+residue bytes every stage hands on and the generator state after the
+acquisition, every stage and the flash must be identical.  On the
+compiled side the stages are captured by driving
+:func:`repro.native.chain.run` one stage at a time, on numpy's through
+``PipelineStage.process``.  The held and residue bytes catch a last-bit
 difference the codes could absorb; the states catch a draw too many or
 too few.
 """
@@ -27,7 +29,7 @@ from repro.core.calibration import GainCalibration
 from repro.core.config import SwitchStyle
 from repro.core.flash import FlashBackend
 from repro.core.mdac import Mdac
-from repro.core.stage import PipelineStage
+from repro.core.stage import PipelineStage, chain_block, run_stages
 from repro.core.subadc import SubAdc
 from repro.devices.comparator import ComparatorParameters
 from repro.devices.opamp import OpampParameters, TwoStageMillerOpamp
@@ -68,6 +70,16 @@ def _states(rng):
     return [generator.bit_generator.state for generator in rng.generators]
 
 
+def _one_stage(block, k):
+    """Stage ``k`` of a chain block, as a block of its own."""
+    return replace(
+        block,
+        banks=block.banks[k : k + 1],
+        mdac=block.mdac[k : k + 1],
+        flags=block.flags[k : k + 1],
+    )
+
+
 def _run_both(monkeypatch, run) -> tuple:
     """``run()`` with the compiled kernels, then with numpy forced.
 
@@ -78,6 +90,7 @@ def _run_both(monkeypatch, run) -> tuple:
     """
     acquire = PipelineAdc._acquire
     process, decide = PipelineStage.process, FlashBackend.decide
+    chain_run = native_chain.run
     sides = []
     for forced in (False, True):
         captured = []
@@ -86,6 +99,18 @@ def _run_both(monkeypatch, run) -> tuple:
             held = acquire(self, values, derivatives, rng)
             captured.append((held.copy(), _states(rng)))
             return held
+
+        def spy_run(functions, rng, held, references, block, codes, residues):
+            residue = held
+            for k in range(len(block.flags)):
+                row = k % len(residues)
+                residue = chain_run(
+                    functions, rng, residue, references[k : k + 1],
+                    _one_stage(block, k), codes[k : k + 1],
+                    residues[row : row + 1],
+                )
+                captured.append((codes[k].copy(), residue.copy(), _states(rng)))
+            return residue
 
         def spy_process(self, inputs, references, operating_point, rng, *args, **kwargs):
             output = process(self, inputs, references, operating_point, rng, *args, **kwargs)
@@ -101,6 +126,7 @@ def _run_both(monkeypatch, run) -> tuple:
 
         with monkeypatch.context() as patch:
             patch.setattr(PipelineAdc, "_acquire", spy_acquire)
+            patch.setattr(native_chain, "run", spy_run)
             patch.setattr(PipelineStage, "process", spy_process)
             patch.setattr(FlashBackend, "decide", spy_decide)
             if forced:
@@ -224,6 +250,7 @@ def test_dense_settle_branch(monkeypatch):
     inputs = np.linspace(-1.05, 1.05, 3001)
     references = np.full(inputs.size, 0.999)
     point = OperatingPoint()
+    block = chain_block([stage], point)
     fractions = []
     settle = TwoStageMillerOpamp.settle
 
@@ -234,16 +261,50 @@ def test_dense_settle_branch(monkeypatch):
 
     def run():
         rng = seeded_generator(11)
-        output = stage.process(inputs, references, point, rng)
-        return output, rng.bit_generator.state
+        codes = np.empty((1, inputs.size), dtype=np.int64)
+        residues = run_stages(
+            [stage], block, inputs, [references], point, rng, codes,
+            np.empty((2, inputs.size)),
+        )
+        return codes, residues, rng.bit_generator.state
 
     monkeypatch.setattr(TwoStageMillerOpamp, "settle", spy_settle)
-    ((native, state_a), _), ((reference, state_b), _) = _run_both(monkeypatch, run)
+    (native, _), (reference, _) = _run_both(monkeypatch, run)
     # numpy's settle ran once, on the numpy side, through its dense branch.
     assert len(fractions) == 1 and fractions[0] > 0.5
-    assert native.codes.tobytes() == reference.codes.tobytes()
-    assert native.residues.tobytes() == reference.residues.tobytes()
-    assert state_a == state_b
+    assert native[0].tobytes() == reference[0].tobytes()
+    assert native[1].tobytes() == reference[1].tobytes()
+    assert native[2] == reference[2]
+
+
+def test_whole_record_run_matches_stage_by_stage(paper_config, tone):
+    """One ``run`` over every stage equals the stage-by-stage calls.
+
+    The other cases capture the compiled side one stage at a time; here
+    the whole-record call, whose addresses step from stage to stage,
+    must give the same codes, every residue row and the same state.
+    """
+    functions = native_chain.kernel()
+    adc = PipelineAdc(paper_config, 200e6, seed=5)
+    held = np.linspace(-1.1, 1.1, N_SAMPLES)
+    found = []
+    for staged in (False, True):
+        rng = seeded_generator(13)
+        references = adc._stage_references(held.size, rng)
+        shape = (len(adc.stages), held.size)
+        codes, residues = np.empty(shape, dtype=np.int64), np.empty(shape)
+        block = adc._chain_block
+        if staged:
+            residue = held
+            for k in range(len(block.flags)):
+                residue = native_chain.run(
+                    functions, rng, residue, references[k : k + 1],
+                    _one_stage(block, k), codes[k : k + 1], residues[k : k + 1],
+                )
+        else:
+            native_chain.run(functions, rng, held, references, block, codes, residues)
+        found.append((codes.tobytes(), residues.tobytes(), rng.bit_generator.state))
+    assert found[0] == found[1]
 
 
 def _front_end_calls(monkeypatch) -> list[bool]:

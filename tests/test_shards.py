@@ -23,7 +23,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.runtime.campaign import CampaignSpec, run_campaign
-from repro.runtime.cell_store import CellStore
+from repro.runtime.cell_store import CellStore, _digest
 from repro.runtime.shards import merge_campaign_ledgers
 from repro.technology.corners import Corner
 
@@ -289,6 +289,22 @@ class TestCellStore:
         assert bound.get(cells[0]) is None
         assert bound.misses == 1
 
+    def test_cell_key_is_the_digest_of_base_and_cell(self, paper_config, tmp_path):
+        """The key hashed from a kept head equals the whole-payload digest."""
+        spec = CampaignSpec(
+            corners=tuple(Corner),
+            temperatures_c=(-40.0, 27.0, 125.0),
+            n_dies=2,
+            n_samples=256,
+        )
+        store = CellStore(tmp_path).bind(spec, paper_config)
+        cells = spec.cells()
+        assert {cell.corner for cell in cells} == set(Corner)
+        assert any(cell.temperature_c < 0 for cell in cells)
+        for cell in cells:
+            expected = _digest({**store.base, "cell": store._identity(cell)})
+            assert store._key(cell) == expected
+
     def test_failed_put_leaves_no_temp_file(
         self, small_spec, paper_config, tmp_path, monkeypatch
     ):
@@ -369,3 +385,4 @@ class TestShardCli:
     def test_shard_render_names_the_range(self, small_spec):
         report = run_campaign(small_spec, cell_range=small_spec.shard(0, 2))
         assert "cells [0, 4) of 8" in report.render()
+
