@@ -30,13 +30,6 @@ from repro.analysis.runner import (
     default_root,
     run_lint,
 )
-from repro.analysis.suppressions import (
-    SUPPRESSION_FILE,
-    Suppression,
-    apply_suppressions,
-    load_suppressions,
-    parse_suppressions,
-)
 
 __all__ = [
     "CHECKERS",
@@ -47,12 +40,7 @@ __all__ = [
     "LintUsageError",
     "MODULE_SCOPE",
     "Project",
-    "SUPPRESSION_FILE",
     "SourceFile",
-    "Suppression",
-    "apply_suppressions",
     "default_root",
-    "load_suppressions",
-    "parse_suppressions",
     "run_lint",
 ]

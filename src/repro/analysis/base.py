@@ -11,14 +11,13 @@ The pieces:
   architecture invariant it enforces, a message and a fix hint.
 * :class:`SourceFile` / :class:`Project` — the parsed view of the
   scanned tree, with repo-relative POSIX paths as the stable addressing
-  scheme (suppressions and checker allowlists key on them).
+  scheme (checker allowlists key on them).
 * :func:`import_aliases` / :func:`resolve_dotted` — best-effort static
   resolution of ``np.random.default_rng``-style dotted names through
   the module's import bindings, so aliased imports cannot dodge a
   checker.
 * :func:`walk_scoped` — an AST walk that carries the qualified
-  enclosing scope (``Class.method``), which findings report and
-  suppressions match on.
+  enclosing scope (``Class.method``), which findings report.
 * :func:`docstring_nodes` — the string constants that are docstrings,
   so text that merely *mentions* a forbidden pattern is never flagged.
 """
@@ -50,7 +49,7 @@ class Finding:
         invariant: the architecture invariant the rule enforces
             (``rng-stream-discipline``, ``die-purity``, ...).
         scope: qualified enclosing scope (``Class.method``, a function
-            name, or ``<module>``) — what suppressions match on.
+            name, or ``<module>``).
         message: what is wrong.
         hint: how to fix it (or where the sanctioned helper lives).
     """
@@ -75,7 +74,7 @@ class Finding:
         return text
 
     def to_dict(self) -> dict[str, object]:
-        """JSON-ready form (feeds the ``repro.lint-report/v1`` doc)."""
+        """JSON-ready form (feeds the ``repro.lint-report/v2`` doc)."""
         return {
             "path": self.path,
             "line": self.line,

@@ -16,9 +16,8 @@ Rules:
   constructor method of a cached-die class.
 * ``PUR002`` — ``setattr(self, ...)`` / ``object.__setattr__(self,
   ...)`` outside a constructor method (the frozen-dataclass bypass).
-  Deliberate identity-keyed memo caches of *derived* values are the
-  one sanctioned exception — suppressed in the committed suppression
-  file, each with its justification.
+  A derived value is computed in the constructor instead of memoised
+  on first use.
 """
 
 from __future__ import annotations
@@ -169,8 +168,5 @@ def _check_node(
                 f"cached-die class {class_name} mutates self via "
                 "setattr outside its constructors"
             ),
-            hint=(
-                "if this is a pure derived-value memo, suppress it "
-                "with a justification in lint-suppressions.txt"
-            ),
+            hint="compute the derived value in a constructor method",
         )

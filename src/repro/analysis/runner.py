@@ -1,5 +1,10 @@
-"""The ``repro lint`` entry point: run every checker, apply the
-suppression file, render/serialize the report.
+"""The ``repro lint`` entry point: run every checker, render/serialize
+the report.
+
+An intentional exception to a checker is an allowlist in that
+checker's module (``rng.CONSTRUCTOR_ALLOWLIST``,
+``nondeterminism.PERF_COUNTER_ALLOWLIST``), reviewed with the code it
+excuses.
 
 The scan covers ``src/repro`` and ``benchmarks`` (the benchmark
 harness emits schema-tagged artifacts and samples die populations, so
@@ -23,12 +28,6 @@ from repro.analysis import (
     schema_registry,
 )
 from repro.analysis.base import Checker, Finding, LintUsageError, Project
-from repro.analysis.suppressions import (
-    SUPPRESSION_FILE,
-    Suppression,
-    apply_suppressions,
-    load_suppressions,
-)
 from repro.schemas import LINT_REPORT_SCHEMA
 
 #: Repo-relative directories a lint run scans.
@@ -46,21 +45,17 @@ CHECKERS: tuple[Checker, ...] = (
 
 @dataclass(frozen=True)
 class LintReport:
-    """One lint run: what was scanned, what was found, what was waived.
+    """One lint run: what was scanned and what was found.
 
     Attributes:
         root: the repository root scanned.
         files_scanned: number of parsed source files.
-        findings: active findings (suppressions already applied),
-            sorted by location.
-        suppressed: (finding, suppression) pairs waived by the
-            committed suppression file.
+        findings: every finding, sorted by location.
     """
 
     root: str
     files_scanned: int
     findings: tuple[Finding, ...]
-    suppressed: tuple[tuple[Finding, Suppression], ...]
 
     @property
     def clean(self) -> bool:
@@ -71,7 +66,6 @@ class LintReport:
         lines = [finding.render() for finding in self.findings]
         summary = (
             f"repro lint: {len(self.findings)} finding(s), "
-            f"{len(self.suppressed)} suppressed, "
             f"{self.files_scanned} file(s) scanned"
         )
         if self.findings:
@@ -81,7 +75,7 @@ class LintReport:
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, object]:
-        """The ``repro.lint-report/v1`` document."""
+        """The ``repro.lint-report/v2`` document."""
         return {
             "schema": LINT_REPORT_SCHEMA,
             "root": self.root,
@@ -92,14 +86,6 @@ class LintReport:
                 for checker in CHECKERS
             ],
             "findings": [finding.to_dict() for finding in self.findings],
-            "suppressed": [
-                {
-                    "finding": finding.to_dict(),
-                    "reason": suppression.reason,
-                    "suppression_line": suppression.line,
-                }
-                for finding, suppression in self.suppressed
-            ],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -125,20 +111,15 @@ def default_root() -> Path:
 def run_lint(
     root: Path | None = None,
     targets: Iterable[str] = DEFAULT_TARGETS,
-    suppression_file: Path | None = None,
 ) -> LintReport:
-    """Run every checker and apply the suppression file.
+    """Run every checker.
 
     Args:
         root: repository root (auto-detected when omitted).
         targets: repo-relative directories to scan.
-        suppression_file: override for the committed
-            ``lint-suppressions.txt`` (an explicitly-passed file must
-            exist).
 
     Raises:
-        LintUsageError: unusable root, unparseable source, or a
-            missing explicit suppression file.
+        LintUsageError: unusable root or unparseable source.
     """
     resolved_root = root if root is not None else default_root()
     if not resolved_root.is_dir():
@@ -147,26 +128,10 @@ def run_lint(
     findings: list[Finding] = []
     for checker in CHECKERS:
         findings.extend(checker.run(project))
-
-    if suppression_file is not None:
-        if not suppression_file.is_file():
-            raise LintUsageError(f"suppression file {suppression_file} does not exist")
-        suppression_path = suppression_file
-    else:
-        suppression_path = resolved_root / SUPPRESSION_FILE
-    try:
-        label = suppression_path.relative_to(resolved_root).as_posix()
-    except ValueError:
-        label = str(suppression_path)
-    suppressions, parse_findings = load_suppressions(suppression_path, label)
-    result = apply_suppressions(findings, suppressions, label)
-    active = sorted(
-        list(result.kept) + parse_findings,
-        key=lambda f: (f.path, f.line, f.col, f.rule),
-    )
     return LintReport(
         root=str(resolved_root),
         files_scanned=len(project.files),
-        findings=tuple(active),
-        suppressed=result.suppressed,
+        findings=tuple(
+            sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
+        ),
     )

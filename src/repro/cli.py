@@ -32,7 +32,7 @@ import time
 from collections.abc import Sequence
 from pathlib import Path
 
-from repro.analysis import SUPPRESSION_FILE, LintUsageError
+from repro.analysis import LintUsageError
 from repro.analysis import run_lint as analysis_run_lint
 from repro.errors import ReproError
 from repro.experiments.registry import (
@@ -352,7 +352,7 @@ def build_campaign_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro campaign",
         description=(
-            "Corner-batched PVT sign-off campaign: every requested "
+            "PVT sign-off campaign: every requested "
             "process corner x temperature x die is one grid cell, "
             "measured dynamically (SNR/SNDR/SFDR/ENOB) and rolled up "
             "into a min/typ/max sign-off datasheet.  Completed cells "
@@ -428,14 +428,6 @@ def build_campaign_parser() -> argparse.ArgumentParser:
             "identity (config fingerprint, PVT point, die seed, bench "
             "settings) already has an entry are reused with zero "
             "recomputation; fresh results are written back"
-        ),
-    )
-    parser.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help=(
-            "skip fsync on ledger appends (faster; a power loss may "
-            "drop flushed batches)"
         ),
     )
     parser.add_argument(
@@ -601,8 +593,8 @@ def build_lint_parser() -> argparse.ArgumentParser:
             "determinism invariants: RNG stream discipline, absence of "
             "nondeterminism sources in engine code, campaign-"
             "fingerprint coverage, single-source schema tags, and die "
-            "purity.  Intentional exceptions live in "
-            f"{SUPPRESSION_FILE} with mandatory justifications.  See "
+            "purity.  Intentional exceptions are per-checker "
+            "allowlists in code.  See "
             "docs/architecture.md ('Statically enforced')."
         ),
     )
@@ -623,16 +615,6 @@ def build_lint_parser() -> argparse.ArgumentParser:
             f"(schema {LINT_REPORT_SCHEMA}) to PATH"
         ),
     )
-    parser.add_argument(
-        "--suppressions",
-        type=Path,
-        default=None,
-        metavar="FILE",
-        help=(
-            "suppression file to apply "
-            f"(default: {SUPPRESSION_FILE} under the root)"
-        ),
-    )
     return parser
 
 
@@ -640,7 +622,7 @@ def run_lint_cli(argv: Sequence[str] | None = None) -> int:
     """Run the ``lint`` subcommand; returns a process exit code."""
     args = build_lint_parser().parse_args(argv)
     try:
-        report = analysis_run_lint(root=args.root, suppression_file=args.suppressions)
+        report = analysis_run_lint(root=args.root)
     except LintUsageError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -671,7 +653,6 @@ def run_campaign_cli(argv: Sequence[str] | None = None) -> int:
         progress=_stderr_progress if args.progress else None,
         cell_range=cell_range,
         cell_store=args.cell_store,
-        ledger_fsync=not args.no_fsync,
     )
     print(report.render())
     _write_json(args.json, report)
@@ -720,8 +701,7 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
             "run each in a process forked from this one against its "
             "own ledger, then merge the ledgers, coalesce any missing "
             "cells into contiguous ranges and re-dispatch only those "
-            "ranges — with exponential deterministic-jitter backoff — "
-            "until the merged grid is complete or the per-cell retry "
+            "ranges until the merged grid is complete or the per-cell retry "
             "budget is exhausted.  Resumable: existing ledgers in the "
             "work directory are merged before any work launches."
         ),
@@ -756,24 +736,6 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
             "kill a shard process exceeding this wall time; its "
             "range re-enters the gap pool (default: no timeout)"
         ),
-    )
-    parser.add_argument(
-        "--backoff",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help=(
-            "base of the exponential retry backoff; jitter is "
-            "deterministic per campaign fingerprint (default 0: "
-            "retry immediately)"
-        ),
-    )
-    parser.add_argument(
-        "--backoff-cap",
-        type=float,
-        default=60.0,
-        metavar="SECONDS",
-        help="ceiling on the un-jittered backoff delay (default 60)",
     )
     parser.add_argument(
         "--poll",
@@ -822,21 +784,6 @@ def build_campaign_dispatch_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--no-fsync",
-        action="store_true",
-        help="skip fsync on shard-ledger appends (faster, weaker durability)",
-    )
-    parser.add_argument(
-        "--out-ledger",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help=(
-            "also write the merged cells as a whole-grid ledger "
-            "(resumable by the unsharded campaign)"
-        ),
-    )
-    parser.add_argument(
         "--json",
         type=Path,
         default=None,
@@ -865,21 +812,15 @@ def run_campaign_dispatch_cli(argv: Sequence[str] | None = None) -> int:
         work_dir=args.work_dir,
         max_retries=args.max_retries,
         timeout_s=args.timeout,
-        backoff_base_s=args.backoff,
-        backoff_cap_s=args.backoff_cap,
         poll_interval_s=args.poll,
         engine=args.engine,
         workers=args.workers,
         cell_store=args.cell_store,
-        fsync=not args.no_fsync,
-        out_ledger=args.out_ledger,
         fault_kill=parse_fault_kill(os.environ.get(FAULT_KILL_ENV)),
     )
     report = dispatcher.run()
     print(report.render())
     _write_json(args.json, report)
-    if args.out_ledger is not None:
-        print(f"wrote {args.out_ledger}")
     return 0 if report.complete else 1
 
 

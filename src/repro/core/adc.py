@@ -525,7 +525,8 @@ class PipelineAdc:
                 the stream is spawned from the die seed with
                 ``SeedSequence`` (see :func:`repro.streams.noise_generator`),
                 so the whole experiment replays from the die seed alone
-                and the die-batched engine can reproduce it bit for bit.
+                and the campaign and Monte Carlo engines reproduce it bit
+                for bit.
 
         Returns:
             A :class:`ConversionResult`.

@@ -3,10 +3,10 @@
 - ``ext-corners`` — the five-corner sign-off table the IP-block claim
   implies: the converter must hold datasheet-class performance at every
   process corner and temperature extreme, because an SoC integrator
-  cannot bin converters.  Runs on the corner-batched campaign engine
-  (:mod:`repro.runtime.campaign`): the whole grid converts in
-  vectorized (cells, samples) passes instead of the legacy serial
-  per-cell testbench loop.
+  cannot bin converters.  Runs on the campaign engine
+  (:mod:`repro.runtime.campaign`): the grid's cells run in chunks, each
+  die converting its own record, instead of the legacy serial per-cell
+  testbench loop.
 - ``scenario-pvt-signoff`` — the full IP-vendor sign-off: the corner x
   temperature grid crossed with a die population, rolled up into the
   min/typ/max datasheet an integrator would be handed.
@@ -70,8 +70,8 @@ def run_corners(quick: bool = False) -> ExperimentResult:
         notes=(
             "Extension: the paper reports nominal conditions only.",
             "Vectorized campaign engine: the corner x temperature grid "
-            "converts as (cells, samples) batches, bit-exact per cell "
-            "with the serial DynamicTestbench loop.",
+            "runs in chunks of cells, one die conversion per cell, "
+            "bit-exact per cell with the serial DynamicTestbench loop.",
         ),
     )
 

@@ -82,9 +82,8 @@ stage / phase           what it times
                         and excluded from share-of-run accounting).
                         The gap-driven campaign dispatcher adds
                         ``dispatch/shard-wait`` (wall time waiting on a
-                        wave of forked shards) and
-                        ``dispatch/backoff`` (retry-round backoff
-                        sleeps) under the same overlay rule
+                        wave of forked shards) under the same overlay
+                        rule
 ``task/*``              one whole measurement task (die, die chunk,
                         campaign cell, cell chunk)
 ======================  ================================================

@@ -11,8 +11,8 @@ The runtime is the scaling layer every fan-out workload goes through:
   count.
 * :mod:`repro.runtime.montecarlo` — the Monte Carlo yield workload
   (die measurement tasks, yield reports) built on the runner.
-* :mod:`repro.runtime.campaign` — corner-batched PVT sign-off
-  campaigns with resumable JSONL run ledgers, built on the runner.
+* :mod:`repro.runtime.campaign` — PVT sign-off campaigns in chunks
+  of cells, with resumable JSONL run ledgers, built on the runner.
 * :mod:`repro.runtime.shards` — a shard is a ``[start, stop)`` cell
   range of a campaign; the one ledger-union rule that merges shard
   ledgers back into a campaign report.

@@ -1,4 +1,4 @@
-"""Corner-batched PVT sign-off campaigns with resumable run ledgers.
+"""PVT sign-off campaigns with resumable run ledgers.
 
 An IP-block sign-off is a grid: every process corner x every
 temperature extreme x a die population, each cell a full dynamic
@@ -470,6 +470,15 @@ class LedgerContents:
     torn_at: int | None
 
 
+def _json_line(line: str) -> object:
+    """Parse one ledger line; ``ValueError`` if it held non-UTF-8 bytes."""
+    try:
+        line.encode()
+    except UnicodeEncodeError:
+        raise ValueError("bytes that are not UTF-8") from None
+    return json.loads(line)
+
+
 def _format_range(cell_range: tuple[int, int] | None) -> str:
     if cell_range is None:
         return "the whole grid"
@@ -482,10 +491,9 @@ class CampaignLedger:
     Line 1 is a header carrying the schema tag, the campaign
     fingerprint and — for sharded runs — the shard's cell range; every
     further line is one completed cell's record.  Appends are flushed
-    *and fsynced* per batch (constructor ``fsync=False`` opts out and
-    weakens the guarantee to the OS page cache), so a killed campaign
-    loses at most the append batch in flight — and a truncated trailing
-    line is tolerated on load (the cell simply re-runs).
+    *and fsynced* per batch, so a killed campaign loses at most the
+    append batch in flight — and a truncated trailing line is tolerated
+    on load (the cell simply re-runs).
 
     Loading validates every record: cell indices outside the campaign's
     range and duplicate indices raise
@@ -493,9 +501,8 @@ class CampaignLedger:
     number instead of silently corrupting the merged report.
     """
 
-    def __init__(self, path: str | Path, fsync: bool = True):
+    def __init__(self, path: str | Path):
         self.path = Path(path)
-        self.fsync = fsync
 
     def start(
         self,
@@ -524,12 +531,11 @@ class CampaignLedger:
         self._write("w", [json.dumps(header) + "\n"])
 
     def _write(self, mode: str, lines: Iterable[str]) -> None:
-        """Write ``lines`` in ``mode``, flushed and (by policy) fsynced."""
+        """Write ``lines`` in ``mode``, flushed and fsynced."""
         with self.path.open(mode) as handle:
             handle.writelines(lines)
             handle.flush()
-            if self.fsync:
-                os.fsync(handle.fileno())
+            os.fsync(handle.fileno())
 
     def read(self) -> LedgerContents:
         """Parse and validate the ledger without a fingerprint to match.
@@ -538,19 +544,29 @@ class CampaignLedger:
         copy of the parent fingerprint); :meth:`load` adds the
         fingerprint and shard-range checks a resume needs.
 
+        Bytes that are not UTF-8 (disk garbage after a crash) count as
+        corruption like any other: in the last line with content they
+        are a torn tail, anywhere else the ledger is unreadable.
+
         Raises:
-            ConfigurationError: empty file, unreadable header, foreign
-                schema, an invalid shard range, a cell index outside
-                the valid range, a duplicate cell index, or corruption
-                that is not a torn tail.
+            ConfigurationError: missing or empty file, unreadable
+                header, foreign schema, an invalid shard range, a cell
+                index outside the valid range, a duplicate cell index,
+                or corruption that is not a torn tail.
         """
-        text = self.path.read_bytes().decode()
+        try:
+            data = self.path.read_bytes()
+        except FileNotFoundError:
+            raise ConfigurationError(f"ledger {self.path} does not exist") from None
+        # Undecodable bytes become lone surrogates, which the strict
+        # ``encode`` in ``_json_line`` rejects and ``torn_at`` counts back.
+        text = data.decode(errors="surrogateescape")
         lines = text.splitlines()
         if not lines:
             raise ConfigurationError(f"ledger {self.path} is empty")
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
+            header = _json_line(lines[0])
+        except ValueError as error:
             raise ConfigurationError(
                 f"ledger {self.path} has an unreadable header: {error}"
             ) from None
@@ -599,8 +615,8 @@ class CampaignLedger:
             if not line.strip():
                 continue
             try:
-                metrics = CellMetrics.from_record(json.loads(line))
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                metrics = CellMetrics.from_record(_json_line(line))
+            except (KeyError, TypeError, ValueError):
                 if position - 1 == last_content:
                     # Interrupted mid-append: drop the torn tail (and
                     # any trailing blank lines after it), the cell
@@ -630,7 +646,11 @@ class CampaignLedger:
             fingerprint=fingerprint,
             cell_range=cell_range,
             records=records,
-            torn_at=None if text == intact + "\n" else len(intact.encode()),
+            torn_at=(
+                None
+                if text == intact + "\n"
+                else len(intact.encode(errors="surrogateescape"))
+            ),
         )
 
     def load(
@@ -678,11 +698,8 @@ class CampaignLedger:
     def record(self, cells: Iterable[CellMetrics]) -> None:
         """Append completed cells (one JSON line each, flushed+fsynced).
 
-        With ``fsync`` (the default) the batch is forced to stable
-        storage before returning, so a killed campaign loses at most
-        the batch being written; ``fsync=False`` stops at the OS page
-        cache — faster, but a power loss may drop whole flushed
-        batches.
+        The batch is forced to stable storage before returning, so a
+        killed campaign loses at most the batch being written.
         """
         self._write("a", (json.dumps(cell.to_record()) + "\n" for cell in cells))
 
@@ -941,7 +958,6 @@ def run_campaign(
     progress: ProgressCallback | None = None,
     cell_range: tuple[int, int] | None = None,
     cell_store: "CellStore | str | Path | None" = None,
-    ledger_fsync: bool = True,
 ) -> CampaignReport:
     """Run (or resume) a PVT sign-off campaign.
 
@@ -972,8 +988,6 @@ def run_campaign(
             fingerprint, PVT point, die seed, bench settings — already
             has an entry are served from the store with zero
             recomputation; fresh results are written back.
-        ledger_fsync: fsync ledger appends (default); ``False`` trades
-            the power-loss guarantee for speed.
 
     Returns:
         The :class:`CampaignReport`; crashed cells land in
@@ -997,7 +1011,7 @@ def run_campaign(
     ledger: CampaignLedger | None = None
     completed: dict[int, CellMetrics] = {}
     if ledger_path is not None:
-        ledger = CampaignLedger(ledger_path, fsync=ledger_fsync)
+        ledger = CampaignLedger(ledger_path)
         if resume and ledger.path.exists():
             completed = ledger.load(fingerprint, cell_range)
         else:

@@ -34,11 +34,12 @@ Design rules, in order:
    re-run the same command, only the gaps execute.  Re-dispatched
    ranges resume their ledger, so even a partially-complete retry
    keeps its cells.
-3. **Deterministic decisions.**  Retry order, range planning and the
-   backoff jitter derive from the campaign fingerprint and the round
-   index alone — no wall clock and no ``random`` in any decision path
-   (``repro lint`` stays clean; the only clock reads are the timeout/
-   wait *measurements*, which decide nothing about the results).
+3. **Deterministic decisions.**  Retry order and range planning
+   derive from the merged ledgers alone — no wall clock and no
+   ``random`` in any decision path (``repro lint`` stays clean; the
+   only clock reads are the timeout/wait *measurements*, which decide
+   nothing about the results).  A retry round launches as soon as the
+   previous round is reaped.
 4. **Failure is bounded.**  Each cell may be dispatched at most
    ``1 + max_retries`` times; a range that keeps dying exhausts the
    budget and the report says so instead of looping forever.  A shard
@@ -63,7 +64,6 @@ import signal
 import sys
 import time
 from dataclasses import dataclass
-from hashlib import sha256
 from multiprocessing.connection import wait
 from multiprocessing.process import BaseProcess
 from pathlib import Path
@@ -84,46 +84,8 @@ from repro.runtime.campaign import (
 from repro.runtime.shards import coalesce_cell_ranges, union_ledgers
 from repro.schemas import DISPATCH_REPORT_SCHEMA
 
-#: Fraction of the base delay the deterministic jitter may add.
-JITTER_SPREAD = 0.25
-
 #: Environment hook the CLI turns into ``fault_kill`` (see module doc).
 FAULT_KILL_ENV = "REPRO_FAULT_KILL_SHARD"
-
-
-def backoff_jitter(
-    fingerprint_digest: str, round_index: int
-) -> float:
-    """Deterministic jitter fraction in ``[0, 1)`` for one retry round.
-
-    Derived from the campaign fingerprint digest and the round index
-    via SHA-256 — the same campaign backs off the same way on every
-    machine and every re-run, while different campaigns desynchronize
-    against shared infrastructure.  No RNG object is constructed and
-    no clock is read.
-    """
-    payload = f"{fingerprint_digest}:{round_index}".encode()
-    return int.from_bytes(sha256(payload).digest()[:8], "big") / 2.0**64
-
-
-def backoff_delay_s(
-    base_s: float,
-    cap_s: float,
-    round_index: int,
-    fingerprint_digest: str,
-) -> float:
-    """Exponential backoff with deterministic jitter for retry ``round_index``.
-
-    ``base * 2**round_index`` capped at ``cap_s``, stretched by up to
-    ``JITTER_SPREAD`` of itself by :func:`backoff_jitter`.  Round 0 is
-    the first *retry* round; the initial dispatch never waits.
-    """
-    if base_s <= 0.0:
-        return 0.0
-    raw = min(cap_s, base_s * (2.0**round_index))
-    return raw * (1.0 + JITTER_SPREAD * backoff_jitter(
-        fingerprint_digest, round_index
-    ))
 
 
 @dataclass(frozen=True)
@@ -172,7 +134,6 @@ class DispatchReport:
         timeout_s: per-shard kill deadline (None = none).
         rounds: dispatch rounds actually run.
         attempts: every launched shard, in launch order.
-        backoffs_s: the delay slept before each retry round.
         resumed_cells: cells already present in the work directory
             before any shard was launched (dispatcher resume).
         unreadable_ledgers: work-dir ledgers skipped as unreadable
@@ -192,7 +153,6 @@ class DispatchReport:
     timeout_s: float | None
     rounds: int
     attempts: tuple[DispatchAttempt, ...]
-    backoffs_s: tuple[float, ...]
     resumed_cells: int
     unreadable_ledgers: tuple[str, ...]
     complete: bool
@@ -223,7 +183,6 @@ class DispatchReport:
                 list(cell_range)
                 for cell_range in self.redispatched_ranges
             ],
-            "backoffs_s": list(self.backoffs_s),
             "resumed_cells": self.resumed_cells,
             "unreadable_ledgers": list(self.unreadable_ledgers),
             "complete": self.complete,
@@ -307,10 +266,6 @@ class CampaignDispatcher:
             launch before the budget is exhausted.
         timeout_s: SIGKILL a shard process exceeding this wall time;
             its range re-enters the gap pool.
-        backoff_base_s: base of the exponential retry backoff (0
-            disables waiting; the jitter stays deterministic either
-            way).
-        backoff_cap_s: ceiling on the un-jittered backoff delay.
         poll_interval_s: longest wait between timeout checks (a
             shard exit wakes the dispatcher at once).
         engine: execution engine for the shard processes (``"pool"``
@@ -318,10 +273,6 @@ class CampaignDispatcher:
             fault-injection tests and CI gate use).
         workers: worker processes per shard process.
         cell_store: content-addressed cell store shared by all shards.
-        fsync: per-shard ledger fsync policy (also used for
-            ``out_ledger``).
-        out_ledger: when given, write the merged cells as a whole-grid
-            ledger there after the loop ends.
         fault_kill: ``(range_position, after_cells)`` — the
             first-round shard at that launch position SIGKILLs itself
             once it has recorded ``after_cells`` cells (and, so the
@@ -339,14 +290,10 @@ class CampaignDispatcher:
         work_dir: str | Path,
         max_retries: int = 2,
         timeout_s: float | None = None,
-        backoff_base_s: float = 0.0,
-        backoff_cap_s: float = 60.0,
         poll_interval_s: float = 0.05,
         engine: str = "vectorized",
         workers: int = 1,
         cell_store: str | Path | None = None,
-        fsync: bool = True,
-        out_ledger: str | Path | None = None,
         fault_kill: tuple[int, int] | None = None,
     ):
         if shards < 1:
@@ -370,19 +317,12 @@ class CampaignDispatcher:
         self.work_dir = Path(work_dir)
         self.max_retries = max_retries
         self.timeout_s = timeout_s
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.poll_interval_s = poll_interval_s
         self.engine = engine
         self.workers = workers
         self.cell_store = cell_store
-        self.fsync = fsync
-        self.out_ledger = out_ledger
         self.fault_kill = fault_kill
         self._fingerprint = spec.fingerprint(self.config)
-        self._fingerprint_digest = sha256(
-            json.dumps(self._fingerprint, sort_keys=True).encode()
-        ).hexdigest()
 
     # --- planning --------------------------------------------------------
 
@@ -425,7 +365,7 @@ class CampaignDispatcher:
 
         The merge rules are :func:`~repro.runtime.shards.union_ledgers`.
         Unreadable ledgers (empty file, torn header — the remains of a
-        killed shard) are added to ``unreadable`` (once per path) and
+        killed shard — or bytes that are not UTF-8) are added to ``unreadable`` (once per path) and
         deleted; their cells stay missing and re-run into a fresh
         ledger.  A ledger from a *different campaign* is an error: the
         work directory is the dispatcher's resume identity, and mixing
@@ -466,7 +406,6 @@ class CampaignDispatcher:
         records = self._gather(unreadable)
         resumed_cells = len(records)
         attempts: list[DispatchAttempt] = []
-        backoffs: list[float] = []
         dispatch_count: dict[int, int] = {}
         fault = self.fault_kill
         rounds = 0
@@ -489,19 +428,6 @@ class CampaignDispatcher:
             ):
                 exhausted = True
                 break
-            if rounds > 0:
-                delay = backoff_delay_s(
-                    self.backoff_base_s,
-                    self.backoff_cap_s,
-                    rounds - 1,
-                    self._fingerprint_digest,
-                )
-                backoffs.append(delay)
-                if delay > 0.0:
-                    recorder = active()
-                    if recorder is not None:
-                        recorder.add("dispatch", "backoff", delay)
-                    time.sleep(delay)
             attempts.extend(
                 self._run_wave(wave, rounds, fault if rounds == 0 else None)
             )
@@ -514,11 +440,6 @@ class CampaignDispatcher:
             rounds += 1
             records = self._gather(unreadable)
         missing = self._missing(records)
-        report = CampaignReport.from_records(self.spec, records)
-        if self.out_ledger is not None and records:
-            CampaignLedger(self.out_ledger, fsync=self.fsync).write(
-                self._fingerprint, records
-            )
         return DispatchReport(
             spec=self.spec,
             shards=self.shards,
@@ -526,13 +447,12 @@ class CampaignDispatcher:
             timeout_s=self.timeout_s,
             rounds=rounds,
             attempts=tuple(attempts),
-            backoffs_s=tuple(backoffs),
             resumed_cells=resumed_cells,
             unreadable_ledgers=tuple(unreadable),
             complete=not missing,
             exhausted=exhausted,
             missing_cells=missing,
-            report=report,
+            report=CampaignReport.from_records(self.spec, records),
             elapsed_s=time.monotonic() - t_start,
         )
 
@@ -653,7 +573,6 @@ class CampaignDispatcher:
             cell_range=(start, stop),
             workers=self.workers,
             cell_store=self.cell_store,
-            ledger_fsync=self.fsync,
             progress=(
                 None
                 if fault_after_cells is None
@@ -712,11 +631,8 @@ def parse_fault_kill(value: str | None) -> tuple[int, int] | None:
 
 __all__ = [
     "FAULT_KILL_ENV",
-    "JITTER_SPREAD",
     "CampaignDispatcher",
     "DispatchAttempt",
     "DispatchReport",
-    "backoff_delay_s",
-    "backoff_jitter",
     "parse_fault_kill",
 ]

@@ -48,8 +48,9 @@ CELL_STORE_REPORT_SCHEMA = "repro.cell-store-report/v1"
 
 #: Dispatch reports (``repro campaign-dispatch --json``): the full
 #: retry history of a gap-driven sharded campaign — per-range attempts
-#: with exit codes, backoff delays, and the merged campaign document.
-DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v1"
+#: with exit codes, and the merged campaign document.  v2 dropped the
+#: retry-backoff delays (retry rounds launch at once).
+DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v2"
 
 #: Raw per-stage profile documents
 #: (:meth:`repro.profiling.ProfileRecorder.to_dict`).
@@ -59,5 +60,6 @@ PROFILE_SCHEMA = "repro.profile/v1"
 PROFILE_REPORT_SCHEMA = "repro.profile-report/v2"
 
 #: Lint reports emitted by ``repro lint --json``
-#: (:mod:`repro.analysis`).
-LINT_REPORT_SCHEMA = "repro.lint-report/v1"
+#: (:mod:`repro.analysis`).  v2 dropped the ``suppressed`` key with the
+#: suppression file.
+LINT_REPORT_SCHEMA = "repro.lint-report/v2"

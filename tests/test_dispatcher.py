@@ -8,8 +8,8 @@ The load-bearing contracts:
 * **The merge is the source of truth** — a killed shard's completed
   cells are kept; only the actual gaps are re-dispatched, as coalesced
   contiguous ranges.
-* **Determinism of decisions** — range planning and backoff jitter are
-  pure functions of the campaign fingerprint and round index.
+* **Determinism of decisions** — range planning is a pure function of
+  the missing cells.
 * **Bounded failure** — the per-cell retry budget turns a persistent
   failure into an exhausted, incomplete report (CLI exit 1), never an
   endless loop.
@@ -36,11 +36,9 @@ from repro.runtime.campaign import CampaignLedger, CampaignSpec, run_campaign
 from repro.runtime.cell_store import QUARANTINE_DIR, CellStore
 from repro.runtime.dispatcher import (
     CampaignDispatcher,
-    backoff_delay_s,
-    backoff_jitter,
     parse_fault_kill,
 )
-from repro.runtime.shards import coalesce_cell_ranges
+from repro.runtime.shards import coalesce_cell_ranges, merge_campaign_ledgers
 from repro.technology.corners import Corner
 
 SMALL = dict(
@@ -85,30 +83,6 @@ class TestCoalesce:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError, match=">= 0"):
             coalesce_cell_ranges([2, -1])
-
-
-class TestBackoff:
-    def test_jitter_deterministic_and_bounded(self):
-        first = backoff_jitter("abc123", 0)
-        assert first == backoff_jitter("abc123", 0)
-        assert 0.0 <= first < 1.0
-        # Different rounds and different campaigns decorrelate.
-        assert first != backoff_jitter("abc123", 1)
-        assert first != backoff_jitter("def456", 0)
-
-    def test_delay_grows_exponentially_and_caps(self):
-        delays = [
-            backoff_delay_s(0.5, 60.0, r, "abc123") for r in range(4)
-        ]
-        # Un-jittered base doubles per round; jitter adds at most 25 %.
-        for round_index, delay in enumerate(delays):
-            raw = 0.5 * 2**round_index
-            assert raw <= delay <= raw * 1.25
-        capped = backoff_delay_s(0.5, 1.0, 10, "abc123")
-        assert capped <= 1.25
-
-    def test_zero_base_disables_waiting(self):
-        assert backoff_delay_s(0.0, 60.0, 3, "abc123") == 0.0
 
 
 class TestPlanRanges:
@@ -209,7 +183,6 @@ class TestDispatchEndToEnd:
             shards=3,
             work_dir=work,
             engine="pool",
-            out_ledger=work / "merged.jsonl",
         )
         return work, dispatcher.run()
 
@@ -225,18 +198,18 @@ class TestDispatchEndToEnd:
         _, report = dispatched
         assert report.report.cells == single_report.cells
 
-    def test_out_ledger_resumable(self, dispatched, small_spec):
+    def test_out_ledger_resumable(self, dispatched, small_spec, tmp_path):
         work, report = dispatched
-        resumed = run_campaign(
-            small_spec, ledger_path=work / "merged.jsonl", resume=True
-        )
+        merged = tmp_path / "merged.jsonl"
+        merge_campaign_ledgers(sorted(work.glob("range-*.jsonl")), out_ledger=merged)
+        resumed = run_campaign(small_spec, ledger_path=merged, resume=True)
         assert resumed.resumed_cells == small_spec.n_cells
         assert resumed.cells == report.report.cells
 
     def test_report_document(self, dispatched):
         _, report = dispatched
         document = json.loads(report.to_json())
-        assert document["schema"] == "repro.dispatch-report/v1"
+        assert document["schema"] == "repro.dispatch-report/v2"
         assert document["complete"] is True
         assert document["missing_cells"] == []
         assert len(document["attempts"]) == 3
@@ -262,7 +235,6 @@ class TestDispatchRecovery:
             shards=3,
             work_dir=tmp_path,
             engine="pool",
-            backoff_base_s=0.01,
             poll_interval_s=0.01,
             fault_kill=(1, 1),
         )
@@ -279,13 +251,6 @@ class TestDispatchRecovery:
         start, stop = killed[0].start, killed[0].stop
         for low, high in report.redispatched_ranges:
             assert start <= low < high <= stop
-        # One backoff per retry round, following the deterministic
-        # schedule.
-        assert len(report.backoffs_s) == report.rounds - 1
-        expected = backoff_delay_s(
-            0.01, 60.0, 0, dispatcher._fingerprint_digest
-        )
-        assert report.backoffs_s[0] == expected
         # And the recovered grid is still the single-process grid.
         assert report.report.cells == single_report.cells
 
@@ -365,6 +330,21 @@ class TestDispatchRecovery:
         assert report.unreadable_ledgers == (
             str(tmp_path / "range-000000-000004.jsonl"),
         )
+
+    def test_non_utf8_ledger_is_reported_and_rerun(
+        self, small_spec, single_report, tmp_path
+    ):
+        # A finished work dir whose first ledger turned into disk
+        # garbage: its cells re-run like any other unreadable ledger's.
+        CampaignDispatcher(small_spec, shards=2, work_dir=tmp_path).run()
+        corrupt = tmp_path / "range-000000-000004.jsonl"
+        corrupt.write_bytes(b"\xff\xfe\x80garbage\n")
+        report = CampaignDispatcher(small_spec, shards=2, work_dir=tmp_path).run()
+        assert report.complete
+        assert report.unreadable_ledgers == (str(corrupt),)
+        # Only the corrupt ledger's cells ran again.
+        assert report.attempts and all(a.stop <= 4 for a in report.attempts)
+        assert report.report.cells == single_report.cells
 
     def test_unreadable_ledger_outside_the_plan_is_deleted(
         self, small_spec, single_report, tmp_path
@@ -478,7 +458,7 @@ class TestDispatchCli:
         out = capsys.readouterr().out
         assert "dispatch: complete" in out
         document = json.loads(json_path.read_text())
-        assert document["schema"] == "repro.dispatch-report/v1"
+        assert document["schema"] == "repro.dispatch-report/v2"
         assert any(a["fault_injected"] for a in document["attempts"])
         assert document["campaign"]["cells"] == [
             cell.to_record() for cell in single_report.cells

@@ -5,8 +5,8 @@ The load-bearing contracts:
 * **Per-checker fixtures** — each rule family fires on a minimal
   violating tree and stays silent on the sanctioned equivalent, so a
   rule regression is caught by name.
-* **Repo self-check** — the real repository lints clean (justified
-  suppressions only); the gate in CI is this same call.
+* **Repo self-check** — the real repository lints clean; the gate in
+  CI is this same call.
 * **Registry consistency** — the static fingerprint registries in
   ``core/config.py`` partition the live ``AdcConfig`` fields exactly.
 """
@@ -22,8 +22,6 @@ from repro.analysis import (
     CHECKERS,
     LintUsageError,
     Project,
-    apply_suppressions,
-    parse_suppressions,
     run_lint,
 )
 from repro.analysis import fingerprint as fingerprint_checker
@@ -405,39 +403,6 @@ def test_purity_covers_the_die_template(tmp_path):
     assert findings[0].scope == "DieTemplate.retune"
 
 
-# --- suppressions --------------------------------------------------------
-
-
-def test_suppression_matching_and_hygiene(tmp_path):
-    project = make_project(tmp_path, {"src/repro/core/mdac.py": MDAC_FIXTURE})
-    findings = list(purity_checker.check(project))
-    text = (
-        "# comment\n"
-        "PUR001 src/repro/core/mdac.py Mdac.transfer -- intentional\n"
-        "PUR001 src/repro/core/mdac.py Mdac.other -- stale entry\n"
-        "PUR002 src/repro/core/mdac.py no-reason\n"
-    )
-    entries, malformed = parse_suppressions(text, "lint-suppressions.txt")
-    assert rules(malformed) == ["SUP002"]
-    result = apply_suppressions(findings, entries, "lint-suppressions.txt")
-    assert [f.rule for f, _ in result.suppressed] == ["PUR001"]
-    kept = rules(result.kept)
-    assert "PUR002" in kept  # not suppressed
-    assert "SUP001" in kept  # the stale entry
-
-
-def test_wildcard_scope_suppression(tmp_path):
-    project = make_project(tmp_path, {"src/repro/core/mdac.py": MDAC_FIXTURE})
-    findings = list(purity_checker.check(project))
-    entries, _ = parse_suppressions(
-        "PUR001 src/repro/core/mdac.py * -- fixture\n"
-        "PUR002 src/repro/core/mdac.py * -- fixture\n",
-        "s.txt",
-    )
-    result = apply_suppressions(findings, entries, "s.txt")
-    assert result.kept == ()
-
-
 # --- the runner and the repo self-check ----------------------------------
 
 
@@ -454,8 +419,6 @@ def test_checker_registry_covers_all_five_invariants():
 def test_repo_lints_clean():
     report = run_lint(REPO_ROOT)
     assert report.clean, report.render()
-    # No committed exception is left.
-    assert report.suppressed == ()
 
 
 def test_run_lint_rejects_unparseable_tree(tmp_path):
@@ -521,9 +484,7 @@ def test_cli_lint_usage_error_exit_two(tmp_path, capsys):
         [
             "lint",
             "--root",
-            str(REPO_ROOT),
-            "--suppressions",
-            str(tmp_path / "missing.txt"),
+            str(tmp_path / "missing"),
         ]
     )
     assert code == 2

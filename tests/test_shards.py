@@ -374,6 +374,14 @@ class TestShardCli:
         )
         assert "INCOMPLETE" in capsys.readouterr().out
 
+    def test_merge_missing_ledger_exits_two(self, capsys, tmp_path):
+        from repro.cli import main
+
+        missing = tmp_path / "missing.jsonl"
+        assert main(["campaign-merge", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
     def test_shard_flag_validation(self, capsys):
         from repro.cli import main
 
