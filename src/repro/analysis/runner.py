@@ -15,7 +15,6 @@ generator is asserting the contract, not participating in it.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
@@ -87,9 +86,6 @@ class LintReport:
             ],
             "findings": [finding.to_dict() for finding in self.findings],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def default_root() -> Path:

@@ -1,4 +1,14 @@
-"""The compiled exact stage chain and front end: load, self-check, calls.
+"""The compiled library's Python side: load, self-check, calls.
+
+One library holds three kernels, loaded and self-checked together here:
+the PCG64 fill of standard normals behind every dense draw of
+:mod:`repro.streams` (:func:`fill`), the exact stage chain and the
+stage-1 front end.
+
+:file:`pcg64_normal.c` is a second implementation of numpy's
+``Generator.standard_normal`` for ``PCG64`` generators (see its header).
+It draws the same doubles and leaves the same generator state behind,
+at a third of numpy's cost per value.
 
 :file:`stage_chain.c` is a second implementation of the exact tier's
 per-stage work on one die's 1-D record: the comparator banks of
@@ -25,8 +35,9 @@ subthreshold softplus) and ``np.power`` (the junction grading) run in
 place over them; a second pass finishes every sample (:func:`acquire`).
 
 numpy stays the reference and the fallback.  The library serves only
-after this module has shown, once per process, that a short ramp
-through every stage and a short jittered tone through
+after this module has shown, once per process, that the fill draws
+numpy's values and leaves numpy's state on a fixed seed, and that a
+short ramp through every stage and a short jittered tone through
 :meth:`~repro.core.adc.PipelineAdc.convert` give the same held record,
 codes, residue bytes and generator state through both paths.  The model
 classes call :func:`kernel` and take numpy's path when it is None: no C
@@ -99,6 +110,11 @@ FRONTEND_FIELDS = (
 #: Front-end switch: the PMOS bulk is tied to its source (the flag in
 #: stage_chain.c).
 BULK_SWITCHED = 1
+#: Seed and size of the load-time comparison of the fill with numpy.
+#: 20000 values run both rejection paths of the ziggurat (the tail
+#: about 5 times).
+FILL_CHECK_SEED = 20040216
+FILL_CHECK_VALUES = 20000
 #: Seed and record length of the load-time comparison with numpy.
 SELF_CHECK_SEED = 20040218
 SELF_CHECK_SAMPLES = 700
@@ -111,6 +127,7 @@ _INT = ctypes.c_int64
 
 @dataclass(frozen=True)
 class _Functions:
+    fill: object
     stage: object
     finish: object
     bank: object
@@ -121,6 +138,18 @@ class _Functions:
 
 def _open(path) -> _Functions:
     return _Functions(
+        fill=library.function(
+            path,
+            "repro_pcg64_fill_normal",
+            (
+                _POINTER,  # the generator's pcg64_state
+                _POINTER,  # out: float64, C-contiguous, writable
+                _INT,  # values to draw
+                ctypes.c_double,  # loc
+                ctypes.c_double,  # scale
+                ctypes.c_int,  # nonzero: store loc + scale * z
+            ),
+        ),
         stage=library.function(
             path,
             "repro_stage_chain",
@@ -270,15 +299,38 @@ class _Override(threading.local):
 _override = _Override()
 
 
+def _self_check_fill(function) -> None:
+    """Raise unless the fill reproduces numpy's values and state."""
+    from repro.streams import seeded_generator
+
+    for loc, scale in ((None, 1.0), (0.0, 0.25)):
+        reference = seeded_generator(FILL_CHECK_SEED)
+        candidate = seeded_generator(FILL_CHECK_SEED)
+        if loc is None:
+            expected = reference.standard_normal(FILL_CHECK_VALUES)
+        else:
+            expected = reference.normal(loc, scale, FILL_CHECK_VALUES)
+        got = np.empty(FILL_CHECK_VALUES)
+        _fill(function, candidate, got, scale, loc)
+        if (
+            got.tobytes() != expected.tobytes()
+            or candidate.bit_generator.state != reference.bit_generator.state
+        ):
+            raise Unavailable("self-check against numpy failed")
+
+
 def _self_check(functions: _Functions) -> None:
     """Raise unless the library reproduces the numpy path bit for bit.
 
-    An in-range ramp takes the sparse slewing branch, an overdriven one
-    numpy's dense branch; a tone through each transmission-gate switch
-    takes the front end.
+    The fill first, on its own; then two ramps and two tones, each run
+    once on the library and once with every number drawn and computed
+    by numpy.  An in-range ramp takes the sparse slewing branch, an
+    overdriven one numpy's dense branch; a tone through each
+    transmission-gate switch takes the front end.
     """
     from repro.core.config import SwitchStyle
 
+    _self_check_fill(functions.fill)
     ramp = np.linspace(-1.1, 1.1, SELF_CHECK_SAMPLES)
     checks = [(_self_check_run, record_) for record_ in (ramp, 6.0 * ramp)]
     checks += [
@@ -298,12 +350,12 @@ def _self_check(functions: _Functions) -> None:
         _override.active = False
 
 
-#: The chain, loaded and self-checked on first use.
+#: The library, loaded and self-checked on first use.
 _kernel = library.Kernel(_open, _self_check)
 
 
 def kernel() -> _Functions | None:
-    """The checked chain functions, or None when numpy must compute.
+    """The checked library functions, or None when numpy must compute.
 
     Builds, loads and checks on the first call of the process; later
     calls, and forked children, reuse that outcome.
@@ -314,8 +366,52 @@ def kernel() -> _Functions | None:
 
 
 def status() -> str:
-    """``native`` when the chain serves, else ``numpy: <reason>``."""
+    """``native`` when the library serves, else ``numpy: <reason>``."""
     return _kernel.status()
+
+
+def _fill(function, generator, out: np.ndarray, scale: float, loc) -> None:
+    bit_generator = generator.bit_generator
+    address = library.address(out)
+    with bit_generator.lock:
+        function(
+            bit_generator.ctypes.state_address,
+            address,
+            out.size,
+            0.0 if loc is None else float(loc),
+            scale,
+            loc is not None,
+        )
+
+
+def fill(generator, out: np.ndarray, scale=1.0, loc=None) -> bool:
+    """Fill ``out`` from ``generator`` with the library, if it can serve.
+
+    Stores ``scale * z`` for standard normals ``z``, or ``loc + scale *
+    z`` when ``loc`` is given (numpy's ``Generator.normal``), bit for
+    bit as numpy computes them, advancing the generator as numpy would.
+    Returns False, with nothing drawn, when the library cannot serve:
+    not loaded, a bit generator other than ``PCG64``, a buffer that is
+    not a writable, C-contiguous float64 array.  Then the caller draws
+    with numpy (which also raises on a negative ``scale`` with ``loc``,
+    as ``Generator.normal`` does).
+    """
+    functions = kernel()
+    if (
+        functions is None
+        or type(getattr(generator, "bit_generator", None)) is not np.random.PCG64
+        or type(out) is not np.ndarray
+        or out.dtype != np.float64
+        or not out.size
+        or not out.flags.c_contiguous
+        or not out.flags.writeable
+        or not isinstance(scale, (float, int))
+        or not isinstance(loc, (float, int, type(None)))
+        or (loc is not None and not scale >= 0.0)
+    ):
+        return False
+    _fill(functions.fill, generator, out, float(scale), loc)
+    return True
 
 
 def _is_record(inputs) -> bool:

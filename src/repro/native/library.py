@@ -1,11 +1,10 @@
 """Build, cache and open the one compiled library of :mod:`repro.native`.
 
 :file:`stage_chain.c` includes :file:`pcg64_normal.c`, so one shared
-library holds both the standard-normal fill (:mod:`repro.native.normal`)
-and the exact stage chain with the stage-1 front end
-(:mod:`repro.native.chain`).  Each of those
-modules opens its functions from it through a :class:`Kernel`, which
-checks them against numpy before they serve anything.
+library holds the PCG64 fill of standard normals, the exact stage
+chain and the stage-1 front end.  :mod:`repro.native.chain` opens all of its
+functions through one :class:`Kernel`, which checks them against numpy
+before they serve anything.
 
 The first process to need the library compiles the shipped sources with
 the system C compiler (the one Python was built with, else ``cc``).  It

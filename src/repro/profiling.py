@@ -23,8 +23,7 @@ Design constraints, in order:
    ``repro.core``) import this module directly; it depends on nothing
    inside the package, so the instrumentation cannot introduce import
    cycles.  The public workload-facing surface — ``repro profile``
-   workloads, reports — lives in :mod:`repro.runtime.profiling`, which
-   re-exports everything here.
+   workloads, reports — lives in :mod:`repro.runtime.profiling`.
 
 Activation is explicit: :func:`enable` or the :func:`profiled` context
 manager.  Forked pool workers inherit the active recorder, but theirs
@@ -97,8 +96,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Any
-
-from repro.schemas import PROFILE_SCHEMA
 
 #: Stages whose entries overlap other stages' wall time (an outer view
 #: of the same work) and are therefore excluded from share-of-run and
@@ -191,7 +188,7 @@ class ProfileRecorder:
     Not thread-safe — one recorder belongs to one thread of one
     process.  Cross-process aggregation happens via
     :meth:`ProfileRecorder.add` (the dispatcher feeds worker task wall
-    times back in) or :meth:`merge`.
+    times back in).
     """
 
     def __init__(self) -> None:
@@ -224,18 +221,6 @@ class ProfileRecorder:
         entry[1] += seconds
         entry[2] += seconds
 
-    def merge(self, other: "ProfileRecorder") -> None:
-        """Fold another recorder's finished entries into this one."""
-        for key, (count, total_s, self_s) in other._entries.items():
-            entry = self._entries.setdefault(key, [0, 0.0, 0.0])
-            entry[0] += count
-            entry[1] += total_s
-            entry[2] += self_s
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._stack.clear()
-
     # --- reading ---------------------------------------------------------
 
     def stats(self) -> list[StageStat]:
@@ -247,24 +232,10 @@ class ProfileRecorder:
         rows.sort(key=lambda stat: stat.self_s, reverse=True)
         return rows
 
-    def stage_totals(self) -> dict[str, float]:
-        """Exclusive seconds summed per stage (phases folded)."""
-        totals: dict[str, float] = {}
-        for (stage, _phase), (_count, _total_s, self_s) in self._entries.items():
-            totals[stage] = totals.get(stage, 0.0) + self_s
-        return totals
-
     def total_s(self, stage: str, phase: str | None = None) -> float:
         """Inclusive seconds of one key (0.0 when never recorded)."""
         entry = self._entries.get((stage, phase))
         return entry[1] if entry else 0.0
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-ready document (schema ``repro.profile/v1``)."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "entries": [stat.to_dict() for stat in self.stats()],
-        }
 
 
 # --- process-global activation -------------------------------------------
@@ -277,22 +248,11 @@ def active() -> ProfileRecorder | None:
     return _ACTIVE
 
 
-def enabled() -> bool:
-    """Whether a recorder is currently installed."""
-    return _ACTIVE is not None
-
-
 def enable(recorder: ProfileRecorder | None = None) -> ProfileRecorder:
     """Install (and return) the process-global recorder."""
     global _ACTIVE
     _ACTIVE = recorder if recorder is not None else ProfileRecorder()
     return _ACTIVE
-
-
-def disable() -> None:
-    """Remove the process-global recorder (instrumentation goes no-op)."""
-    global _ACTIVE
-    _ACTIVE = None
 
 
 @contextmanager

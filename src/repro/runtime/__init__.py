@@ -27,6 +27,7 @@ The runtime is the scaling layer every fan-out workload goes through:
   timing primitive itself lives in the leaf :mod:`repro.profiling`).
 """
 
+from repro.profiling import ProfileRecorder, profile_step, profiled
 from repro.runtime.batch import (
     BatchProgress,
     BatchResult,
@@ -49,13 +50,7 @@ from repro.runtime.montecarlo import (
     measure_die,
     run_yield_analysis,
 )
-from repro.runtime.profiling import (
-    ProfileRecorder,
-    ProfileReport,
-    profile_step,
-    profile_workload,
-    profiled,
-)
+from repro.runtime.profiling import ProfileReport, profile_workload
 from repro.runtime.seeding import derive_seeds, spawn_sequences
 
 __all__ = [

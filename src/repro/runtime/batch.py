@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import json
 import math
 import multiprocessing
 import os
@@ -206,9 +205,6 @@ class BatchResult:
             "summary": self.summary(),
             "tasks": [o.to_dict() for o in self.outcomes],
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def default_metrics(value: Any) -> dict[str, float]:

@@ -561,11 +561,16 @@ class CampaignLedger:
         # Undecodable bytes become lone surrogates, which the strict
         # ``encode`` in ``_json_line`` rejects and ``torn_at`` counts back.
         text = data.decode(errors="surrogateescape")
-        lines = text.splitlines()
-        if not lines:
+        # Lines end at "\n" alone, as the writer and the torn-tail cut
+        # below count them: ``str.splitlines`` would also break inside
+        # a record at characters such as \x1c, \x85 or \u2028.
+        lines = text.removesuffix("\n").split("\n")
+        if not text:
             raise ConfigurationError(f"ledger {self.path} is empty")
         try:
             header = _json_line(lines[0])
+            if not isinstance(header, dict):
+                raise ValueError("not a JSON object")
         except ValueError as error:
             raise ConfigurationError(
                 f"ledger {self.path} has an unreadable header: {error}"
@@ -943,9 +948,6 @@ class CampaignReport:
             if self.cells
             else {},
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def run_campaign(

@@ -318,8 +318,11 @@ class CellStore:
             except OSError:
                 continue  # vanished mid-sweep: concurrent prune
             n_entries += 1
-            reason = self._entry_problem(path, text)
-            if reason is None:
+            try:
+                self._healthy_entry(path, text)
+            except ValueError as error:
+                reason = str(error)
+            else:
                 n_ok += 1
                 continue
             quarantined = False
@@ -413,33 +416,40 @@ class CellStore:
         return base if isinstance(base, str) else None
 
     @staticmethod
-    def _entry_problem(path: Path, text: str) -> str | None:
-        """Why this entry is damaged, or None when it is healthy."""
+    def _healthy_entry(path: Path, text: str) -> dict:
+        """The entry ``text`` at ``path`` parsed, when it is healthy.
+
+        The one rule for a healthy entry: lookups serve only these, and
+        :meth:`verify` reports every other one.
+
+        Raises:
+            ValueError: saying why the entry is damaged.
+        """
         try:
             entry = json.loads(text)
         except json.JSONDecodeError:
-            return "not valid JSON (truncated or corrupt)"
+            raise ValueError("not valid JSON (truncated or corrupt)") from None
         if not isinstance(entry, dict):
-            return "entry is not a JSON object"
+            raise ValueError("entry is not a JSON object")
         if entry.get("schema") != CELL_STORE_SCHEMA:
-            return f"foreign schema {entry.get('schema')!r}"
+            raise ValueError(f"foreign schema {entry.get('schema')!r}")
         key = entry.get("key")
         if key != path.stem:
-            return f"key {key!r} does not match the entry path"
+            raise ValueError(f"key {key!r} does not match the entry path")
         if path.parent.name != path.stem[:2]:
-            return "entry filed under the wrong prefix directory"
+            raise ValueError("entry filed under the wrong prefix directory")
         metrics = entry.get("metrics")
         if not isinstance(metrics, dict):
-            return "entry carries no metrics object"
+            raise ValueError("entry carries no metrics object")
         for field in _METRIC_FIELDS:
             value = metrics.get(field)
             if not isinstance(value, (int, float)) or isinstance(
                 value, bool
             ):
-                return f"metric {field!r} missing or non-numeric"
+                raise ValueError(f"metric {field!r} missing or non-numeric")
             if not isfinite(value):
-                return f"metric {field!r} is not finite"
-        return None
+                raise ValueError(f"metric {field!r} is not finite")
+        return entry
 
     def _quarantine(self, path: Path) -> bool:
         """Move one damaged entry out of the lookup path; True on success."""
@@ -478,8 +488,6 @@ class BoundCellStore:
         # head, the cell's JSON, a fixed tail.  The head is hashed once.
         head, self._tail = _around_cell(base)
         self._head = sha256(head)
-        self.hits = 0
-        self.misses = 0
 
     @staticmethod
     def _identity(cell: CampaignCell) -> dict:
@@ -504,36 +512,29 @@ class BoundCellStore:
         """The stored metrics for this cell's physics identity, or None.
 
         A hit rebuilds the record under the *requesting* campaign's
-        grid index and die position; any unreadable or mismatched entry
-        is a miss (the cell re-runs and overwrites it).
+        grid index and die position.  Only a healthy entry
+        (:meth:`CellStore._healthy_entry`) is a hit; a missing, damaged
+        or mismatched one is a miss (the cell re-runs and overwrites it).
         """
-        key = self._key(cell)
-        path = self._path(key)
+        path = self._path(self._key(cell))
         try:
-            entry = json.loads(path.read_text())
-            if entry.get("schema") != CELL_STORE_SCHEMA:
-                raise ValueError("foreign schema")
-            if entry.get("key") != key:
-                raise ValueError("key mismatch")
-            metrics = entry["metrics"]
-            result = CellMetrics(
-                index=cell.index,
-                corner=cell.corner.value,
-                temperature_c=cell.temperature_c,
-                die_index=cell.die_index,
-                seed=cell.die_seed,
-                snr_db=float(metrics["snr_db"]),
-                sndr_db=float(metrics["sndr_db"]),
-                sfdr_db=float(metrics["sfdr_db"]),
-                enob_bits=float(metrics["enob_bits"]),
-            )
-        except (OSError, ValueError, KeyError, TypeError):
-            self.misses += 1
+            metrics = CellStore._healthy_entry(path, path.read_text())["metrics"]
+        except (OSError, ValueError):
             recorder = active()
             if recorder is not None:
                 recorder.add("campaign", "cell-store-miss", 0.0)
             return None
-        self.hits += 1
+        result = CellMetrics(
+            index=cell.index,
+            corner=cell.corner.value,
+            temperature_c=cell.temperature_c,
+            die_index=cell.die_index,
+            seed=cell.die_seed,
+            snr_db=float(metrics["snr_db"]),
+            sndr_db=float(metrics["sndr_db"]),
+            sfdr_db=float(metrics["sfdr_db"]),
+            enob_bits=float(metrics["enob_bits"]),
+        )
         recorder = active()
         if recorder is not None:
             recorder.add("campaign", "cell-store-hit", 0.0)
@@ -543,7 +544,7 @@ class BoundCellStore:
         """Store one completed cell (idempotent; atomic per entry).
 
         A healthy existing entry is kept; a damaged one
-        (:meth:`CellStore._entry_problem`) is overwritten.  Best-effort
+        (:meth:`CellStore._healthy_entry`) is overwritten.  Best-effort
         against concurrent hygiene: a prune that removes the prefix
         directory between our mkdir and the write is retried once;
         losing the race twice leaves the entry unwritten (the cell is
@@ -554,10 +555,10 @@ class BoundCellStore:
         key = self._key(cell)
         path = self._path(key)
         try:
-            if CellStore._entry_problem(path, path.read_text()) is None:
-                return
+            CellStore._healthy_entry(path, path.read_text())
+            return
         except (OSError, ValueError):
-            pass  # no entry yet, or undecodable bytes: write one
+            pass  # no entry yet, or a damaged one: write one
         entry = {
             "schema": CELL_STORE_SCHEMA,
             "key": key,

@@ -57,7 +57,6 @@ worker the loop exists to survive.
 from __future__ import annotations
 
 import dataclasses
-import json
 import multiprocessing
 import os
 import signal
@@ -191,9 +190,6 @@ class DispatchReport:
             "elapsed_s": self.elapsed_s,
             "campaign": self.report.to_dict(),
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
     def render(self) -> str:
         # An exhausted dispatch can end with zero cells; the campaign

@@ -25,7 +25,6 @@ a die's record is bit-identical across engines and worker counts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -389,9 +388,6 @@ class YieldReport:
             "fraction": self.yield_fraction,
         }
         return document
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def default_sampler(config: AdcConfig) -> MonteCarloSampler:

@@ -4,15 +4,15 @@ The timing primitive (:class:`~repro.profiling.ProfileRecorder`, the
 :func:`~repro.profiling.record` context manager, the
 :func:`~repro.profiling.profile_step` decorator) lives in the leaf
 module :mod:`repro.profiling` so device-model hot paths can import it
-without touching this package's init.  This module re-exports all of it
-and adds the workload layer ``repro profile`` runs:
+without touching this package's init.  This module adds the workload
+layer ``repro profile`` runs:
 
 * :func:`profile_workload` — run a named workload (``dynamic-screen``,
   ``yield-screen``, ``pvt-campaign``) once, through the entry point and
   default engine of its user command, with a fresh recorder.
 * :class:`ProfileReport` — that run's per-stage cost breakdown (counts,
   total/mean wall time, % of run) with a stable JSON document (schema
-  ``repro.profile-report/v2``).
+  ``repro.profile-report/v3``).
 
 Reading the numbers: *total* is inclusive wall time (children
 included); *% of run* is the stage's **exclusive** share — exclusive
@@ -25,7 +25,6 @@ full example.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import partial
 
@@ -35,20 +34,7 @@ from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.evaluation.reporting import format_table
 from repro.native import chain as native_chain
-from repro.native import normal as native_normal
-from repro.profiling import (  # noqa: F401 — re-exported public surface
-    OVERLAY_STAGES,
-    PROFILE_SCHEMA,
-    ProfileRecorder,
-    StageStat,
-    active,
-    disable,
-    enable,
-    enabled,
-    profile_step,
-    profiled,
-    record,
-)
+from repro.profiling import OVERLAY_STAGES, ProfileRecorder, StageStat, profiled
 from repro.runtime.campaign import CampaignSpec, run_campaign
 from repro.runtime.montecarlo import run_yield_analysis
 from repro.schemas import PROFILE_REPORT_SCHEMA
@@ -79,10 +65,9 @@ class ProfileReport:
         wall_s: inclusive wall time of the whole run (the
             ``run/<workload>`` root entry).
         stats: the recorder's per-``(stage, phase)`` entries.
-        normal_fill: what served the dense Gaussian draws: ``native``
-            (the compiled fill) or ``numpy: <reason>``.
-        stage_chain: what ran the exact stage chain of 1-D records:
-            ``native`` (the compiled chain) or ``numpy: <reason>``.
+        stage_chain: what served the compiled library's three kernels
+            (the stage chain of 1-D records, the stage-1 front end and
+            the dense Gaussian draws): ``native`` or ``numpy: <reason>``.
     """
 
     workload: str
@@ -90,7 +75,6 @@ class ProfileReport:
     fft_points: int
     wall_s: float
     stats: tuple[StageStat, ...]
-    normal_fill: str
     stage_chain: str
 
     def stat(self, stage: str, phase: str | None = None) -> StageStat | None:
@@ -162,7 +146,6 @@ class ProfileReport:
                 f"({self.wall_s / self.n_items * 1e3:.1f} ms/cell), "
                 f"{self.attributed_fraction() * 100:.0f}% attributed "
                 f"to named stages, noise-draw share {noise * 100:.0f}%",
-                f"normal fill: {self.normal_fill}",
                 f"stage chain: {self.stage_chain}",
             ]
         )
@@ -182,12 +165,8 @@ class ProfileReport:
                 if stage not in OVERLAY_STAGES and stage != RUN_STAGE
             },
             "entries": [entry.to_dict() for entry in self.stats],
-            "normal_fill": self.normal_fill,
             "stage_chain": self.stage_chain,
         }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
 
 
 def profile_workload(
@@ -238,8 +217,8 @@ def profile_workload(
         )
         n_items = spec.n_cells
         run = partial(run_campaign, spec, config=config, workers=1)
-    # Load and self-check the compiled kernels before the timer runs, so
-    # their one-off checks stay out of the profile, and start with a
+    # Load and self-check the compiled library before the timer runs, so
+    # its one-off check stays out of the profile, and start with a
     # cold die cache so the build/die rows count every die.
     native.preload()
     die_cache.clear()
@@ -253,6 +232,5 @@ def profile_workload(
         fft_points=fft_points,
         wall_s=recorder.total_s(RUN_STAGE, workload),
         stats=tuple(recorder.stats()),
-        normal_fill=native_normal.status(),
         stage_chain=native_chain.status(),
     )

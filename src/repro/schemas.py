@@ -52,12 +52,10 @@ CELL_STORE_REPORT_SCHEMA = "repro.cell-store-report/v1"
 #: retry-backoff delays (retry rounds launch at once).
 DISPATCH_REPORT_SCHEMA = "repro.dispatch-report/v2"
 
-#: Raw per-stage profile documents
-#: (:meth:`repro.profiling.ProfileRecorder.to_dict`).
-PROFILE_SCHEMA = "repro.profile/v1"
-
 #: Per-stage profile reports of one workload run (``repro profile --json``).
-PROFILE_REPORT_SCHEMA = "repro.profile-report/v2"
+#: v3 dropped the Gaussian fill's own status key: ``stage_chain`` names
+#: what served the one compiled library, the fill included.
+PROFILE_REPORT_SCHEMA = "repro.profile-report/v3"
 
 #: Lint reports emitted by ``repro lint --json``
 #: (:mod:`repro.analysis`).  v2 dropped the ``suppressed`` key with the

@@ -17,7 +17,7 @@ campaign:
 The helpers :func:`normal` / :func:`normal_pair` are the shared entry
 points for *dense* Gaussian draws (a whole record).  Every dense draw
 goes through :func:`fill_normal`, which hands it to the compiled PCG64
-fill of :mod:`repro.native.normal` when that can serve and makes
+fill of :mod:`repro.native.chain` when that can serve and makes
 numpy's own call otherwise.  The two give the same values and leave the
 generator in the same state, so which one served a run never shows in
 its results.  Sparse draws (values only at a few selected positions)
@@ -30,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.native import normal as native_normal
+from repro.native import chain as native_chain
 
 #: Spawn-key index of the noise stream consumed by ``convert`` (signal
 #: acquisition through the front end).
@@ -114,7 +114,7 @@ def fill_normal(generator, out: np.ndarray, scale=1.0, loc=None) -> np.ndarray:
     serves the draw when it can; the values, and the generator state
     left behind, are the same either way.
     """
-    if out.size >= NATIVE_MIN_VALUES and native_normal.fill(
+    if out.size >= NATIVE_MIN_VALUES and native_chain.fill(
         generator, out, scale, loc
     ):
         return out

@@ -392,7 +392,7 @@ class TestVectorizedEngine:
         report = run_yield_analysis(
             config=paper_config, engine="vectorized", **self.KWARGS
         )
-        document = json.loads(report.to_json())
+        document = json.loads(json.dumps(report.to_dict()))
         assert document["engine"] == "vectorized"
         assert document["yield"]["n_dies"] == 3
 

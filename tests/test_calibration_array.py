@@ -203,7 +203,7 @@ class TestCalibratedYieldScreen:
         report = run_yield_analysis(
             config=paper_config, engine="vectorized", **self.KWARGS
         )
-        document = json.loads(report.to_json())
+        document = json.loads(json.dumps(report.to_dict()))
         assert document["calibrated"] is True
         assert "calibrated" in report.render()
 

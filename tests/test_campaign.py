@@ -309,10 +309,16 @@ class TestLedgerResume:
         ledger = tmp_path / "run.jsonl"
         run_campaign(small_spec, ledger_path=ledger)
         text = ledger.read_text()
-        ledger.write_text(text + '{"index": 5, "corner"')  # torn write
-        report = run_campaign(small_spec, ledger_path=ledger, resume=True)
-        assert report.complete
-        assert report.resumed_cells == small_spec.n_cells
+        # Torn writes; only "\n" ends a ledger line, so a tail holding a
+        # character ``str.splitlines`` also breaks at is one torn line.
+        for tail in ['{"index": 5, "corner"'] + [
+            '{"index": 1' + separator + ', "x' for separator in "\x1c\x85\u2028"
+        ]:
+            ledger.write_text(text + tail)
+            report = run_campaign(small_spec, ledger_path=ledger, resume=True)
+            assert report.complete, tail
+            assert report.resumed_cells == small_spec.n_cells, tail
+            assert ledger.read_text() == text, tail
 
     @pytest.mark.parametrize(
         ("cut", "sharded"),
@@ -527,7 +533,7 @@ class TestLedgerValidation:
 
 class TestReport:
     def test_report_document(self, vectorized_report, small_spec):
-        document = json.loads(vectorized_report.to_json())
+        document = json.loads(json.dumps(vectorized_report.to_dict()))
         assert document["engine"] == "vectorized"
         assert document["n_cells"] == small_spec.n_cells
         assert len(document["cells"]) == small_spec.n_cells

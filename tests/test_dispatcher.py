@@ -208,7 +208,7 @@ class TestDispatchEndToEnd:
 
     def test_report_document(self, dispatched):
         _, report = dispatched
-        document = json.loads(report.to_json())
+        document = json.loads(json.dumps(report.to_dict()))
         assert document["schema"] == "repro.dispatch-report/v2"
         assert document["complete"] is True
         assert document["missing_cells"] == []
@@ -330,6 +330,19 @@ class TestDispatchRecovery:
         assert report.unreadable_ledgers == (
             str(tmp_path / "range-000000-000004.jsonl"),
         )
+
+    def test_non_object_header_ledger_is_reported_and_rerun(
+        self, small_spec, single_report, tmp_path
+    ):
+        # A work-dir ledger whose first line is JSON but not an object.
+        CampaignDispatcher(small_spec, shards=2, work_dir=tmp_path).run()
+        damaged = tmp_path / "range-000000-000004.jsonl"
+        damaged.write_text("5\n")
+        report = CampaignDispatcher(small_spec, shards=2, work_dir=tmp_path).run()
+        assert report.complete
+        assert report.unreadable_ledgers == (str(damaged),)
+        assert report.attempts and all(a.stop <= 4 for a in report.attempts)
+        assert report.report.cells == single_report.cells
 
     def test_non_utf8_ledger_is_reported_and_rerun(
         self, small_spec, single_report, tmp_path

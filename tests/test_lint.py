@@ -446,7 +446,7 @@ def test_lint_report_document(tmp_path):
     assert doc["schema"] == LINT_REPORT_SCHEMA
     assert doc["clean"] is False
     assert [f["rule"] for f in doc["findings"]] == ["RNG001"]
-    assert json.loads(report.to_json()) == doc
+    assert json.loads(json.dumps(report.to_dict())) == doc
 
 
 # --- the CLI -------------------------------------------------------------

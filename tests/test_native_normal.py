@@ -1,18 +1,22 @@
-"""The compiled PCG64 normal fill against numpy, at the generator level.
+"""The compiled PCG64 Gaussian fill against numpy, and the library loader.
 
 numpy is the reference: for any seed and size, the kernel must write the
 bytes ``Generator.standard_normal`` / ``Generator.normal`` return and
 leave ``bit_generator.state`` where numpy leaves it, also between other
 draws of the same generator.  Anything the kernel cannot serve (another
 bit generator, a buffer it must not write through) takes numpy's path.
+The fill is one function of the library :mod:`repro.native.chain`
+loads, self-checks and reports on.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import stat
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +24,6 @@ import pytest
 from repro import streams
 from repro.native import chain as native_chain
 from repro.native import library
-from repro.native import normal as native_normal
 
 SEEDS = range(16)
 SIZES = (1, 2, 255, 4101, 2 * 65541)
@@ -32,7 +35,7 @@ LONG_FILL = 1_200_000
 ZIGGURAT_R = 3.6541528853610088
 
 needs_kernel = pytest.mark.skipif(
-    native_normal.kernel() is None, reason=native_normal.status()
+    native_chain.kernel() is None, reason=native_chain.status()
 )
 
 
@@ -64,7 +67,7 @@ class TestKernelIdentity:
                 start = candidate.bit_generator.state
                 expected = reference.standard_normal(size)
                 got = np.empty(size)
-                assert native_normal.fill(candidate, got)
+                assert native_chain.fill(candidate, got)
                 assert got.tobytes() == expected.tobytes(), (seed, size)
                 assert candidate.bit_generator.state == reference.bit_generator.state
                 drawn += size
@@ -79,7 +82,7 @@ class TestKernelIdentity:
                 assert reference.normal(0.5, 2.0) == candidate.normal(0.5, 2.0)
             expected = reference.standard_normal(LONG_FILL)
             got = np.empty(LONG_FILL)
-            assert native_normal.fill(candidate, got)
+            assert native_chain.fill(candidate, got)
             assert got.tobytes() == expected.tobytes(), seed
             assert candidate.bit_generator.state == reference.bit_generator.state
             tails += int(np.count_nonzero(np.abs(got) > ZIGGURAT_R))
@@ -97,7 +100,7 @@ class TestKernelIdentity:
             for loc, scale in ((0.0, 1e-4), (1.5, 0.25), (-2.0, 0.0)):
                 expected = reference.normal(loc, scale, 4101)
                 got = np.empty(4101)
-                assert native_normal.fill(candidate, got, scale, loc)
+                assert native_chain.fill(candidate, got, scale, loc)
                 assert got.tobytes() == expected.tobytes()
             assert candidate.bit_generator.state == reference.bit_generator.state
 
@@ -106,7 +109,7 @@ class TestKernelIdentity:
         expected = reference.standard_normal(4101)
         expected *= 3e-4
         got = np.empty(4101)
-        assert native_normal.fill(candidate, got, 3e-4)
+        assert native_chain.fill(candidate, got, 3e-4)
         assert got.tobytes() == expected.tobytes()
 
 
@@ -114,7 +117,7 @@ class TestNumpyPath:
     def _declined(self, make, out, **kwargs) -> None:
         """The kernel turns the draw down and consumes nothing."""
         generator, twin = make(), make()
-        assert not native_normal.fill(generator, out, **kwargs)
+        assert not native_chain.fill(generator, out, **kwargs)
         assert np.array_equal(
             generator.bit_generator.random_raw(8), twin.bit_generator.random_raw(8)
         )
@@ -156,8 +159,21 @@ class TestNumpyPath:
 
 class TestLoader:
     def test_status_names_the_fill(self):
-        status = native_normal.status()
+        status = native_chain.status()
         assert status == "native" or status.startswith("numpy: ")
+
+    @needs_kernel
+    def test_self_check_rejects_a_changed_fill(self):
+        """One last bit off in the fill fails the library's one check."""
+        functions = native_chain.kernel()
+
+        def nudged(state, address, n, *args):
+            functions.fill(state, address, n, *args)
+            values = (ctypes.c_double * n).from_address(address)
+            values[n - 1] = np.nextafter(values[n - 1], np.inf)
+
+        with pytest.raises(library.Unavailable, match="self-check"):
+            native_chain._self_check(replace(functions, fill=nudged))
 
     def test_cache_directory_is_private(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -190,8 +206,8 @@ class TestLoader:
     @needs_kernel
     def test_cold_cache_builds_loads_and_checks(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        function, status = native_normal._kernel.load()
-        assert status == "native" and function is not None
+        functions, status = native_chain._kernel.load()
+        assert status == "native" and functions is not None
         directory = library.cache_dir()
         assert stat.S_IMODE(os.stat(directory).st_mode) == 0o700
         # One library under its final name, no temp file left behind.
@@ -200,8 +216,8 @@ class TestLoader:
         ]
 
     def test_threads_starting_at_once_load_once(self, monkeypatch):
-        """Both loaders share one locked load: racing first calls build,
-        open and check the library once and see one outcome."""
+        """The loader locks its load: racing first calls build, open and
+        check the library once and see one outcome."""
         opened = []
 
         def slow_open(path):
@@ -223,8 +239,7 @@ class TestLoader:
         assert opened == ["library-path"]
         assert len(found) == 6 and len({id(f) for f in found}) == 1
         assert kernel.status() == "native"
-        for module in (native_normal, native_chain):
-            assert isinstance(module._kernel, library.Kernel)
+        assert isinstance(native_chain._kernel, library.Kernel)
 
     def test_no_compiler_means_numpy(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
@@ -233,7 +248,7 @@ class TestLoader:
             "get_config_var",
             lambda name: "no-such-compiler-repro",
         )
-        function, status = native_normal._kernel.load()
-        assert function is None
+        functions, status = native_chain._kernel.load()
+        assert functions is None
         assert status.startswith("numpy: no C compiler")
         assert list(library.cache_dir().iterdir()) == []

@@ -18,13 +18,10 @@ from repro.core.adc import PipelineAdc
 from repro.core.adc_array import AdcArray
 from repro.core.config import AdcConfig
 from repro.native import chain as native_chain
-from repro.native import normal as native_normal
 from repro.profiling import (
     OVERLAY_STAGES,
-    PROFILE_SCHEMA,
     ProfileRecorder,
     active,
-    enabled,
     profile_step,
     profiled,
     record,
@@ -55,7 +52,6 @@ class TestTransparency:
     """Profiling on/off is invisible in every output."""
 
     def test_disabled_by_default(self):
-        assert not enabled()
         assert active() is None
 
     def test_codes_bit_exact_with_profiling_enabled(self):
@@ -66,7 +62,7 @@ class TestTransparency:
             profiled_run = PipelineAdc(config, RATE, seed=7).convert(
                 _tone(n), n
             )
-        assert not enabled()  # scope restored
+        assert active() is None  # scope restored
         np.testing.assert_array_equal(baseline.codes, profiled_run.codes)
         np.testing.assert_array_equal(
             baseline.sample_times, profiled_run.sample_times
@@ -129,33 +125,14 @@ class TestAccounting:
         )
         assert stimulus.total_s > stimulus.self_s > 0.0
 
-    def test_add_and_merge_fold_entries(self):
+    def test_add_folds_entries(self):
         recorder = ProfileRecorder()
         recorder.add("dispatch", "fn", 0.5, count=2)
-        other = ProfileRecorder()
-        other.add("dispatch", "fn", 0.25)
-        recorder.merge(other)
+        recorder.add("dispatch", "fn", 0.25)
         (stat,) = recorder.stats()
         assert stat.count == 3
         assert stat.total_s == pytest.approx(0.75)
         assert stat.self_s == pytest.approx(0.75)
-        recorder.clear()
-        assert recorder.stats() == []
-
-    def test_recorder_document_schema(self):
-        recorder = ProfileRecorder()
-        with profiled(recorder):
-            with record("mdac", "settle"):
-                pass
-        document = recorder.to_dict()
-        assert document["schema"] == PROFILE_SCHEMA
-        assert document["entries"][0].keys() == {
-            "stage",
-            "phase",
-            "count",
-            "total_s",
-            "self_s",
-        }
 
 
 class TestProfileWorkload:
@@ -177,7 +154,8 @@ class TestProfileWorkload:
         rendered = report.render()
         assert row[0] in rendered and "noise-draw" in rendered
         assert "attributed to named stages" in rendered
-        assert f"stage chain: {native_chain.status()}" in rendered.splitlines()
+        # One status line for the one compiled library ends the report.
+        assert rendered.splitlines()[-1] == f"stage chain: {native_chain.status()}"
 
     def test_yield_screen_runs_the_mc_default_engine(self):
         # repro mc's pool engine: one task per die.
@@ -187,13 +165,12 @@ class TestProfileWorkload:
 
     def test_report_json_document_stable(self):
         report = profile_workload("dynamic-screen", dies=1, fft_points=256)
-        document = json.loads(report.to_json())
+        document = json.loads(json.dumps(report.to_dict()))
         assert document["schema"] == PROFILE_REPORT_SCHEMA
         assert document["workload"] in WORKLOADS
         assert document["n_items"] == 1
         assert document["fft_points"] == 256
         assert document["stage_chain"] == native_chain.status()
-        assert document["normal_fill"] == native_normal.status()
         assert document.keys() == {
             "schema",
             "workload",
@@ -204,7 +181,6 @@ class TestProfileWorkload:
             "attributed_fraction",
             "stage_shares",
             "entries",
-            "normal_fill",
             "stage_chain",
         }
         assert "run" not in document["stage_shares"]

@@ -172,7 +172,7 @@ class TestBatchRunner:
 
     def test_json_document_round_trips(self):
         batch = BatchRunner(workers=1).run(_double, [1, 2, 3])
-        document = json.loads(batch.to_json())
+        document = json.loads(json.dumps(batch.to_dict()))
         assert document["schema"] == "repro.batch-result/v2"
         assert document["n_tasks"] == 3
         assert document["n_failures"] == 0
@@ -265,7 +265,7 @@ class TestMonteCarloRuntime:
         text = report.render()
         assert "yield against" in text
         assert "Monte Carlo dies" in text
-        document = json.loads(report.to_json())
+        document = json.loads(json.dumps(report.to_dict()))
         assert document["schema"] == "repro.batch-result/v2"
         assert document["yield"]["n_dies"] == 2
         assert document["spec"]["min_enob"] == 10.0

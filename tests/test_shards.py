@@ -279,15 +279,24 @@ class TestCellStore:
         assert other.cached_cells == 0
         assert other.complete
 
-    def test_bound_store_counts_hits_and_misses(
-        self, small_spec, paper_config, tmp_path
+    def test_damaged_entry_is_rerun_not_served(
+        self, small_spec, single_report, tmp_path
     ):
-        bound = CellStore(tmp_path / "store").bind(
-            small_spec, paper_config
-        )
-        cells = small_spec.cells()
-        assert bound.get(cells[0]) is None
-        assert bound.misses == 1
+        """An entry verify calls damaged is a miss: its cell re-runs."""
+        store = tmp_path / "store"
+        run_campaign(small_spec, cell_store=store)
+        (path, *_) = sorted(store.rglob("*.json"))
+        for value in ("NaN", "Infinity", "true", '"71.2"'):
+            entry = path.read_text()
+            damaged = re.sub(r'"sndr_db": [^,}]+', f'"sndr_db": {value}', entry)
+            assert damaged != entry
+            path.write_text(damaged)
+            (problem,) = CellStore(store).verify().problems
+            assert "'sndr_db'" in problem.reason, value
+            report = run_campaign(small_spec, cell_store=store)
+            assert report.cached_cells == small_spec.n_cells - 1, value
+            assert report.cells == single_report.cells, value
+            assert CellStore(store).verify().problems == (), value
 
     def test_cell_key_is_the_digest_of_base_and_cell(self, paper_config, tmp_path):
         """The key hashed from a kept head equals the whole-payload digest."""
@@ -373,6 +382,16 @@ class TestShardCli:
             main(["campaign-merge", str(tmp_path / "shard-0.jsonl")]) == 1
         )
         assert "INCOMPLETE" in capsys.readouterr().out
+
+    def test_merge_ledger_with_a_non_object_header_exits_two(
+        self, capsys, tmp_path
+    ):
+        from repro.cli import main
+
+        ledger = tmp_path / "num.jsonl"
+        ledger.write_text("5\n")
+        assert main(["campaign-merge", str(ledger)]) == 2
+        assert "unreadable header" in capsys.readouterr().err
 
     def test_merge_missing_ledger_exits_two(self, capsys, tmp_path):
         from repro.cli import main
