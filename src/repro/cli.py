@@ -1028,7 +1028,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if arguments and arguments[0] == "lint":
             return run_lint_cli(arguments[1:])
         return run_experiments(arguments)
-    except ReproError as error:
+    except (ReproError, OSError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

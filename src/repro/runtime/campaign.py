@@ -470,13 +470,21 @@ class LedgerContents:
     torn_at: int | None
 
 
-def _json_line(line: str) -> object:
-    """Parse one ledger line; ``ValueError`` if it held non-UTF-8 bytes."""
+def json_object(raw: bytes) -> dict:
+    """The JSON object in one durable record's bytes (a ledger line, a
+    cell-store entry): strict UTF-8, then JSON, then an object, or a
+    ``ValueError`` saying which failed."""
     try:
-        line.encode()
-    except UnicodeEncodeError:
+        text = raw.decode()
+    except UnicodeDecodeError:
         raise ValueError("bytes that are not UTF-8") from None
-    return json.loads(line)
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        raise ValueError("not valid JSON (truncated or corrupt)") from None
+    if not isinstance(value, dict):
+        raise ValueError("not a JSON object")
+    return value
 
 
 def _format_range(cell_range: tuple[int, int] | None) -> str:
@@ -531,11 +539,15 @@ class CampaignLedger:
         self._write("w", [json.dumps(header) + "\n"])
 
     def _write(self, mode: str, lines: Iterable[str]) -> None:
-        """Write ``lines`` in ``mode``, flushed and fsynced."""
-        with self.path.open(mode) as handle:
-            handle.writelines(lines)
-            handle.flush()
-            os.fsync(handle.fileno())
+        """Write ``lines`` in ``mode``, flushed and fsynced; an
+        ``OSError`` is re-raised naming the ledger."""
+        try:
+            with self.path.open(mode) as handle:
+                handle.writelines(lines)
+                handle.flush()
+                os.fsync(handle.fileno())
+        except OSError as error:
+            raise OSError(error.errno, error.strerror, str(self.path)) from None
 
     def read(self) -> LedgerContents:
         """Parse and validate the ledger without a fingerprint to match.
@@ -544,33 +556,30 @@ class CampaignLedger:
         copy of the parent fingerprint); :meth:`load` adds the
         fingerprint and shard-range checks a resume needs.
 
-        Bytes that are not UTF-8 (disk garbage after a crash) count as
-        corruption like any other: in the last line with content they
-        are a torn tail, anywhere else the ledger is unreadable.
+        The header and every record pass :func:`json_object`; a line
+        that fails it (bytes that are not UTF-8 included) is a torn tail
+        when it is the last line holding anything but ASCII whitespace,
+        and corruption anywhere else.
 
         Raises:
-            ConfigurationError: missing or empty file, unreadable
-                header, foreign schema, an invalid shard range, a cell
-                index outside the valid range, a duplicate cell index,
-                or corruption that is not a torn tail.
+            ConfigurationError: a file that cannot be read or is empty,
+                an unreadable header, a foreign schema, an invalid shard
+                range, a cell index outside the valid range, a duplicate
+                cell index, or corruption that is not a torn tail.
         """
         try:
             data = self.path.read_bytes()
-        except FileNotFoundError:
-            raise ConfigurationError(f"ledger {self.path} does not exist") from None
-        # Undecodable bytes become lone surrogates, which the strict
-        # ``encode`` in ``_json_line`` rejects and ``torn_at`` counts back.
-        text = data.decode(errors="surrogateescape")
-        # Lines end at "\n" alone, as the writer and the torn-tail cut
-        # below count them: ``str.splitlines`` would also break inside
-        # a record at characters such as \x1c, \x85 or \u2028.
-        lines = text.removesuffix("\n").split("\n")
-        if not text:
+        except OSError as error:
+            raise ConfigurationError(
+                f"ledger {self.path} cannot be read: {error.strerror}"
+            ) from None
+        if not data:
             raise ConfigurationError(f"ledger {self.path} is empty")
+        # Lines end at b"\n" alone, as the writer and the torn-tail cut
+        # below count them.
+        lines = data.removesuffix(b"\n").split(b"\n")
         try:
-            header = _json_line(lines[0])
-            if not isinstance(header, dict):
-                raise ValueError("not a JSON object")
+            header = json_object(lines[0])
         except ValueError as error:
             raise ConfigurationError(
                 f"ledger {self.path} has an unreadable header: {error}"
@@ -608,9 +617,9 @@ class CampaignLedger:
                     f"[0, {n_cells})"
                 )
         low, high = cell_range if cell_range is not None else (0, n_cells)
-        # Indices (0-based) of the last line holding any content: only
-        # the trailing run of blank/undecodable lines — the possible
-        # remains of an interrupted append — is torn-tail tolerated.
+        # Index (0-based) of the last line holding anything but ASCII
+        # whitespace: only that line — the possible remains of an
+        # interrupted append — is torn-tail tolerated.
         last_content = max(
             (i for i, line in enumerate(lines) if line.strip()), default=0
         )
@@ -620,7 +629,7 @@ class CampaignLedger:
             if not line.strip():
                 continue
             try:
-                metrics = CellMetrics.from_record(_json_line(line))
+                metrics = CellMetrics.from_record(json_object(line))
             except (KeyError, TypeError, ValueError):
                 if position - 1 == last_content:
                     # Interrupted mid-append: drop the torn tail (and
@@ -644,18 +653,14 @@ class CampaignLedger:
             records[metrics.index] = metrics
         # The header and records end where the torn line (if any) and
         # trailing blanks begin; a resuming writer cuts the rest.
-        intact = text.rstrip()
+        intact = data.rstrip()
         if torn:
-            intact = intact[: intact.rfind("\n")].rstrip()
+            intact = intact[: intact.rfind(b"\n")].rstrip()
         return LedgerContents(
             fingerprint=fingerprint,
             cell_range=cell_range,
             records=records,
-            torn_at=(
-                None
-                if text == intact + "\n"
-                else len(intact.encode(errors="surrogateescape"))
-            ),
+            torn_at=None if data == intact + b"\n" else len(intact),
         )
 
     def load(

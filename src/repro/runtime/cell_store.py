@@ -18,9 +18,11 @@ index in a different grid is still the same physics — so ``get``
 rebuilds the record under the requesting campaign's indices.
 
 Entries are one JSON file each under ``root/<key[:2]>/<key>.json``,
-written atomically (temp file + ``os.replace``), and any unreadable,
-mismatched or foreign-schema entry is treated as a miss — the cell
-simply re-runs and the entry is rewritten.
+written atomically (temp file + ``os.replace``).  ``get``, ``put`` and
+every sweep read an entry through :func:`read_entry`, the one rule for
+a healthy entry; any other entry is a miss (the cell simply re-runs and
+the entry is rewritten), a problem to ``verify``, unreadable to
+``stats``, and never matched by a prune by campaign base.
 
 Long-lived stores accumulate — every campaign iteration, every retired
 converter configuration leaves its cells behind — so the store also
@@ -53,7 +55,7 @@ from pathlib import Path
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
 from repro.profiling import active
-from repro.runtime.campaign import CampaignCell, CampaignSpec, CellMetrics
+from repro.runtime.campaign import CampaignCell, CampaignSpec, CellMetrics, json_object
 from repro.schemas import CELL_STORE_REPORT_SCHEMA, CELL_STORE_SCHEMA
 
 #: Spec fields that shape a single cell's measurement (the bench
@@ -92,17 +94,50 @@ def _around_cell(base: dict) -> tuple[bytes, bytes]:
     return f'{{{before}"cell": '.encode(), f"{after}}}".encode()
 
 
+def read_entry(path: Path) -> tuple[dict, int]:
+    """The healthy entry at ``path`` and its size in bytes.
+
+    Healthy: the bytes pass :func:`~repro.runtime.campaign.json_object`,
+    and the object carries the store schema tag, the key its path
+    demands and a finite number for every metric.
+
+    Raises:
+        OSError: the file cannot be read (a concurrent prune removed it).
+        ValueError: saying why the entry is damaged.
+    """
+    raw = path.read_bytes()
+    entry = json_object(raw)
+    if entry.get("schema") != CELL_STORE_SCHEMA:
+        raise ValueError(f"foreign schema {entry.get('schema')!r}")
+    key = entry.get("key")
+    if key != path.stem:
+        raise ValueError(f"key {key!r} does not match the entry path")
+    if path.parent.name != path.stem[:2]:
+        raise ValueError("entry filed under the wrong prefix directory")
+    metrics = entry.get("metrics")
+    if not isinstance(metrics, dict):
+        raise ValueError("entry carries no metrics object")
+    for field in _METRIC_FIELDS:
+        value = metrics.get(field)
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise ValueError(f"metric {field!r} missing or non-numeric")
+        if not isfinite(value):
+            raise ValueError(f"metric {field!r} is not finite")
+    return entry, len(raw)
+
+
 @dataclass(frozen=True)
 class CellStoreStats:
     """One :meth:`CellStore.stats` sweep.
 
     Attributes:
         root: the store root directory.
-        n_entries: readable entries currently in the store.
+        n_entries: healthy entries (:func:`read_entry`) in the store.
         total_bytes: bytes those entries occupy.
         campaigns: entry count per campaign-base digest; entries
             predating the ``base`` field group under ``"unknown"``.
-        n_unreadable: entries that did not parse (verify's business).
+        n_unreadable: entries :func:`read_entry` rejects, the ones
+            :meth:`CellStore.verify` reports.
         n_quarantined: entries sitting in ``root/quarantine/``.
     """
 
@@ -271,18 +306,15 @@ class CellStore:
         campaigns: dict[str, int] = {}
         for path in self.entry_paths():
             try:
-                text = path.read_text()
-                size = path.stat().st_size
+                entry, size = read_entry(path)
             except OSError:
                 continue  # vanished mid-sweep: concurrent prune
-            try:
-                entry = json.loads(text)
-                base = str(entry.get("base", "unknown"))
-            except (json.JSONDecodeError, AttributeError):
+            except ValueError:
                 n_unreadable += 1
                 continue
             n_entries += 1
             total_bytes += size
+            base = str(entry.get("base", "unknown"))
             campaigns[base] = campaigns.get(base, 0) + 1
         quarantine = self.root / QUARANTINE_DIR
         n_quarantined = (
@@ -302,41 +334,32 @@ class CellStore:
     def verify(self, fix: bool = False) -> CellStoreVerifyReport:
         """Integrity-sweep every entry; ``fix`` quarantines bad ones.
 
-        Checks each entry parses, carries the store schema tag, sits at
-        the path its key demands, and holds finite metric floats.  A
-        bad entry is reported (never silently skipped); with ``fix`` it
+        Checks each entry against :func:`read_entry`'s rule.  A bad
+        entry is reported (never silently skipped); with ``fix`` it
         is moved to ``root/quarantine/`` — out of the lookup path, but
         preserved for diagnosis rather than deleted.  Entries another
         process deletes mid-sweep are skipped, not errors.
         """
         n_entries = 0
-        n_ok = 0
         problems: list[CellStoreProblem] = []
         for path in self.entry_paths():
             try:
-                text = path.read_text()
+                read_entry(path)
             except OSError:
                 continue  # vanished mid-sweep: concurrent prune
-            n_entries += 1
-            try:
-                self._healthy_entry(path, text)
             except ValueError as error:
-                reason = str(error)
-            else:
-                n_ok += 1
-                continue
-            quarantined = False
-            if fix:
-                quarantined = self._quarantine(path)
-            problems.append(
-                CellStoreProblem(
-                    path=str(path), reason=reason, quarantined=quarantined
+                problems.append(
+                    CellStoreProblem(
+                        path=str(path),
+                        reason=str(error),
+                        quarantined=fix and self._quarantine(path),
+                    )
                 )
-            )
+            n_entries += 1
         return CellStoreVerifyReport(
             root=str(self.root),
             n_entries=n_entries,
-            n_ok=n_ok,
+            n_ok=n_entries - len(problems),
             problems=tuple(problems),
             fixed=fix,
         )
@@ -353,9 +376,9 @@ class CellStore:
         Args:
             max_age_s: remove entries whose file mtime is older than
                 this many seconds before ``now``.
-            fingerprint: remove entries whose ``base`` digest equals
-                this (a retired configuration's cells); entries
-                predating the field never match.
+            fingerprint: remove healthy entries whose ``base`` digest
+                equals this (a retired configuration's cells); entries
+                predating the field, and damaged ones, never match.
             now: the reference timestamp for the age criterion (the CLI
                 passes the wall clock; tests pin it).  Required with
                 ``max_age_s``.
@@ -385,7 +408,10 @@ class CellStore:
                 assert now is not None
                 drop = now - mtime > max_age_s
             if not drop and fingerprint is not None:
-                drop = self._entry_base(path) == fingerprint
+                try:
+                    drop = read_entry(path)[0].get("base") == fingerprint
+                except (OSError, ValueError):
+                    pass  # damaged or vanished: verify's business
             if not drop:
                 n_kept += 1
                 continue
@@ -406,50 +432,6 @@ class CellStore:
             max_age_s=max_age_s,
             fingerprint=fingerprint,
         )
-
-    def _entry_base(self, path: Path) -> str | None:
-        try:
-            entry = json.loads(path.read_text())
-            base = entry.get("base")
-        except (OSError, json.JSONDecodeError, AttributeError):
-            return None
-        return base if isinstance(base, str) else None
-
-    @staticmethod
-    def _healthy_entry(path: Path, text: str) -> dict:
-        """The entry ``text`` at ``path`` parsed, when it is healthy.
-
-        The one rule for a healthy entry: lookups serve only these, and
-        :meth:`verify` reports every other one.
-
-        Raises:
-            ValueError: saying why the entry is damaged.
-        """
-        try:
-            entry = json.loads(text)
-        except json.JSONDecodeError:
-            raise ValueError("not valid JSON (truncated or corrupt)") from None
-        if not isinstance(entry, dict):
-            raise ValueError("entry is not a JSON object")
-        if entry.get("schema") != CELL_STORE_SCHEMA:
-            raise ValueError(f"foreign schema {entry.get('schema')!r}")
-        key = entry.get("key")
-        if key != path.stem:
-            raise ValueError(f"key {key!r} does not match the entry path")
-        if path.parent.name != path.stem[:2]:
-            raise ValueError("entry filed under the wrong prefix directory")
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            raise ValueError("entry carries no metrics object")
-        for field in _METRIC_FIELDS:
-            value = metrics.get(field)
-            if not isinstance(value, (int, float)) or isinstance(
-                value, bool
-            ):
-                raise ValueError(f"metric {field!r} missing or non-numeric")
-            if not isfinite(value):
-                raise ValueError(f"metric {field!r} is not finite")
-        return entry
 
     def _quarantine(self, path: Path) -> bool:
         """Move one damaged entry out of the lookup path; True on success."""
@@ -513,12 +495,12 @@ class BoundCellStore:
 
         A hit rebuilds the record under the *requesting* campaign's
         grid index and die position.  Only a healthy entry
-        (:meth:`CellStore._healthy_entry`) is a hit; a missing, damaged
+        (:func:`read_entry`) is a hit; a missing, damaged
         or mismatched one is a miss (the cell re-runs and overwrites it).
         """
         path = self._path(self._key(cell))
         try:
-            metrics = CellStore._healthy_entry(path, path.read_text())["metrics"]
+            metrics = read_entry(path)[0]["metrics"]
         except (OSError, ValueError):
             recorder = active()
             if recorder is not None:
@@ -544,7 +526,7 @@ class BoundCellStore:
         """Store one completed cell (idempotent; atomic per entry).
 
         A healthy existing entry is kept; a damaged one
-        (:meth:`CellStore._healthy_entry`) is overwritten.  Best-effort
+        (:func:`read_entry`) is overwritten.  Best-effort
         against concurrent hygiene: a prune that removes the prefix
         directory between our mkdir and the write is retried once;
         losing the race twice leaves the entry unwritten (the cell is
@@ -555,7 +537,7 @@ class BoundCellStore:
         key = self._key(cell)
         path = self._path(key)
         try:
-            CellStore._healthy_entry(path, path.read_text())
+            read_entry(path)
             return
         except (OSError, ValueError):
             pass  # no entry yet, or a damaged one: write one
@@ -579,10 +561,10 @@ class BoundCellStore:
                 if attempt:
                     return
                 continue
-            except OSError:
+            except OSError as error:
                 # ENOSPC, EACCES, ...: the *.json sweeps never see a
                 # temp file, so remove it before the error propagates.
                 with contextlib.suppress(OSError):
                     tmp.unlink()
-                raise
+                raise OSError(error.errno, error.strerror, str(path)) from None
             return

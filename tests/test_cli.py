@@ -1,6 +1,7 @@
 """Tests for repro.cli."""
 
 import json
+import os
 
 import pytest
 
@@ -218,3 +219,28 @@ def test_unwritable_json_path_exits_2(argv, tmp_path, capsys):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main([*argv, "--json", str(target)]) == 2
     assert f"error: cannot write {target}:" in capsys.readouterr().err
+
+
+_ONE_CELL = ["campaign", "--corners", "tt", "--temps=27", "--dies", "1",
+             "--fft-points", "256"]
+
+
+@pytest.mark.parametrize(
+    ("argv", "named"),
+    [
+        ([*_ONE_CELL, "--ledger", "/dev/full"], "/dev/full"),
+        (["campaign-merge", "{tmp}"], "{tmp}"),
+        ([*_ONE_CELL, "--cell-store", "{tmp}/file"], "{tmp}/file"),
+    ],
+    ids=["ledger-disk-full", "merge-a-directory", "store-root-a-file"],
+)
+def test_io_fault_exits_2_naming_the_file(argv, named, tmp_path, capsys):
+    """An I/O fault on a durable file is one error line naming it."""
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    (tmp_path / "file").write_text("")
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert named.replace("{tmp}", str(tmp_path)) in err

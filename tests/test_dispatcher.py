@@ -574,22 +574,45 @@ class TestCellStoreHygiene:
         assert report.clean
         assert report.n_ok == report.n_entries
 
-    def test_verify_reports_and_quarantines_corruption(self, populated):
+    @pytest.mark.parametrize(
+        "damage",
+        [b"{not json", b"\xff\xfe garbage"],
+        ids=["truncated-json", "not-utf8"],
+    )
+    def test_verify_reports_and_quarantines_corruption(
+        self, populated, small_spec, damage
+    ):
         victim = populated.entry_paths()[0]
-        victim.write_text("{not json")
+        victim.write_bytes(damage)
+        # Every sweep reads the entry through one rule: stats counts it
+        # unreadable, prune by campaign base never matches it.
+        stats = populated.stats()
+        assert stats.n_entries == small_spec.n_cells - 1
+        assert stats.n_unreadable == 1
+        (base,) = stats.campaigns
+        pruned = populated.prune(fingerprint=base, dry_run=True)
+        assert len(pruned.removed) == small_spec.n_cells - 1
+        assert str(victim) not in pruned.removed
         report = populated.verify()
         assert not report.clean
+        assert report.n_entries == stats.n_entries + stats.n_unreadable
         assert report.problems[0].path == str(victim)
         assert not report.problems[0].quarantined
         fixed = populated.verify(fix=True)
         assert fixed.problems[0].quarantined
         assert not victim.exists()
         quarantined = populated.root / QUARANTINE_DIR / victim.name
-        assert quarantined.read_text() == "{not json"
+        assert quarantined.read_bytes() == damage
         # The quarantined entry is out of the sweep and the counters.
         after = populated.verify()
         assert after.clean
         assert populated.stats().n_quarantined == 1
+        # A campaign over the damaged entry re-runs exactly that cell
+        # and rewrites the entry.
+        victim.write_bytes(damage)
+        rerun = run_campaign(small_spec, cell_store=populated)
+        assert rerun.cached_cells == small_spec.n_cells - 1
+        assert populated.verify().clean
 
     def test_verify_catches_key_and_metric_damage(self, populated):
         paths = populated.entry_paths()
