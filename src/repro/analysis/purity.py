@@ -1,11 +1,13 @@
 """Checker 5 — die purity (``PUR*``).
 
-Die-cache transparency (docs/architecture.md invariant 6) rests on a
-structural property: a constructed die is immutable for its lifetime.
-A cached :class:`Mdac` that mutated itself during one conversion would
-leak state into every later campaign cell that shares the key — the
-kind of bug that only shows up as a bit mismatch three workloads away.
-This checker makes the property static: in the cached-die classes,
+Template transparency (docs/architecture.md invariant 6) rests on a
+structural property: a constructed die, and the cached template every
+die of its PVT point shares, is immutable for its lifetime.  A die
+converts more than once, so an :class:`Mdac` that mutated itself during
+one conversion would leak state into the next, and a mutated template
+into every die later built on it — the kind of bug that only shows up
+as a bit mismatch three workloads away.
+This checker makes the property static: in the die classes,
 attribute assignment is legal only inside the documented constructors
 (``__init__`` / ``__post_init__`` / the ``_build*`` construction
 helpers ``__init__`` delegates to).
@@ -13,7 +15,7 @@ helpers ``__init__`` delegates to).
 Rules:
 
 * ``PUR001`` — ``self.attr = ...`` (or ``del self.attr``) outside a
-  constructor method of a cached-die class.
+  constructor method of a die class.
 * ``PUR002`` — ``setattr(self, ...)`` / ``object.__setattr__(self,
   ...)`` outside a constructor method (the frozen-dataclass bypass).
   A derived value is computed in the constructor instead of memoised
@@ -30,9 +32,10 @@ from repro.analysis.base import Finding, Project
 #: Invariant id (docs/architecture.md, invariant 6).
 INVARIANT = "die-purity"
 
-#: The cached-die classes: everything a ``die_cache.build_die`` hit
-#: returns, transitively, and the die templates its misses share —
-#: the template itself and what it hands to every die built on it.
+#: The die classes: everything a ``die_cache.build_die`` call returns,
+#: transitively, and the cached die templates the dies of one PVT point
+#: share — the template itself and what it hands to every die built on
+#: it.
 DIE_CLASSES: dict[str, frozenset[str]] = {
     "src/repro/core/adc.py": frozenset({"PipelineAdc", "DieTemplate", "StageTemplate"}),
     "src/repro/core/stage.py": frozenset({"PipelineStage"}),
@@ -99,7 +102,7 @@ def _is_self_setattr(node: ast.Call) -> bool:
 
 
 def check(project: Project) -> Iterator[Finding]:
-    """Run the die-purity rules over the cached-die classes."""
+    """Run the die-purity rules over the die classes."""
     for path, class_names in DIE_CLASSES.items():
         source = project.file(path)
         if source is None:
@@ -147,7 +150,7 @@ def _check_node(
                     invariant=INVARIANT,
                     scope=scope,
                     message=(
-                        f"cached-die class {class_name} assigns "
+                        f"die class {class_name} assigns "
                         f"self.{attribute} outside its constructors"
                     ),
                     hint=(
@@ -165,7 +168,7 @@ def _check_node(
             invariant=INVARIANT,
             scope=scope,
             message=(
-                f"cached-die class {class_name} mutates self via "
+                f"die class {class_name} mutates self via "
                 "setattr outside its constructors"
             ),
             hint="compute the derived value in a constructor method",

@@ -188,8 +188,8 @@ class DieTemplate:
     template plus a seed — :class:`PipelineAdc` draws the seed's
     mismatch and finishes the opamp designs from the drawn currents —
     so the dies of one PVT point can share one template
-    (:func:`repro.core.die_cache.build_die` keeps them in a bounded
-    LRU).  Like a die, a template is frozen after construction.
+    (:func:`repro.core.die_cache.build_die` keeps the templates in a
+    bounded LRU).  Like a die, a template is frozen after construction.
 
     Args:
         config: full electrical configuration.

@@ -109,8 +109,8 @@ class AdcArray:
         self.config = config
         self.conversion_rate = conversion_rate
         #: Per-die converters; construction replays each die's frozen
-        #: mismatch draws exactly as the per-die path would (reused
-        #: from the die cache when the key was built before).
+        #: mismatch draws exactly as the per-die path would, on the
+        #: cached template of the die's PVT point.
         self.dies: list[PipelineAdc] = [
             build_die(
                 config,

@@ -106,9 +106,9 @@ class DynamicTestbench:
     def build(self, conversion_rate: float) -> PipelineAdc:
         """Instantiate the die at a conversion rate.
 
-        Goes through the die cache: a frequency sweep re-measures one
-        physical die, so every point after the first reuses the
-        constructed instance instead of re-running the bias solve.
+        Builds on the cached template of (config, rate, operating
+        point), so only the die seed's mismatch draws and opamp designs
+        run per call; the same seed gives the same physical die.
         """
         return build_die(
             self.config,

@@ -44,7 +44,6 @@ stage / phase           what it times
 ``build/die-template``  one die template's construction (timing, bias
                         generator, opamp designer constants, front end);
                         never nested in ``build/die``
-``build/die-cache-*``   die-cache ``hit`` / ``miss`` counts (no time)
 ``sample/stimulus``     signal evaluation at the (jittered) instants
 ``sample/acquire``      front-end acquisition (includes children)
 ``frontend/*``          the compiled front end: ``native`` (its two C

@@ -118,11 +118,18 @@ class CampaignSpec:
             )
         if self.n_dies < 1:
             raise ConfigurationError("campaign needs at least one die")
-        if self.die_seeds is not None and len(self.die_seeds) != self.n_dies:
-            raise ConfigurationError(
-                f"die_seeds must have one entry per die ({self.n_dies}), "
-                f"got {len(self.die_seeds)}"
-            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
+        if self.die_seeds is not None:
+            if len(self.die_seeds) != self.n_dies:
+                raise ConfigurationError(
+                    f"die_seeds must have one entry per die ({self.n_dies}), "
+                    f"got {len(self.die_seeds)}"
+                )
+            if min(self.die_seeds) < 0:
+                raise ConfigurationError(
+                    f"die seeds must be >= 0, got {min(self.die_seeds)}"
+                )
         if self.conversion_rate <= 0 or self.input_frequency <= 0:
             raise ConfigurationError("rate and frequency must be positive")
         if self.n_samples < 256:

@@ -10,12 +10,13 @@ a re-run, a different shard split, a spec iterating on one corner —
 resumes it with zero recomputation, across processes and grid shapes.
 
 This is the persistent, cross-campaign complement of the process-local
-:mod:`repro.core.die_cache`: the die cache skips rebuilding a die
-within one process, the cell store skips converting and analyzing the
-cell at all.  Grid position (cell index, die position) is deliberately
-*not* part of the key — the same (point, seed) cell at a different
-index in a different grid is still the same physics — so ``get``
-rebuilds the record under the requesting campaign's indices.
+:mod:`repro.core.die_cache`: the template cache skips the bias solve
+and opamp designer setup of a PVT point within one process, the cell
+store skips building, converting and analyzing the cell at all.  Grid
+position (cell index, die position) is deliberately *not* part of the
+key — the same (point, seed) cell at a different index in a different
+grid is still the same physics — so ``get`` rebuilds the record under
+the requesting campaign's indices.
 
 Entries are one JSON file each under ``root/<key[:2]>/<key>.json``,
 written atomically (temp file + ``os.replace``).  ``get``, ``put`` and
@@ -385,13 +386,15 @@ class CellStore:
             dry_run: report what would be removed without touching disk.
 
         Raises:
-            ConfigurationError: no criterion given, or ``max_age_s``
-                without ``now``.
+            ConfigurationError: no criterion given, a negative
+                ``max_age_s``, or ``max_age_s`` without ``now``.
         """
         if max_age_s is None and fingerprint is None:
             raise ConfigurationError(
                 "prune needs a criterion: max_age_s and/or fingerprint"
             )
+        if max_age_s is not None and max_age_s < 0:
+            raise ConfigurationError(f"max_age_s must be >= 0, got {max_age_s}")
         if max_age_s is not None and now is None:
             raise ConfigurationError("prune by age needs 'now'")
         n_examined = 0

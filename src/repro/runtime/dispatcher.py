@@ -304,6 +304,10 @@ class CampaignDispatcher:
             raise ConfigurationError(
                 f"timeout_s must be positive, got {timeout_s}"
             )
+        if poll_interval_s <= 0:
+            raise ConfigurationError(
+                f"poll_interval_s must be positive, got {poll_interval_s}"
+            )
         # Reject an unknown engine or a bad worker count here, not in
         # every forked shard.
         EngineDispatch(engine=engine, workers=workers)

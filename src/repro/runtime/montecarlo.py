@@ -1,7 +1,7 @@
 """Monte Carlo yield analysis on the batch runtime.
 
 One measure function, :func:`measure_die`, screens every die: it builds
-the die's :class:`~repro.core.adc.PipelineAdc` (through the die cache),
+the die's :class:`~repro.core.adc.PipelineAdc` (on its cached template),
 converts the tone and the linearity ramp, and analyzes each record on
 its own.  The shared :class:`~repro.runtime.batch.EngineDispatch` route
 only decides how many dies one task holds:
@@ -439,6 +439,8 @@ def run_yield_analysis(
         progress: progress callback, once per task.
     """
     dispatch = EngineDispatch(engine=engine, workers=workers)
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     config = config or AdcConfig.paper_default()
     spec = spec or YieldSpec()
     sampler = default_sampler(config)

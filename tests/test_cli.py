@@ -244,3 +244,24 @@ def test_io_fault_exits_2_naming_the_file(argv, named, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert named.replace("{tmp}", str(tmp_path)) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [*_ONE_CELL, "--seed", "-1", "--ledger", "{tmp}/cells.jsonl"],
+        [*_ONE_CELL, "--die-seeds", "-5", "--ledger", "{tmp}/cells.jsonl"],
+        ["mc", "--dies", "1", "--fft-points", "256", "--seed", "-1"],
+        ["mc", "--dies", "1", "--fft-points", "256", "--seed", "-3",
+         "--seed-strategy", "spawn"],
+    ],
+    ids=["campaign-seed", "campaign-die-seeds", "mc-stream", "mc-spawn"],
+)
+def test_negative_seed_exits_2_before_any_write(argv, tmp_path, capsys):
+    """A negative root or die seed is a config error, not a crash."""
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "cells.jsonl").exists()

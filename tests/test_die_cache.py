@@ -1,13 +1,13 @@
-"""Tests for repro.core.die_cache — the content-addressed die cache.
+"""Tests for repro.core.die_cache — the process-local die template cache.
 
 The contract: :func:`build_die` is a drop-in for the ``PipelineAdc``
-constructor.  A hit returns the previously built instance (observable
-only as saved wall time), a key that differs in any component —
-config, conversion rate, PVT point, die seed — misses and builds
-fresh, and a cached die's conversions stay bit-exact with an uncached
-construction.  A miss builds on the cached :class:`DieTemplate` of its
-(config, rate, PVT point), and that die equals a fresh one field by
-field.
+constructor.  Every call builds a new die on the cached
+:class:`DieTemplate` of its (config, rate, PVT point); a key that
+differs in config, rate or PVT point builds its own template, a new
+seed shares it.  A die built on a cached template equals a one-shot
+construction field by field and converts to its codes bit for bit.
+Template builds are counted through the profile's
+``build/die-template`` rows.
 """
 
 import dataclasses
@@ -19,6 +19,7 @@ import pytest
 from repro.core import die_cache
 from repro.core.adc import DieTemplate, PipelineAdc
 from repro.errors import ConfigurationError
+from repro.profiling import profiled
 from repro.signal.generators import SineGenerator
 from repro.technology.corners import Corner, OperatingPoint
 
@@ -38,92 +39,19 @@ def hot_point(technology):
     )
 
 
-class TestHitAndMiss:
-    def test_identical_key_hits(self, paper_config):
-        first = die_cache.build_die(paper_config, 110e6, seed=7)
-        second = die_cache.build_die(paper_config, 110e6, seed=7)
-        assert second is first
-        stats = die_cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
-        assert stats.lookups == 2
+@pytest.fixture()
+def builds():
+    """Profile every ``build_die`` call; read the build rows after."""
+    with profiled() as recorder:
 
-    def test_default_point_matches_explicit_nominal(self, paper_config):
-        """None resolves to the nominal point — one cache entry, not two."""
-        nominal = OperatingPoint(technology=paper_config.technology)
-        first = die_cache.build_die(paper_config, 110e6, None, seed=3)
-        second = die_cache.build_die(paper_config, 110e6, nominal, seed=3)
-        assert second is first
+        def count(phase: str) -> int:
+            return sum(
+                stat.count
+                for stat in recorder.stats()
+                if (stat.stage, stat.phase) == ("build", phase)
+            )
 
-    def test_config_drift_misses(self, paper_config):
-        first = die_cache.build_die(paper_config, 110e6, seed=7)
-        drifted = dataclasses.replace(paper_config, stage1_mirror_ratio=21.0)
-        second = die_cache.build_die(drifted, 110e6, seed=7)
-        assert second is not first
-        assert die_cache.stats().misses == 2
-
-    def test_pvt_drift_misses(self, paper_config, hot_point):
-        first = die_cache.build_die(paper_config, 110e6, seed=7)
-        second = die_cache.build_die(paper_config, 110e6, hot_point, seed=7)
-        assert second is not first
-
-    def test_seed_drift_misses(self, paper_config):
-        first = die_cache.build_die(paper_config, 110e6, seed=7)
-        second = die_cache.build_die(paper_config, 110e6, seed=8)
-        assert second is not first
-
-    def test_rate_drift_misses(self, paper_config):
-        first = die_cache.build_die(paper_config, 110e6, seed=7)
-        second = die_cache.build_die(paper_config, 100e6, seed=7)
-        assert second is not first
-
-
-class TestBitExactness:
-    def test_cached_die_converts_bit_exact(self, paper_config, hot_point):
-        """A reused die produces the codes a fresh construction would."""
-        cached = die_cache.build_die(paper_config, 110e6, hot_point, seed=5)
-        cached = die_cache.build_die(paper_config, 110e6, hot_point, seed=5)
-        fresh = PipelineAdc(
-            paper_config, 110e6, operating_point=hot_point, seed=5
-        )
-        tone = SineGenerator.coherent(10e6, 110e6, 256, amplitude=0.9)
-        assert np.array_equal(
-            cached.convert(tone, 256).codes, fresh.convert(tone, 256).codes
-        )
-
-    def test_no_cross_key_leakage(self, paper_config):
-        """Interleaved campaigns each get their own die back."""
-        a1 = die_cache.build_die(paper_config, 110e6, seed=1)
-        b1 = die_cache.build_die(paper_config, 110e6, seed=2)
-        a2 = die_cache.build_die(paper_config, 110e6, seed=1)
-        b2 = die_cache.build_die(paper_config, 110e6, seed=2)
-        assert a2 is a1 and b2 is b1 and a1 is not b1
-        ramp = np.linspace(-1.0, 1.0, 128)
-        assert np.array_equal(
-            a2.convert_samples(ramp).codes,
-            PipelineAdc(paper_config, 110e6, seed=1)
-            .convert_samples(ramp)
-            .codes,
-        )
-
-
-class TestLifecycle:
-    def test_clear_drops_entries_and_counters(self, paper_config):
-        die_cache.build_die(paper_config, 110e6, seed=1)
-        die_cache.build_die(paper_config, 110e6, seed=1)
-        die_cache.clear()
-        stats = die_cache.stats()
-        assert (stats.hits, stats.misses, stats.size) == (0, 0, 0)
-        die_cache.build_die(paper_config, 110e6, seed=1)
-        assert die_cache.stats().misses == 1
-
-    def test_lru_bound_evicts_oldest(self, paper_config, monkeypatch):
-        monkeypatch.setattr(die_cache, "MAX_CACHED_DIES", 2)
-        first = die_cache.build_die(paper_config, 110e6, seed=1)
-        die_cache.build_die(paper_config, 110e6, seed=2)
-        die_cache.build_die(paper_config, 110e6, seed=3)  # evicts seed=1
-        assert die_cache.stats().size == 2
-        again = die_cache.build_die(paper_config, 110e6, seed=1)
-        assert again is not first
+        yield count
 
 
 def die_fields(die: PipelineAdc) -> dict:
@@ -148,6 +76,81 @@ def die_fields(die: PipelineAdc) -> dict:
     }
 
 
+class TestHitAndMiss:
+    def test_identical_key_hits(self, paper_config, builds):
+        """One key twice: two distinct dies on one template, equal codes."""
+        first = die_cache.build_die(paper_config, 110e6, seed=7)
+        second = die_cache.build_die(paper_config, 110e6, seed=7)
+        assert second is not first
+        assert second.template is first.template
+        assert (builds("die-template"), builds("die")) == (1, 2)
+        tone = SineGenerator.coherent(10e6, 110e6, 256, amplitude=0.9)
+        assert np.array_equal(
+            first.convert(tone, 256).codes, second.convert(tone, 256).codes
+        )
+
+    def test_default_point_matches_explicit_nominal(self, paper_config, builds):
+        """None resolves to the nominal point — one template, not two."""
+        nominal = OperatingPoint(technology=paper_config.technology)
+        first = die_cache.build_die(paper_config, 110e6, None, seed=3)
+        second = die_cache.build_die(paper_config, 110e6, nominal, seed=3)
+        assert second.template is first.template
+        assert builds("die-template") == 1
+
+    def test_config_drift_misses(self, paper_config, builds):
+        first = die_cache.build_die(paper_config, 110e6, seed=7)
+        drifted = dataclasses.replace(paper_config, stage1_mirror_ratio=21.0)
+        second = die_cache.build_die(drifted, 110e6, seed=7)
+        assert second.template is not first.template
+        assert builds("die-template") == 2
+
+    def test_pvt_drift_misses(self, paper_config, hot_point):
+        first = die_cache.build_die(paper_config, 110e6, seed=7)
+        second = die_cache.build_die(paper_config, 110e6, hot_point, seed=7)
+        assert second.template is not first.template
+
+    def test_seed_drift_misses(self, paper_config, builds):
+        """A new seed draws a new die on the shared template."""
+        first = die_cache.build_die(paper_config, 110e6, seed=7)
+        second = die_cache.build_die(paper_config, 110e6, seed=8)
+        assert second.template is first.template
+        assert die_fields(second)["ratio_errors"] != die_fields(first)["ratio_errors"]
+        assert builds("die-template") == 1
+
+    def test_rate_drift_misses(self, paper_config):
+        first = die_cache.build_die(paper_config, 110e6, seed=7)
+        second = die_cache.build_die(paper_config, 100e6, seed=7)
+        assert second.template is not first.template
+
+
+class TestBitExactness:
+    def test_cached_die_converts_bit_exact(self, paper_config, hot_point):
+        """A die on a cached template converts to a fresh die's codes, twice."""
+        die_cache.build_die(paper_config, 110e6, hot_point, seed=4)
+        cached = die_cache.build_die(paper_config, 110e6, hot_point, seed=5)
+        fresh = PipelineAdc(
+            paper_config, 110e6, operating_point=hot_point, seed=5
+        )
+        tone = SineGenerator.coherent(10e6, 110e6, 256, amplitude=0.9)
+        expected = fresh.convert(tone, 256).codes
+        assert np.array_equal(cached.convert(tone, 256).codes, expected)
+        assert np.array_equal(cached.convert(tone, 256).codes, expected)
+
+    def test_no_cross_key_leakage(self, paper_config):
+        """Interleaved builds each get their own die."""
+        a1 = die_cache.build_die(paper_config, 110e6, seed=1)
+        die_cache.build_die(paper_config, 110e6, seed=2)
+        ramp = np.linspace(-1.0, 1.0, 128)
+        a1.convert_samples(ramp)
+        a2 = die_cache.build_die(paper_config, 110e6, seed=1)
+        assert np.array_equal(
+            a2.convert_samples(ramp).codes,
+            PipelineAdc(paper_config, 110e6, seed=1)
+            .convert_samples(ramp)
+            .codes,
+        )
+
+
 class TestTemplates:
     def test_die_on_shared_template_equals_fresh(self, paper_config, hot_point):
         die_cache.build_die(paper_config, 110e6, hot_point, seed=4)
@@ -163,7 +166,7 @@ class TestTemplates:
             shared.convert(tone, 512).codes, fresh.convert(tone, 512).codes
         )
 
-    def test_build_order_does_not_matter(self, paper_config, technology):
+    def test_build_order_does_not_matter(self, paper_config, technology, builds):
         points = [
             OperatingPoint(technology=technology),
             OperatingPoint(
@@ -188,28 +191,26 @@ class TestTemplates:
         shuffled = list(keys)
         random.Random(0).shuffle(shuffled)
         assert build(shuffled) == in_order
-        stats = die_cache.stats()
-        assert (stats.template_misses, stats.template_hits) == (3, 9)
+        assert (builds("die-template"), builds("die")) == (6, 24)
 
-    def test_stats_count_template_hits_and_misses(self, paper_config, hot_point):
+    def test_profile_counts_template_builds(self, paper_config, hot_point, builds):
         for seed in (1, 2, 3):
             die_cache.build_die(paper_config, 110e6, seed=seed)
         die_cache.build_die(paper_config, 110e6, hot_point, seed=1)
-        die_cache.build_die(paper_config, 110e6, seed=1)  # a die hit
-        stats = die_cache.stats()
-        assert (stats.template_hits, stats.template_misses) == (2, 2)
-        assert (stats.hits, stats.misses, stats.templates) == (1, 4, 2)
+        die_cache.build_die(paper_config, 110e6, seed=1)
+        assert (builds("die-template"), builds("die")) == (2, 5)
 
-    def test_clear_drops_templates(self, paper_config):
+    def test_clear_drops_templates(self, paper_config, builds):
         first = die_cache.build_die(paper_config, 110e6, seed=1)
         die_cache.clear()
-        stats = die_cache.stats()
-        assert stats.templates == stats.template_hits == stats.template_misses == 0
         second = die_cache.build_die(paper_config, 110e6, seed=2)
         assert second.template is not first.template
-        assert die_cache.stats().template_misses == 1
+        assert builds("die-template") == 2
+        third = die_cache.build_die(paper_config, 110e6, seed=1)
+        assert third.template is second.template
+        assert builds("die-template") == 2
 
-    def test_template_lru_bound(self, paper_config, technology, monkeypatch):
+    def test_template_lru_bound(self, paper_config, technology, monkeypatch, builds):
         monkeypatch.setattr(die_cache, "MAX_CACHED_TEMPLATES", 2)
         temperatures = (-40.0, 27.0, 125.0)
         points = [
@@ -219,10 +220,12 @@ class TestTemplates:
         first = die_cache.build_die(paper_config, 110e6, points[0], seed=1)
         for point in points[1:]:  # the third point evicts the first
             die_cache.build_die(paper_config, 110e6, point, seed=1)
-        assert die_cache.stats().templates == 2
+        kept = die_cache.build_die(paper_config, 110e6, points[2], seed=2)
+        assert builds("die-template") == 3
         again = die_cache.build_die(paper_config, 110e6, points[0], seed=2)
         assert again.template is not first.template
-        assert die_cache.stats().template_misses == 4
+        assert builds("die-template") == 4
+        assert kept.template is not again.template
 
     def test_template_for_another_key_rejected(self, paper_config, hot_point):
         template = DieTemplate(paper_config, 110e6, hot_point)

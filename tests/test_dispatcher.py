@@ -31,6 +31,7 @@ import pytest
 from repro.core import die_cache
 from repro.core.config import AdcConfig
 from repro.errors import ConfigurationError
+from repro.profiling import profiled
 from repro.runtime import dispatcher as dispatcher_module
 from repro.runtime.campaign import CampaignLedger, CampaignSpec, run_campaign
 from repro.runtime.cell_store import QUARANTINE_DIR, CellStore
@@ -147,6 +148,14 @@ class TestDispatcherValidation:
         with pytest.raises(ConfigurationError, match="timeout"):
             CampaignDispatcher(
                 small_spec, shards=2, work_dir=tmp_path, timeout_s=0.0
+            )
+
+    @pytest.mark.parametrize("poll", [0.0, -1.0])
+    def test_bad_poll_interval(self, small_spec, tmp_path, poll):
+        # A non-positive poll would busy-spin the wave loop.
+        with pytest.raises(ConfigurationError, match="poll_interval_s"):
+            CampaignDispatcher(
+                small_spec, shards=2, work_dir=tmp_path, poll_interval_s=poll
             )
 
     def test_bad_engine(self, small_spec, tmp_path):
@@ -393,10 +402,12 @@ class TestForkedShards:
     def test_warm_parent_and_silent_children(
         self, small_spec, tmp_path, monkeypatch, capfd, single_report
     ):
-        # The same dies, built in the parent before the fork.
+        # The grid's die templates, built in the parent before the fork.
         die_cache.clear()
-        run_campaign(small_spec, engine="vectorized")
-        assert die_cache.stats().size == small_spec.n_cells
+        with profiled() as recorder:
+            run_campaign(small_spec, engine="vectorized")
+        rows = {(s.stage, s.phase): s.count for s in recorder.stats()}
+        assert rows[("build", "die-template")] == small_spec.n_points
         # The children inherit this wrapper; everything it writes, at
         # the stream and the descriptor level, must stay in the child.
         real = dispatcher_module.run_campaign
@@ -648,6 +659,13 @@ class TestCellStoreHygiene:
             populated.prune()
         with pytest.raises(ConfigurationError, match="now"):
             populated.prune(max_age_s=1.0)
+
+    def test_prune_rejects_a_negative_age(self, populated, small_spec):
+        # A negative age would make every entry old enough to remove.
+        mtime = populated.entry_paths()[0].stat().st_mtime
+        with pytest.raises(ConfigurationError, match="max_age_s"):
+            populated.prune(max_age_s=-1.0, now=mtime, dry_run=True)
+        assert len(populated.entry_paths()) == small_spec.n_cells
 
     def test_prune_by_age_with_pinned_now(self, populated, small_spec):
         mtime = populated.entry_paths()[0].stat().st_mtime

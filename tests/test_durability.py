@@ -3,7 +3,7 @@
 Shard ledgers and a cell store take writes interleaved with the faults
 in scope — a cut at any byte, arbitrary bytes appended or written over
 a file, a torn append, a truncated entry, a non-finite metric, a full
-disk — and every read stays true to what was written: a ledger read
+disk or a denied write — and every read stays true to what was written: a ledger read
 returns a subset of the records a writer began, with equal values, or
 raises :class:`~repro.errors.ConfigurationError`; a store lookup serves
 exactly the healthy entries; a failed write raises ``OSError`` naming
@@ -73,8 +73,13 @@ def synthetic(index: int, values: tuple[float, ...]) -> CellMetrics:
     )
 
 
-def full_disk(*args):
-    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+#: The errnos a failed write raises: a full disk, a denied write.
+write_errors = st.sampled_from([errno.ENOSPC, errno.EACCES])
+
+
+def failing(code: int) -> OSError:
+    """The error a write syscall raises with ``code``."""
+    return OSError(code, os.strerror(code))
 
 
 def shard_of(index: int) -> tuple[int, int]:
@@ -137,19 +142,19 @@ class DurableFormats(RuleBasedStateMachine):
                 self.durable[shard][metrics.index] = metrics
         self.ledgers[shard].record(batch.values())
 
-    @rule(shard=st.sampled_from(SHARDS), data=st.data())
-    def record_on_a_full_disk(self, shard, data):
+    @rule(shard=st.sampled_from(SHARDS), data=st.data(), code=write_errors)
+    def record_on_a_full_disk(self, shard, data, code):
         ledger = self.ledgers[shard]
         if self.durable[shard] is None:
             return
         metrics = self._next_record(shard, data)
         if metrics is None:
             return
-        with mock.patch.object(os, "fsync", side_effect=full_disk):
+        with mock.patch.object(os, "fsync", side_effect=failing(code)):
             try:
                 ledger.record([metrics])
             except OSError as error:
-                assert error.errno == errno.ENOSPC
+                assert error.errno == code
                 assert error.filename == str(ledger.path)
             else:
                 raise AssertionError("a failed fsync must propagate")
@@ -250,13 +255,17 @@ class DurableFormats(RuleBasedStateMachine):
         self.healthy.setdefault(index, synthetic(index, values))
         self.damaged.discard(index)
 
-    @rule(index=st.integers(0, len(CELLS) - 1), values=metric_values)
-    def put_on_a_full_disk(self, index, values):
-        with mock.patch.object(os, "replace", side_effect=full_disk):
+    @rule(
+        index=st.integers(0, len(CELLS) - 1),
+        values=metric_values,
+        code=write_errors,
+    )
+    def put_on_a_full_disk(self, index, values, code):
+        with mock.patch.object(os, "replace", side_effect=failing(code)):
             try:
                 self.bound.put(CELLS[index], synthetic(index, values))
             except OSError as error:
-                assert error.errno == errno.ENOSPC
+                assert error.errno == code
                 path = self.paths.setdefault(index, Path(error.filename))
                 assert error.filename == str(path)
                 assert path.suffix == ".json"
