@@ -151,6 +151,27 @@ class TestBitExactness:
         )
 
 
+class TestLifecycle:
+    def test_clear_drops_entries_and_counters(self, paper_config, builds):
+        """clear() empties the cache; the build counters live in the profile.
+
+        The cache keeps no counters of its own: the template builds it
+        causes are profile rows, which a clear leaves alone, so the
+        count goes on across it and the first build after it counts
+        one more template build.
+        """
+        first = die_cache.build_die(paper_config, 110e6, seed=1)
+        repeat = die_cache.build_die(paper_config, 110e6, seed=1)
+        assert repeat.template is first.template
+        assert (builds("die-template"), builds("die")) == (1, 2)
+        die_cache.clear()
+        assert (builds("die-template"), builds("die")) == (1, 2)
+        rebuilt = die_cache.build_die(paper_config, 110e6, seed=1)
+        assert rebuilt.template is not first.template
+        assert (builds("die-template"), builds("die")) == (2, 3)
+        assert die_fields(rebuilt) == die_fields(first)
+
+
 class TestTemplates:
     def test_die_on_shared_template_equals_fresh(self, paper_config, hot_point):
         die_cache.build_die(paper_config, 110e6, hot_point, seed=4)
